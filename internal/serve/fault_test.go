@@ -171,6 +171,21 @@ func TestShedAboveHighWater(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShedRetryAfterRoundsUp: the shed hint is ShedRetryAfter rounded up to
+// whole seconds, like every router hint (httpapi.RetryAfterSecs) — rounding
+// to nearest would tell a client shed for 1.4s to come back after 1.
+func TestShedRetryAfterRoundsUp(t *testing.T) {
+	svc, _ := newTestService(t, 16, Config{ShedRetryAfter: 1400 * time.Millisecond})
+	defer svc.Close()
+	rr := httptest.NewRecorder()
+	if svc.okReply(rr, ErrOverloaded) || rr.Code != http.StatusServiceUnavailable {
+		t.Fatalf("shed reply: status %d, want 503", rr.Code)
+	}
+	if got := rr.Header().Get("Retry-After"); got != "2" {
+		t.Fatalf("Retry-After = %q, want \"2\"", got)
+	}
+}
+
 // faultNTimes escalates a module fault on the first n batch executions.
 type faultNTimes struct {
 	mu sync.Mutex

@@ -2,33 +2,17 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
+	"pimkd/internal/httpapi"
 	"pimkd/internal/trace"
 )
-
-// wireItem is the JSON shape of a stored item.
-type wireItem struct {
-	ID       int32     `json:"id"`
-	P        []float64 `json:"p"`
-	Priority float64   `json:"priority,omitempty"`
-}
-
-func toWire(items []core.Item) []wireItem {
-	out := make([]wireItem, len(items))
-	for i, it := range items {
-		out[i] = wireItem{ID: it.ID, P: it.P, Priority: it.Priority}
-	}
-	return out
-}
 
 // NewHandler exposes a Service over HTTP. Read endpoints are GETs with a
 // comma-separated point parameter; update endpoints are POSTs. Every data
@@ -56,7 +40,7 @@ func NewHandler(s *Service) http.Handler {
 	})
 
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Metrics())
+		httpapi.WriteJSON(w, s.Metrics())
 	})
 
 	mux.HandleFunc("/persistz", func(w http.ResponseWriter, r *http.Request) {
@@ -70,7 +54,7 @@ func NewHandler(s *Service) http.Handler {
 			snapAge = time.Since(time.Unix(0, st.SnapshotUnixNano)).Seconds()
 		}
 		rec := st.LastRecovery
-		writeJSON(w, struct {
+		httpapi.WriteJSON(w, struct {
 			Dir                string  `json:"dir"`
 			LSN                uint64  `json:"lsn"`
 			Fsync              bool    `json:"fsync"`
@@ -131,7 +115,7 @@ func NewHandler(s *Service) http.Handler {
 				topK = v
 			}
 		}
-		writeJSON(w, struct {
+		httpapi.WriteJSON(w, struct {
 			Seen    int64         `json:"seen"`
 			Dropped int64         `json:"dropped"`
 			Totals  trace.Totals  `json:"totals"`
@@ -139,238 +123,70 @@ func NewHandler(s *Service) http.Handler {
 		}{t.Seen(), t.Dropped(), t.Totals(), trace.Analyze(recs, topK)})
 	})
 
-	mux.HandleFunc("/lookup", func(w http.ResponseWriter, r *http.Request) {
-		p, ok := pointParam(w, r, "p")
-		if !ok {
-			return
-		}
-		items, info, err := s.Lookup(r.Context(), p)
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
-			Items []wireItem `json:"items"`
-			Batch BatchInfo  `json:"batch"`
-		}{toWire(items), info})
+	type found struct {
+		Items []httpapi.Item `json:"items"`
+		Batch BatchInfo      `json:"batch"`
+	}
+	httpapi.Handle(mux, "/lookup", httpapi.Point, s.okReply, func(ctx context.Context, p geom.Point) (any, error) {
+		items, info, err := s.Lookup(ctx, p)
+		return found{httpapi.Items(items), info}, err
 	})
 
-	mux.HandleFunc("/knn", func(w http.ResponseWriter, r *http.Request) {
-		p, ok := pointParam(w, r, "p")
-		if !ok {
-			return
-		}
-		k := 1
-		if ks := r.FormValue("k"); ks != "" {
-			var err error
-			if k, err = strconv.Atoi(ks); err != nil {
-				http.Error(w, "bad k: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		neighbors, info, err := s.KNN(r.Context(), p, k)
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
+	httpapi.Handle(mux, "/knn", httpapi.KNN, s.okReply, func(ctx context.Context, q httpapi.KNNQuery) (any, error) {
+		neighbors, info, err := s.KNN(ctx, q.P, q.K)
+		return struct {
 			Neighbors []Neighbor `json:"neighbors"`
 			Batch     BatchInfo  `json:"batch"`
-		}{neighbors, info})
+		}{neighbors, info}, err
 	})
 
-	mux.HandleFunc("/range", func(w http.ResponseWriter, r *http.Request) {
-		lo, ok := pointParam(w, r, "lo")
-		if !ok {
-			return
-		}
-		hi, ok := pointParam(w, r, "hi")
-		if !ok {
-			return
-		}
-		if len(lo) != len(hi) {
-			http.Error(w, "lo/hi dimension mismatch", http.StatusBadRequest)
-			return
-		}
-		for d := range lo {
-			if lo[d] > hi[d] {
-				http.Error(w, fmt.Sprintf("inverted box on axis %d", d), http.StatusBadRequest)
-				return
-			}
-		}
-		items, info, err := s.Range(r.Context(), geom.NewBox(lo, hi))
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
-			Items []wireItem `json:"items"`
-			Batch BatchInfo  `json:"batch"`
-		}{toWire(items), info})
+	httpapi.Handle(mux, "/range", httpapi.Box, s.okReply, func(ctx context.Context, box geom.Box) (any, error) {
+		items, info, err := s.Range(ctx, box)
+		return found{httpapi.Items(items), info}, err
 	})
 
-	mux.HandleFunc("/join", func(w http.ResponseWriter, r *http.Request) {
-		p, ok := pointParam(w, r, "p")
-		if !ok {
-			return
-		}
-		radius, err := strconv.ParseFloat(r.FormValue("r"), 64)
-		if err != nil {
-			http.Error(w, "bad r: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		items, info, err := s.Join(r.Context(), p, radius)
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
-			Matches []wireItem `json:"matches"`
-			Batch   BatchInfo  `json:"batch"`
-		}{toWire(items), info})
+	httpapi.Handle(mux, "/join", httpapi.Join, s.okReply, func(ctx context.Context, q httpapi.JoinQuery) (any, error) {
+		items, info, err := s.Join(ctx, q.P, q.Radius)
+		return struct {
+			Matches []httpapi.Item `json:"matches"`
+			Batch   BatchInfo      `json:"batch"`
+		}{httpapi.Items(items), info}, err
 	})
 
-	mux.HandleFunc("/aggregate", func(w http.ResponseWriter, r *http.Request) {
-		lo, ok := pointParam(w, r, "lo")
-		if !ok {
-			return
-		}
-		hi, ok := pointParam(w, r, "hi")
-		if !ok {
-			return
-		}
-		if len(lo) != len(hi) {
-			http.Error(w, "lo/hi dimension mismatch", http.StatusBadRequest)
-			return
-		}
-		for d := range lo {
-			if lo[d] > hi[d] {
-				http.Error(w, fmt.Sprintf("inverted box on axis %d", d), http.StatusBadRequest)
-				return
-			}
-		}
-		agg, info, err := s.Aggregate(r.Context(), geom.NewBox(lo, hi))
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
+	httpapi.Handle(mux, "/aggregate", httpapi.Box, s.okReply, func(ctx context.Context, box geom.Box) (any, error) {
+		agg, info, err := s.Aggregate(ctx, box)
+		return struct {
 			Count    int64     `json:"count"`
 			Centroid []float64 `json:"centroid,omitempty"`
 			Batch    BatchInfo `json:"batch"`
-		}{agg.Count, agg.Centroid(), info})
+		}{agg.Count, agg.Centroid(), info}, err
 	})
 
-	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "ingest requires POST", http.StatusMethodNotAllowed)
-			return
-		}
-		p, ok := pointParam(w, r, "p")
-		if !ok {
-			return
-		}
-		id, err := strconv.ParseInt(r.FormValue("id"), 10, 32)
-		if err != nil {
-			http.Error(w, "bad id: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		expireAt, err := strconv.ParseInt(r.FormValue("expire_at"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad expire_at: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		it := core.Item{P: p, ID: int32(id)}
-		if ps := r.FormValue("priority"); ps != "" {
-			if it.Priority, err = strconv.ParseFloat(ps, 64); err != nil {
-				http.Error(w, "bad priority: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		info, err := s.Ingest(r.Context(), it, expireAt)
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
-			Batch BatchInfo `json:"batch"`
-		}{info})
-	})
-
-	mux.HandleFunc("/expire", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "expire requires POST", http.StatusMethodNotAllowed)
-			return
-		}
-		now, err := strconv.ParseInt(r.FormValue("now"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad now: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		n, info, err := s.Expire(r.Context(), now)
-		if !s.okReply(w, err) {
-			return
-		}
-		writeJSON(w, struct {
+	httpapi.Handle(mux, "POST /expire", httpapi.ExpireNow, s.okReply, func(ctx context.Context, now int64) (any, error) {
+		n, info, err := s.Expire(ctx, now)
+		return struct {
 			Expired int       `json:"expired"`
 			Batch   BatchInfo `json:"batch"`
-		}{n, info})
+		}{n, info}, err
 	})
 
-	update := func(name string, op func(r *http.Request, it core.Item) (BatchInfo, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if r.Method != http.MethodPost {
-				http.Error(w, name+" requires POST", http.StatusMethodNotAllowed)
-				return
-			}
-			p, ok := pointParam(w, r, "p")
-			if !ok {
-				return
-			}
-			id, err := strconv.ParseInt(r.FormValue("id"), 10, 32)
-			if err != nil {
-				http.Error(w, "bad id: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			it := core.Item{P: p, ID: int32(id)}
-			if ps := r.FormValue("priority"); ps != "" {
-				if it.Priority, err = strconv.ParseFloat(ps, 64); err != nil {
-					http.Error(w, "bad priority: "+err.Error(), http.StatusBadRequest)
-					return
-				}
-			}
-			info, err := op(r, it)
-			if !s.okReply(w, err) {
-				return
-			}
-			writeJSON(w, struct {
-				Batch BatchInfo `json:"batch"`
-			}{info})
-		}
+	type updated struct {
+		Batch BatchInfo `json:"batch"`
 	}
-	mux.HandleFunc("/insert", update("insert", func(r *http.Request, it core.Item) (BatchInfo, error) {
-		return s.Insert(r.Context(), it)
-	}))
-	mux.HandleFunc("/delete", update("delete", func(r *http.Request, it core.Item) (BatchInfo, error) {
-		return s.Delete(r.Context(), it)
-	}))
+	httpapi.Handle(mux, "POST /insert", httpapi.UpdateItem, s.okReply, func(ctx context.Context, it core.Item) (any, error) {
+		info, err := s.Insert(ctx, it)
+		return updated{info}, err
+	})
+	httpapi.Handle(mux, "POST /delete", httpapi.UpdateItem, s.okReply, func(ctx context.Context, it core.Item) (any, error) {
+		info, err := s.Delete(ctx, it)
+		return updated{info}, err
+	})
+	httpapi.Handle(mux, "POST /ingest", httpapi.Ingest, s.okReply, func(ctx context.Context, q httpapi.IngestQuery) (any, error) {
+		info, err := s.Ingest(ctx, q.Item, q.ExpireAt)
+		return updated{info}, err
+	})
 
 	return mux
-}
-
-// pointParam parses a comma-separated float point from query/form parameter
-// name, writing a 400 on failure.
-func pointParam(w http.ResponseWriter, r *http.Request, name string) (geom.Point, bool) {
-	raw := r.FormValue(name)
-	if raw == "" {
-		http.Error(w, "missing parameter "+name, http.StatusBadRequest)
-		return nil, false
-	}
-	parts := strings.Split(raw, ",")
-	p := make(geom.Point, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s[%d]: %v", name, i, err), http.StatusBadRequest)
-			return nil, false
-		}
-		p[i] = v
-	}
-	return p, true
 }
 
 // okReply maps service errors to HTTP statuses; returns false when a status
@@ -384,11 +200,7 @@ func (s *Service) okReply(w http.ResponseWriter, err error) bool {
 	case err == nil:
 		return true
 	case errors.Is(err, ErrOverloaded):
-		secs := int(s.cfg.ShedRetryAfter.Round(time.Second) / time.Second)
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", httpapi.RetryAfterSecs(s.cfg.ShedRetryAfter))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrClosed), errors.Is(err, ErrFault):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
@@ -400,11 +212,4 @@ func (s *Service) okReply(w http.ResponseWriter, err error) bool {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return false
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pimkd/internal/httpapi"
 )
 
 func TestHTTPHandler(t *testing.T) {
@@ -61,8 +63,8 @@ func TestHTTPHandler(t *testing.T) {
 		t.Fatalf("insert status %d", resp.StatusCode)
 	}
 	var lookupResp struct {
-		Items []wireItem `json:"items"`
-		Batch BatchInfo  `json:"batch"`
+		Items []httpapi.Item `json:"items"`
+		Batch BatchInfo      `json:"batch"`
 	}
 	if err := json.Unmarshal(get("/lookup?p=0.31,0.62"), &lookupResp); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -386,48 +387,35 @@ func (r *Rebuilder) pullCell(cell int, box geom.Box) (snap CellSnapshot, ok, ide
 	return CellSnapshot{}, false, false
 }
 
-// pullFrom paginates one cell off one peer. A Total that changes between
-// pages means the cell moved underneath the stream; the pull restarts from
-// offset 0 (bounded retries) rather than stitching inconsistent pages.
+// pullFrom pulls one cell off one peer over a pinned session, so every page
+// slices the same shard-side cut. A cut that moves between pages restarts
+// the pull on a fresh session (bounded retries) rather than stitching
+// inconsistent pages; any other failure abandons the peer.
 func (r *Rebuilder) pullFrom(c *shard.Client, cell int, box geom.Box) (CellSnapshot, bool) {
 	for attempt := 0; attempt < 3; attempt++ {
-		var snap CellSnapshot
-		var total uint64
-		offset := uint64(0)
-		consistent := true
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
-			resp, err := c.CellSnapshot(ctx, cell, box, offset, r.cfg.PageSize)
-			cancel()
-			if err != nil {
-				r.logf("rebuild: snapshot cell %d from %s: %v", cell, c.Addr(), err)
-				return CellSnapshot{}, false
-			}
-			if offset == 0 {
-				total = resp.Total
-			} else if resp.Total != total {
-				consistent = false
-				break
-			}
-			snap.Items = append(snap.Items, resp.Items...)
-			snap.Deadlines = append(snap.Deadlines, resp.ExpireAts...)
-			offset += uint64(len(resp.Items))
-			if offset >= total {
-				snap.Orphans = resp.Orphans
-				snap.OrphanAts = resp.OrphanAts
-				return snap, true
-			}
-			if len(resp.Items) == 0 {
-				// The peer owes more items but sent none: treat as torn.
-				return CellSnapshot{}, false
-			}
+		cut, err := r.pullOnce(c, cell, box)
+		if err == nil {
+			return CellSnapshot{Items: cut.Items, Deadlines: cut.ExpireAts, Orphans: cut.Orphans, OrphanAts: cut.OrphanAts}, true
 		}
-		if !consistent {
-			continue
+		if !errors.Is(err, shard.ErrCutMoved) {
+			r.logf("rebuild: snapshot cell %d from %s: %v", cell, c.Addr(), err)
+			return CellSnapshot{}, false
 		}
 	}
 	r.logf("rebuild: cell %d kept changing under the stream, retrying later", cell)
 	return CellSnapshot{}, false
+}
+
+func (r *Rebuilder) pullOnce(c *shard.Client, cell int, box geom.Box) (shard.CellSnapshotResp, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
+	sess, err := c.NewSession(ctx)
+	cancel()
+	if err != nil {
+		return shard.CellSnapshotResp{}, err
+	}
+	defer sess.Close()
+	cut, _, err := sess.PullCell(context.Background(), r.cfg.Timeout, cell, box, r.cfg.PageSize)
+	return cut, err
 }
 
 func (r *Rebuilder) client(p int) *shard.Client {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -25,9 +26,8 @@ type Client struct {
 	// come from the caller's context.
 	dialTimeout time.Duration
 
-	mu    sync.Mutex
-	idle  []*clientConn
-	conns int
+	mu   sync.Mutex
+	idle []*clientConn
 	// maxIdle bounds the pooled connections; extra conns are closed on
 	// release rather than pooled.
 	maxIdle int
@@ -52,12 +52,13 @@ func (c *Client) Addr() string { return c.addr }
 func (c *Client) WireBytes() (out, in int64) { return c.bytesOut.Load(), c.bytesIn.Load() }
 
 type clientConn struct {
+	c  *Client
 	nc net.Conn
 }
 
-// get returns a pooled conn or dials a fresh one, validating the
+// acquire returns a pooled conn or dials a fresh one, validating the
 // handshake.
-func (c *Client) get(ctx context.Context) (*clientConn, error) {
+func (c *Client) acquire(ctx context.Context) (*clientConn, error) {
 	c.mu.Lock()
 	if n := len(c.idle); n > 0 {
 		cc := c.idle[n-1]
@@ -85,7 +86,7 @@ func (c *Client) get(ctx context.Context) (*clientConn, error) {
 		nc.Close()
 		return nil, fmt.Errorf("shard %s: dimension %d, router dimension %d", c.addr, dim, c.dim)
 	}
-	return &clientConn{nc: nc}, nil
+	return &clientConn{c: c, nc: nc}, nil
 }
 
 func (c *Client) put(cc *clientConn) {
@@ -111,139 +112,127 @@ func (c *Client) Close() {
 	}
 }
 
-// roundTrip sends one request frame and reads the matching response
-// payload. The conn is poisoned (closed, not pooled) on any error so a
-// stale late response can never be mis-correlated with a future request.
-func (c *Client) roundTrip(ctx context.Context, m any) (any, error) {
-	cc, err := c.get(ctx)
-	if err != nil {
-		return nil, err
+// conner is where a call gets its connection and what becomes of it after
+// the exchange — the only difference between a pooled call (Client) and a
+// pinned one (Session).
+type conner interface {
+	acquire(ctx context.Context) (*clientConn, error)
+	// release takes the conn back with the call's outcome: nil, a
+	// *RemoteError (the stream is still in step), or a transport, decode or
+	// correlation failure (it is not).
+	release(cc *clientConn, err error)
+}
+
+// release pools a conn whose stream is still in step and closes one that
+// failed mid-exchange, so a stale late response can never be mis-correlated
+// with a future request.
+func (c *Client) release(cc *clientConn, err error) {
+	var re *RemoteError
+	if err == nil || errors.As(err, &re) {
+		c.put(cc)
+	} else {
+		cc.nc.Close()
 	}
+}
+
+// exchange sends one request frame on cc and reads the matching response.
+// Any error leaves the stream out of step: the caller must not reuse cc.
+func (cc *clientConn) exchange(ctx context.Context, m any) (any, error) {
+	c := cc.c
 	if dl, ok := ctx.Deadline(); ok {
 		_ = cc.nc.SetDeadline(dl)
 	}
 	id := c.reqID.Add(1)
 	frame := EncodeFrame(id, m, c.dim)
 	if _, err := cc.nc.Write(frame); err != nil {
-		cc.nc.Close()
 		return nil, err
 	}
 	c.bytesOut.Add(int64(len(frame)))
 	payload, err := ReadFrame(cc.nc)
 	if err != nil {
-		cc.nc.Close()
 		return nil, err
 	}
-	c.bytesIn.Add(int64(8 + len(payload)))
+	c.bytesIn.Add(int64(frameHeader + len(payload)))
 	gotID, resp, err := DecodePayload(payload, c.dim)
 	if err != nil {
-		cc.nc.Close()
 		return nil, err
 	}
 	if gotID != id {
-		cc.nc.Close()
 		return nil, fmt.Errorf("%w: response for request %d, want %d", ErrWire, gotID, id)
-	}
-	c.put(cc)
-	if re, ok := resp.(*RemoteError); ok {
-		return nil, re
 	}
 	return resp, nil
 }
 
+// call runs one request on a conn from src and returns the response as an R:
+// a shard-side failure comes back as *RemoteError, any other reply type as
+// ErrWire. what names the call in errors.
+func call[R any](ctx context.Context, src conner, what string, m any) (R, error) {
+	var r R
+	cc, err := src.acquire(ctx)
+	if err != nil {
+		return r, err
+	}
+	resp, err := cc.exchange(ctx, m)
+	if err == nil {
+		switch v := resp.(type) {
+		case R:
+			r = v
+		case *RemoteError:
+			err = v
+		default:
+			err = fmt.Errorf("%w: %s answered with %T", ErrWire, what, resp)
+		}
+	}
+	src.release(cc, err)
+	return r, err
+}
+
+// results checks a per-query reply carries exactly one result per query.
+func results[T any](what string, got []T, err error, want int) ([]T, error) {
+	if err == nil && len(got) != want {
+		return nil, fmt.Errorf("%w: %s answered %d results for %d queries", ErrWire, what, len(got), want)
+	}
+	return got, err
+}
+
 // Ping asks the shard for readiness and live point count.
 func (c *Client) Ping(ctx context.Context) (Pong, error) {
-	resp, err := c.roundTrip(ctx, Ping{})
-	if err != nil {
-		return Pong{}, err
-	}
-	p, ok := resp.(Pong)
-	if !ok {
-		return Pong{}, fmt.Errorf("%w: ping answered with %T", ErrWire, resp)
-	}
-	return p, nil
+	return call[Pong](ctx, c, "ping", Ping{})
 }
 
 // KNN returns, per query point, the shard's k nearest candidates in
 // canonical (dist2, id) order.
 func (c *Client) KNN(ctx context.Context, pts []geom.Point, k int) ([][]heapx.Candidate, error) {
-	resp, err := c.roundTrip(ctx, KNNReq{K: k, Points: pts})
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(KNNResp)
-	if !ok {
-		return nil, fmt.Errorf("%w: knn answered with %T", ErrWire, resp)
-	}
-	if len(r.Results) != len(pts) {
-		return nil, fmt.Errorf("%w: knn answered %d results for %d queries", ErrWire, len(r.Results), len(pts))
-	}
-	return r.Results, nil
+	r, err := call[KNNResp](ctx, c, "knn", KNNReq{K: k, Points: pts})
+	return results("knn", r.Results, err, len(pts))
 }
 
 // Range returns, per box, the shard's items inside it.
 func (c *Client) Range(ctx context.Context, boxes []geom.Box) ([][]core.Item, error) {
-	resp, err := c.roundTrip(ctx, RangeReq{Boxes: boxes})
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(RangeResp)
-	if !ok {
-		return nil, fmt.Errorf("%w: range answered with %T", ErrWire, resp)
-	}
-	if len(r.Results) != len(boxes) {
-		return nil, fmt.Errorf("%w: range answered %d results for %d boxes", ErrWire, len(r.Results), len(boxes))
-	}
-	return r.Results, nil
+	r, err := call[RangeResp](ctx, c, "range", RangeReq{Boxes: boxes})
+	return results("range", r.Results, err, len(boxes))
 }
 
 // Update applies an insert (or delete) batch on the shard. It returns only
 // after the shard acknowledged the batch — in durable shards, after the
 // write-ahead-log append.
 func (c *Client) Update(ctx context.Context, del bool, items []core.Item) (int, error) {
-	resp, err := c.roundTrip(ctx, UpdateReq{Delete: del, Items: items})
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(UpdateResp)
-	if !ok {
-		return 0, fmt.Errorf("%w: update answered with %T", ErrWire, resp)
-	}
-	return r.Applied, nil
+	r, err := call[UpdateResp](ctx, c, "update", UpdateReq{Delete: del, Items: items})
+	return r.Applied, err
 }
 
 // Join returns, per probe point, the shard's items within the radius, in
 // canonical item order.
 func (c *Client) Join(ctx context.Context, pts []geom.Point, radius float64) ([][]core.Item, error) {
-	resp, err := c.roundTrip(ctx, JoinReq{Radius: radius, Points: pts})
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(RangeResp)
-	if !ok {
-		return nil, fmt.Errorf("%w: join answered with %T", ErrWire, resp)
-	}
-	if len(r.Results) != len(pts) {
-		return nil, fmt.Errorf("%w: join answered %d results for %d probes", ErrWire, len(r.Results), len(pts))
-	}
-	return r.Results, nil
+	r, err := call[RangeResp](ctx, c, "join", JoinReq{Radius: radius, Points: pts})
+	return results("join", r.Results, err, len(pts))
 }
 
 // Aggregate returns, per box, the shard's partial windowed aggregate
 // (count + exact coordinate sums).
 func (c *Client) Aggregate(ctx context.Context, boxes []geom.Box) ([]core.BoxAggregate, error) {
-	resp, err := c.roundTrip(ctx, AggReq{Boxes: boxes})
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(AggResp)
-	if !ok {
-		return nil, fmt.Errorf("%w: aggregate answered with %T", ErrWire, resp)
-	}
-	if len(r.Results) != len(boxes) {
-		return nil, fmt.Errorf("%w: aggregate answered %d results for %d boxes", ErrWire, len(r.Results), len(boxes))
-	}
-	return r.Results, nil
+	r, err := call[AggResp](ctx, c, "aggregate", AggReq{Boxes: boxes})
+	return results("aggregate", r.Results, err, len(boxes))
 }
 
 // Ingest applies a batch of streaming inserts with per-item logical expiry
@@ -252,29 +241,15 @@ func (c *Client) Ingest(ctx context.Context, items []core.Item, expireAts []int6
 	if len(items) != len(expireAts) {
 		return 0, fmt.Errorf("shard: ingest of %d items with %d deadlines", len(items), len(expireAts))
 	}
-	resp, err := c.roundTrip(ctx, IngestReq{Items: items, ExpireAts: expireAts})
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(UpdateResp)
-	if !ok {
-		return 0, fmt.Errorf("%w: ingest answered with %T", ErrWire, resp)
-	}
-	return r.Applied, nil
+	r, err := call[UpdateResp](ctx, c, "ingest", IngestReq{Items: items, ExpireAts: expireAts})
+	return r.Applied, err
 }
 
 // Expire sweeps every ingested item on the shard whose deadline is at or
 // before now, returning the number deleted.
 func (c *Client) Expire(ctx context.Context, now int64) (int64, error) {
-	resp, err := c.roundTrip(ctx, ExpireReq{Now: now})
-	if err != nil {
-		return 0, err
-	}
-	r, ok := resp.(ExpireResp)
-	if !ok {
-		return 0, fmt.Errorf("%w: expire answered with %T", ErrWire, resp)
-	}
-	return r.Expired, nil
+	r, err := call[ExpireResp](ctx, c, "expire", ExpireReq{Now: now})
+	return r.Expired, err
 }
 
 // AggregateCells returns the shard's windowed aggregate over box
@@ -282,37 +257,12 @@ func (c *Client) Expire(ctx context.Context, now int64) (int64, error) {
 // replication-aware aggregate: the router sends each shard only the cells
 // it assigned to that shard, so summing partials counts every item once.
 func (c *Client) AggregateCells(ctx context.Context, box geom.Box, cells []geom.Box) (core.BoxAggregate, error) {
-	resp, err := c.roundTrip(ctx, AggCellsReq{Box: box, Cells: cells})
+	r, err := call[AggResp](ctx, c, "aggregate-cells", AggCellsReq{Box: box, Cells: cells})
+	res, err := results("aggregate-cells", r.Results, err, 1)
 	if err != nil {
 		return core.BoxAggregate{}, err
 	}
-	r, ok := resp.(AggResp)
-	if !ok {
-		return core.BoxAggregate{}, fmt.Errorf("%w: aggregate-cells answered with %T", ErrWire, resp)
-	}
-	if len(r.Results) != 1 {
-		return core.BoxAggregate{}, fmt.Errorf("%w: aggregate-cells answered %d results, want 1", ErrWire, len(r.Results))
-	}
-	return r.Results[0], nil
-}
-
-// CellSnapshot fetches one page of a peer's copy of a cell: the canonical
-// sorted multiset of items the half-open cell box owns, with parallel
-// expiry deadlines, sliced at [offset, offset+limit) (limit 0 = the rest).
-func (c *Client) CellSnapshot(ctx context.Context, cell int, box geom.Box, offset uint64, limit int) (CellSnapshotResp, error) {
-	resp, err := c.roundTrip(ctx, CellSnapshotReq{Cell: cell, Box: box, Offset: offset, Limit: limit})
-	if err != nil {
-		return CellSnapshotResp{}, err
-	}
-	r, ok := resp.(CellSnapshotResp)
-	if !ok {
-		return CellSnapshotResp{}, fmt.Errorf("%w: cell snapshot answered with %T", ErrWire, resp)
-	}
-	if len(r.Items) != len(r.ExpireAts) || len(r.Orphans) != len(r.OrphanAts) {
-		return CellSnapshotResp{}, fmt.Errorf("%w: cell snapshot %d/%d items, %d/%d deadlines",
-			ErrWire, len(r.Items), len(r.ExpireAts), len(r.Orphans), len(r.OrphanAts))
-	}
-	return r, nil
+	return res[0], nil
 }
 
 // CellChecksums fetches one checksum per cell (boxes parallel to cells) —
@@ -323,18 +273,8 @@ func (c *Client) CellChecksums(ctx context.Context, cells []int, boxes []geom.Bo
 	if len(cells) != len(boxes) {
 		return nil, fmt.Errorf("shard: checksum of %d cells with %d boxes", len(cells), len(boxes))
 	}
-	resp, err := c.roundTrip(ctx, CellChecksumReq{Cells: cells, Boxes: boxes})
-	if err != nil {
-		return nil, err
-	}
-	r, ok := resp.(CellChecksumResp)
-	if !ok {
-		return nil, fmt.Errorf("%w: cell checksums answered with %T", ErrWire, resp)
-	}
-	if len(r.Sums) != len(cells) {
-		return nil, fmt.Errorf("%w: cell checksums answered %d sums for %d cells", ErrWire, len(r.Sums), len(cells))
-	}
-	return r.Sums, nil
+	r, err := call[CellChecksumResp](ctx, c, "cell checksums", CellChecksumReq{Cells: cells, Boxes: boxes})
+	return results("cell checksums", r.Sums, err, len(cells))
 }
 
 // Resync asks the shard to run another peer-rebuild convergence pass (the
@@ -347,15 +287,13 @@ func (c *Client) CellChecksums(ctx context.Context, cells []int, boxes []geom.Bo
 // the router keeps the shard fenced until its pong generation reaches
 // target.
 func (c *Client) Resync(ctx context.Context, evidenced bool) (bool, uint64, error) {
-	resp, err := c.roundTrip(ctx, ResyncReq{Evidenced: evidenced})
-	if err != nil {
-		return false, 0, err
-	}
-	r, ok := resp.(ResyncResp)
-	if !ok {
-		return false, 0, fmt.Errorf("%w: resync answered with %T", ErrWire, resp)
-	}
-	return r.Started, r.Target, nil
+	r, err := call[ResyncResp](ctx, c, "resync", ResyncReq{Evidenced: evidenced})
+	return r.Started, r.Target, err
+}
+
+// Stats fetches the shard's per-kind latency histograms in sparse form.
+func (c *Client) Stats(ctx context.Context) (StatsResp, error) {
+	return call[StatsResp](ctx, c, "stats", StatsReq{})
 }
 
 // Session is a pinned-connection view of the client, for the two wire
@@ -376,127 +314,101 @@ type Session struct {
 // paginated exchange. Close returns the conn to the pool when the session
 // is still healthy.
 func (c *Client) NewSession(ctx context.Context) (*Session, error) {
-	cc, err := c.get(ctx)
+	cc, err := c.acquire(ctx)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{c: c, cc: cc}, nil
 }
 
-// Close releases the pinned conn: pooled if the session never erred,
-// closed otherwise (which also makes the shard discard any conn-local
-// snapshot stash or migration stage).
+// Close releases the pinned conn to the pool. A poisoned or aborted session
+// has already closed it.
 func (s *Session) Close() {
-	if s.cc == nil {
-		return
-	}
-	if s.err != nil {
-		s.cc.nc.Close()
-	} else {
+	if s.cc != nil {
 		s.c.put(s.cc)
+		s.cc = nil
 	}
-	s.cc = nil
 }
 
 // Abort closes the pinned conn unconditionally, discarding shard-side
 // conn-local state even when no call has failed — the way the rebalancer
 // drops a staged migration without committing it.
 func (s *Session) Abort() {
-	if s.cc == nil {
-		return
+	if s.cc != nil {
+		s.release(s.cc, fmt.Errorf("shard %s: session aborted", s.c.addr))
 	}
-	s.cc.nc.Close()
-	s.cc = nil
-	s.err = fmt.Errorf("shard %s: session aborted", s.c.addr)
 }
 
-// roundTrip mirrors Client.roundTrip on the pinned conn.
-func (s *Session) roundTrip(ctx context.Context, m any) (any, error) {
+func (s *Session) acquire(context.Context) (*clientConn, error) {
 	if s.err != nil {
 		return nil, s.err
 	}
 	if s.cc == nil {
 		return nil, fmt.Errorf("shard %s: session closed", s.c.addr)
 	}
-	fail := func(err error) (any, error) {
+	return s.cc, nil
+}
+
+// release keeps the pinned conn after a clean call and poisons the session
+// after anything else. That includes a *RemoteError: the refusal leaves the
+// stream healthy but the conn-local stage in an unknown state, so the stage
+// is discarded with the conn rather than half-reused.
+func (s *Session) release(cc *clientConn, err error) {
+	if err != nil {
 		s.err = err
-		s.cc.nc.Close()
 		s.cc = nil
-		return nil, err
+		cc.nc.Close()
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = s.cc.nc.SetDeadline(dl)
-	}
-	id := s.c.reqID.Add(1)
-	frame := EncodeFrame(id, m, s.c.dim)
-	if _, err := s.cc.nc.Write(frame); err != nil {
-		return fail(err)
-	}
-	s.c.bytesOut.Add(int64(len(frame)))
-	payload, err := ReadFrame(s.cc.nc)
-	if err != nil {
-		return fail(err)
-	}
-	s.c.bytesIn.Add(int64(8 + len(payload)))
-	gotID, resp, err := DecodePayload(payload, s.c.dim)
-	if err != nil {
-		return fail(err)
-	}
-	if gotID != id {
-		return fail(fmt.Errorf("%w: response for request %d, want %d", ErrWire, gotID, id))
-	}
-	if re, ok := resp.(*RemoteError); ok {
-		// A remote refusal leaves the stream healthy but the conn-local
-		// stage in an unknown state: poison the session so the stage is
-		// discarded with the conn rather than half-reused.
-		s.err = re
-		s.cc.nc.Close()
-		s.cc = nil
-		return nil, re
-	}
-	return resp, nil
 }
 
 // CellSnapshot fetches one page of a cell over the pinned conn, so every
 // page of the pull slices the same shard-side cut regardless of what other
 // traffic shares the client's pool.
 func (s *Session) CellSnapshot(ctx context.Context, cell int, box geom.Box, offset uint64, limit int) (CellSnapshotResp, error) {
-	resp, err := s.roundTrip(ctx, CellSnapshotReq{Cell: cell, Box: box, Offset: offset, Limit: limit})
-	if err != nil {
-		return CellSnapshotResp{}, err
-	}
-	r, ok := resp.(CellSnapshotResp)
-	if !ok {
-		s.Abort()
-		return CellSnapshotResp{}, fmt.Errorf("%w: cell snapshot answered with %T", ErrWire, resp)
-	}
-	if len(r.Items) != len(r.ExpireAts) || len(r.Orphans) != len(r.OrphanAts) {
-		s.Abort()
-		return CellSnapshotResp{}, fmt.Errorf("%w: cell snapshot %d/%d items, %d/%d deadlines",
-			ErrWire, len(r.Items), len(r.ExpireAts), len(r.Orphans), len(r.OrphanAts))
-	}
-	return r, nil
+	return call[CellSnapshotResp](ctx, s, "cell snapshot", CellSnapshotReq{Cell: cell, Box: box, Offset: offset, Limit: limit})
 }
 
-// migrateCall sends one migration frame on the pinned conn and validates
-// the MigrateResp.
-func (s *Session) migrateCall(ctx context.Context, m any) (bool, error) {
-	resp, err := s.roundTrip(ctx, m)
-	if err != nil {
-		return false, err
+// ErrCutMoved reports that a cell's contents changed between the pages of
+// one PullCell, so the pages cannot be stitched into one consistent cut.
+var ErrCutMoved = errors.New("shard: cell cut moved during the pull")
+
+// PullCell pages a cell's full contents over the pinned conn: the first
+// page pins the shard-side cut and its Total, and every later page must
+// slice that same cut. A Total that changes means the cut moved under the
+// stream; a page with no items while items are still owed means it tore.
+// Either way nothing usable was pulled and the caller restarts on a fresh
+// session. Each page gets its own timeout; pages is the number of wire calls
+// made.
+func (s *Session) PullCell(ctx context.Context, timeout time.Duration, cell int, box geom.Box, pageSize int) (cut CellSnapshotResp, pages int, err error) {
+	for {
+		cctx, cancel := context.WithTimeout(ctx, timeout)
+		page, err := s.CellSnapshot(cctx, cell, box, uint64(len(cut.Items)), pageSize)
+		cancel()
+		pages++
+		if err != nil {
+			return CellSnapshotResp{}, pages, err
+		}
+		if pages == 1 {
+			cut.Total = page.Total
+		} else if page.Total != cut.Total {
+			return CellSnapshotResp{}, pages, fmt.Errorf("%w (%d != %d items)", ErrCutMoved, page.Total, cut.Total)
+		}
+		cut.Items = append(cut.Items, page.Items...)
+		cut.ExpireAts = append(cut.ExpireAts, page.ExpireAts...)
+		if uint64(len(cut.Items)) >= cut.Total {
+			cut.Orphans, cut.OrphanAts = page.Orphans, page.OrphanAts
+			return cut, pages, nil
+		}
+		if len(page.Items) == 0 {
+			return CellSnapshotResp{}, pages, fmt.Errorf("shard %s: cell %d pull stalled at %d of %d items", s.c.addr, cell, len(cut.Items), cut.Total)
+		}
 	}
-	r, ok := resp.(MigrateResp)
-	if !ok {
-		s.Abort()
-		return false, fmt.Errorf("%w: migration frame answered with %T", ErrWire, resp)
-	}
-	return r.Changed, nil
 }
 
 // MigrateBegin opens a migration stage for cell's half-open box on this
 // conn: the destination will hold total staged items before commit.
 func (s *Session) MigrateBegin(ctx context.Context, epoch uint64, cell int, box geom.Box, total uint64) error {
-	_, err := s.migrateCall(ctx, MigrateBegin{Epoch: epoch, Cell: cell, Box: box, Total: total})
+	_, err := call[MigrateResp](ctx, s, "migrate begin", MigrateBegin{Epoch: epoch, Cell: cell, Box: box, Total: total})
 	return err
 }
 
@@ -505,7 +417,7 @@ func (s *Session) MigratePage(ctx context.Context, epoch uint64, cell int, offse
 	if len(items) != len(expireAts) {
 		return fmt.Errorf("shard: migrate page of %d items with %d deadlines", len(items), len(expireAts))
 	}
-	_, err := s.migrateCall(ctx, MigratePage{Epoch: epoch, Cell: cell, Offset: offset, Items: items, ExpireAts: expireAts})
+	_, err := call[MigrateResp](ctx, s, "migrate page", MigratePage{Epoch: epoch, Cell: cell, Offset: offset, Items: items, ExpireAts: expireAts})
 	return err
 }
 
@@ -516,18 +428,6 @@ func (s *Session) MigrateCommit(ctx context.Context, epoch uint64, cell int, orp
 	if len(orphans) != len(orphanAts) {
 		return false, fmt.Errorf("shard: migrate commit of %d orphans with %d deadlines", len(orphans), len(orphanAts))
 	}
-	return s.migrateCall(ctx, MigrateCommit{Epoch: epoch, Cell: cell, Orphans: orphans, OrphanAts: orphanAts, Ops: ops})
-}
-
-// Stats fetches the shard's per-kind latency histograms in sparse form.
-func (c *Client) Stats(ctx context.Context) (StatsResp, error) {
-	resp, err := c.roundTrip(ctx, StatsReq{})
-	if err != nil {
-		return StatsResp{}, err
-	}
-	r, ok := resp.(StatsResp)
-	if !ok {
-		return StatsResp{}, fmt.Errorf("%w: stats answered with %T", ErrWire, resp)
-	}
-	return r, nil
+	r, err := call[MigrateResp](ctx, s, "migrate commit", MigrateCommit{Epoch: epoch, Cell: cell, Orphans: orphans, OrphanAts: orphanAts, Ops: ops})
+	return r.Changed, err
 }

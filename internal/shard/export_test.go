@@ -25,3 +25,9 @@ func (r *Router) SetLastCountsForTest(counts []CellCount, epoch uint64) {
 	r.rb.lastCounts = append([]CellCount(nil), counts...)
 	r.rb.lastEpoch = epoch
 }
+
+// encodePayload is EncodeFrame without the length + CRC prefix: the bytes
+// DecodePayload takes, for tests that corrupt a body in place.
+func encodePayload(reqID uint64, m any, dim int) []byte {
+	return EncodeFrame(reqID, m, dim)[frameHeader:]
+}

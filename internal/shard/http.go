@@ -2,32 +2,22 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"net"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
+	"pimkd/internal/httpapi"
 )
 
-// wireNeighbor and wireItem mirror the pimkd-server JSON shapes so clients
-// (and the serving example's load generator) work unchanged against the
-// router.
+// wireNeighbor mirrors the pimkd-server JSON shape so clients (and the
+// serving example's load generator) work unchanged against the router.
 type wireNeighbor struct {
 	ID   int32   `json:"id"`
 	Dist float64 `json:"dist"`
-}
-
-type wireItem struct {
-	ID       int32     `json:"id"`
-	P        []float64 `json:"p"`
-	Priority float64   `json:"priority,omitempty"`
 }
 
 // NewHandler exposes a Router over HTTP with the same client-facing
@@ -65,8 +55,8 @@ func NewHandler(r *Router) http.Handler {
 	// commit window instead hints the migration page interval, the cadence
 	// at which migration state advances (the commit window lasts on the
 	// order of one ledger replay, far less than a probe interval).
-	hint := retryAfterSecs(r.cfg.ProbeInterval)
-	migHint := retryAfterSecs(r.cfg.MigratePageInterval)
+	hint := httpapi.RetryAfterSecs(r.cfg.ProbeInterval)
+	migHint := httpapi.RetryAfterSecs(r.cfg.MigratePageInterval)
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -92,7 +82,7 @@ func NewHandler(r *Router) http.Handler {
 	})
 
 	mux.HandleFunc("/statsz", func(w http.ResponseWriter, req *http.Request) {
-		writeJSON(w, r.Metrics())
+		httpapi.WriteJSON(w, r.Metrics())
 	})
 
 	mux.HandleFunc("/shardz", func(w http.ResponseWriter, req *http.Request) {
@@ -106,7 +96,7 @@ func NewHandler(r *Router) http.Handler {
 			counts[i] = s.Count
 		}
 		perShard, cluster := r.Latency(req.Context())
-		writeJSON(w, struct {
+		httpapi.WriteJSON(w, struct {
 			Healthy     int           `json:"healthy"`
 			Total       int           `json:"total"`
 			Replication int           `json:"replication"`
@@ -141,240 +131,78 @@ func NewHandler(r *Router) http.Handler {
 			perShard, cluster, r.SweepStatus()})
 	})
 
-	mux.HandleFunc("/knn", func(w http.ResponseWriter, req *http.Request) {
-		p, ok := pointParam(w, req, "p")
-		if !ok {
-			return
-		}
-		k := 1
-		if ks := req.FormValue("k"); ks != "" {
-			var err error
-			if k, err = strconv.Atoi(ks); err != nil {
-				http.Error(w, "bad k: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-		}
-		cands, fan, err := r.KNN(req.Context(), p, k)
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
+	ok := func(w http.ResponseWriter, err error) bool { return okReply(w, err, hint, migHint) }
+
+	httpapi.Handle(mux, "/knn", httpapi.KNN, ok, func(ctx context.Context, q httpapi.KNNQuery) (any, error) {
+		cands, fan, err := r.KNN(ctx, q.P, q.K)
 		neighbors := make([]wireNeighbor, len(cands))
 		for i, c := range cands {
 			neighbors[i] = wireNeighbor{ID: c.ID, Dist: math.Sqrt(c.Dist2)}
 		}
-		writeJSON(w, struct {
+		return struct {
 			Neighbors []wireNeighbor `json:"neighbors"`
 			Fanout    Fanout         `json:"fanout"`
-		}{neighbors, fan})
+		}{neighbors, fan}, err
 	})
 
-	mux.HandleFunc("/range", func(w http.ResponseWriter, req *http.Request) {
-		lo, ok := pointParam(w, req, "lo")
-		if !ok {
-			return
-		}
-		hi, ok := pointParam(w, req, "hi")
-		if !ok {
-			return
-		}
-		if len(lo) != len(hi) {
-			http.Error(w, "lo/hi dimension mismatch", http.StatusBadRequest)
-			return
-		}
-		for d := range lo {
-			if lo[d] > hi[d] {
-				http.Error(w, fmt.Sprintf("inverted box on axis %d", d), http.StatusBadRequest)
-				return
-			}
-		}
-		items, fan, err := r.Range(req.Context(), geom.NewBox(lo, hi))
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
-		out := make([]wireItem, len(items))
-		for i, it := range items {
-			out[i] = wireItem{ID: it.ID, P: it.P, Priority: it.Priority}
-		}
-		writeJSON(w, struct {
-			Items  []wireItem `json:"items"`
-			Fanout Fanout     `json:"fanout"`
-		}{out, fan})
+	type found struct {
+		Items  []httpapi.Item `json:"items"`
+		Fanout Fanout         `json:"fanout"`
+	}
+	httpapi.Handle(mux, "/range", httpapi.Box, ok, func(ctx context.Context, box geom.Box) (any, error) {
+		items, fan, err := r.Range(ctx, box)
+		return found{httpapi.Items(items), fan}, err
 	})
 
-	mux.HandleFunc("/lookup", func(w http.ResponseWriter, req *http.Request) {
-		p, ok := pointParam(w, req, "p")
-		if !ok {
-			return
-		}
-		// An exact-point lookup is a radius-0 spatial join: the owner
-		// shard answers with the items stored at exactly p.
-		items, fan, err := r.Join(req.Context(), p, 0)
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
-		out := make([]wireItem, len(items))
-		for i, it := range items {
-			out[i] = wireItem{ID: it.ID, P: it.P, Priority: it.Priority}
-		}
-		writeJSON(w, struct {
-			Items  []wireItem `json:"items"`
-			Fanout Fanout     `json:"fanout"`
-		}{out, fan})
+	// An exact-point lookup is a radius-0 spatial join: the owner shard
+	// answers with the items stored at exactly p.
+	httpapi.Handle(mux, "/lookup", httpapi.Point, ok, func(ctx context.Context, p geom.Point) (any, error) {
+		items, fan, err := r.Join(ctx, p, 0)
+		return found{httpapi.Items(items), fan}, err
 	})
 
-	mux.HandleFunc("/join", func(w http.ResponseWriter, req *http.Request) {
-		p, ok := pointParam(w, req, "p")
-		if !ok {
-			return
-		}
-		radius, err := strconv.ParseFloat(req.FormValue("r"), 64)
-		if err != nil {
-			http.Error(w, "bad r: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		items, fan, err := r.Join(req.Context(), p, radius)
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
-		out := make([]wireItem, len(items))
-		for i, it := range items {
-			out[i] = wireItem{ID: it.ID, P: it.P, Priority: it.Priority}
-		}
-		writeJSON(w, struct {
-			Matches []wireItem `json:"matches"`
-			Fanout  Fanout     `json:"fanout"`
-		}{out, fan})
+	httpapi.Handle(mux, "/join", httpapi.Join, ok, func(ctx context.Context, q httpapi.JoinQuery) (any, error) {
+		items, fan, err := r.Join(ctx, q.P, q.Radius)
+		return struct {
+			Matches []httpapi.Item `json:"matches"`
+			Fanout  Fanout         `json:"fanout"`
+		}{httpapi.Items(items), fan}, err
 	})
 
-	mux.HandleFunc("/aggregate", func(w http.ResponseWriter, req *http.Request) {
-		lo, ok := pointParam(w, req, "lo")
-		if !ok {
-			return
-		}
-		hi, ok := pointParam(w, req, "hi")
-		if !ok {
-			return
-		}
-		if len(lo) != len(hi) {
-			http.Error(w, "lo/hi dimension mismatch", http.StatusBadRequest)
-			return
-		}
-		for d := range lo {
-			if lo[d] > hi[d] {
-				http.Error(w, fmt.Sprintf("inverted box on axis %d", d), http.StatusBadRequest)
-				return
-			}
-		}
-		agg, fan, err := r.Aggregate(req.Context(), geom.NewBox(lo, hi))
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
-		writeJSON(w, struct {
+	httpapi.Handle(mux, "/aggregate", httpapi.Box, ok, func(ctx context.Context, box geom.Box) (any, error) {
+		agg, fan, err := r.Aggregate(ctx, box)
+		return struct {
 			Count    int64     `json:"count"`
 			Centroid []float64 `json:"centroid,omitempty"`
 			Fanout   Fanout    `json:"fanout"`
-		}{agg.Count, agg.Centroid(), fan})
+		}{agg.Count, agg.Centroid(), fan}, err
 	})
 
-	mux.HandleFunc("/expire", func(w http.ResponseWriter, req *http.Request) {
-		if req.Method != http.MethodPost {
-			http.Error(w, "expire requires POST", http.StatusMethodNotAllowed)
-			return
-		}
-		now, err := strconv.ParseInt(req.FormValue("now"), 10, 64)
-		if err != nil {
-			http.Error(w, "bad now: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		n, fan, err := r.Expire(req.Context(), now)
-		if !okReply(w, err, hint, migHint) {
-			return
-		}
-		writeJSON(w, struct {
+	httpapi.Handle(mux, "POST /expire", httpapi.ExpireNow, ok, func(ctx context.Context, now int64) (any, error) {
+		n, fan, err := r.Expire(ctx, now)
+		return struct {
 			Expired int64  `json:"expired"`
 			Fanout  Fanout `json:"fanout"`
-		}{n, fan})
+		}{n, fan}, err
 	})
 
-	update := func(name string, op func(req *http.Request, it core.Item) (Fanout, error)) http.HandlerFunc {
-		return func(w http.ResponseWriter, req *http.Request) {
-			if req.Method != http.MethodPost {
-				http.Error(w, name+" requires POST", http.StatusMethodNotAllowed)
-				return
-			}
-			p, ok := pointParam(w, req, "p")
-			if !ok {
-				return
-			}
-			id, err := strconv.ParseInt(req.FormValue("id"), 10, 32)
-			if err != nil {
-				http.Error(w, "bad id: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			it := core.Item{P: p, ID: int32(id)}
-			if ps := req.FormValue("priority"); ps != "" {
-				if it.Priority, err = strconv.ParseFloat(ps, 64); err != nil {
-					http.Error(w, "bad priority: "+err.Error(), http.StatusBadRequest)
-					return
-				}
-			}
-			fan, err := op(req, it)
-			if !okReply(w, err, hint, migHint) {
-				return
-			}
-			writeJSON(w, struct {
-				Fanout Fanout `json:"fanout"`
-			}{fan})
-		}
+	type updated struct {
+		Fanout Fanout `json:"fanout"`
 	}
-	mux.HandleFunc("/insert", update("insert", func(req *http.Request, it core.Item) (Fanout, error) {
-		return r.Insert(req.Context(), it)
-	}))
-	mux.HandleFunc("/delete", update("delete", func(req *http.Request, it core.Item) (Fanout, error) {
-		return r.Delete(req.Context(), it)
-	}))
-	mux.HandleFunc("/ingest", update("ingest", func(req *http.Request, it core.Item) (Fanout, error) {
-		expireAt, err := strconv.ParseInt(req.FormValue("expire_at"), 10, 64)
-		if err != nil {
-			return Fanout{}, fmt.Errorf("bad expire_at: %v", err) // okReply maps to 400
-		}
-		return r.Ingest(req.Context(), it, expireAt)
-	}))
+	httpapi.Handle(mux, "POST /insert", httpapi.UpdateItem, ok, func(ctx context.Context, it core.Item) (any, error) {
+		fan, err := r.Insert(ctx, it)
+		return updated{fan}, err
+	})
+	httpapi.Handle(mux, "POST /delete", httpapi.UpdateItem, ok, func(ctx context.Context, it core.Item) (any, error) {
+		fan, err := r.Delete(ctx, it)
+		return updated{fan}, err
+	})
+	httpapi.Handle(mux, "POST /ingest", httpapi.Ingest, ok, func(ctx context.Context, q httpapi.IngestQuery) (any, error) {
+		fan, err := r.Ingest(ctx, q.Item, q.ExpireAt)
+		return updated{fan}, err
+	})
 
 	return mux
-}
-
-// pointParam parses a comma-separated float point from query/form parameter
-// name, writing a 400 on failure.
-func pointParam(w http.ResponseWriter, r *http.Request, name string) (geom.Point, bool) {
-	raw := r.FormValue(name)
-	if raw == "" {
-		http.Error(w, "missing parameter "+name, http.StatusBadRequest)
-		return nil, false
-	}
-	parts := strings.Split(raw, ",")
-	p := make(geom.Point, len(parts))
-	for i, part := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("bad %s[%d]: %v", name, i, err), http.StatusBadRequest)
-			return nil, false
-		}
-		p[i] = v
-	}
-	return p, true
-}
-
-// retryAfterSecs renders a duration as a whole-second Retry-After value,
-// rounding up so the hint never undershoots the cadence it is derived from
-// (a 100ms probe interval still hints 1s — the header has no sub-second
-// form), mirroring the single-server shed path's ShedRetryAfter derivation.
-func retryAfterSecs(d time.Duration) string {
-	secs := int64((d + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 // okReply maps router errors onto HTTP statuses; returns false when a
@@ -414,11 +242,4 @@ func okReply(w http.ResponseWriter, err error, retryAfter, migrateRetryAfter str
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return false
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
 }

@@ -453,41 +453,6 @@ func (r *Router) sampleSplitPoints(ctx context.Context, src *shardHandle, cell i
 	return pts, nil
 }
 
-// pullCut pages the moving region's full contents over one consistent cut.
-// Must be called with the migration ledger already open: the cut is pinned
-// at the first page, so cut ∪ ledger covers every acked write.
-func (r *Router) pullCut(ctx context.Context, sess *Session, src *shardHandle, cell int, box geom.Box) (CellSnapshotResp, error) {
-	var cut CellSnapshotResp
-	first := true
-	for {
-		cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-		r.m.shardCalls.Add(1)
-		page, err := sess.CellSnapshot(cctx, cell, box, uint64(len(cut.Items)), r.cfg.MigratePageSize)
-		cancel()
-		if err != nil {
-			return CellSnapshotResp{}, err
-		}
-		if first {
-			cut.Total = page.Total
-			first = false
-		} else if page.Total != cut.Total {
-			return CellSnapshotResp{}, fmt.Errorf("shard %d: cell %d cut moved during migration pull (%d != %d items)",
-				src.id, cell, page.Total, cut.Total)
-		}
-		cut.Items = append(cut.Items, page.Items...)
-		cut.ExpireAts = append(cut.ExpireAts, page.ExpireAts...)
-		cut.Orphans = append(cut.Orphans, page.Orphans...)
-		cut.OrphanAts = append(cut.OrphanAts, page.OrphanAts...)
-		if uint64(len(cut.Items)) >= cut.Total {
-			return cut, nil
-		}
-		if len(page.Items) == 0 {
-			return CellSnapshotResp{}, fmt.Errorf("shard %d: cell %d cut stalled at %d of %d items",
-				src.id, cell, len(cut.Items), cut.Total)
-		}
-	}
-}
-
 // migrate executes one planned split+migration end to end. On any error
 // the epoch is left unflipped and the source authoritative; destinations
 // that already committed are queued for purge (their staged region is a
@@ -535,7 +500,10 @@ func (r *Router) migrate(ctx context.Context, lay *layout, plan migPlan) (int64,
 		return 0, fmt.Errorf("cut session: %w", err)
 	}
 	defer cutSess.Close()
-	cut, err := r.pullCut(ctx, cutSess, src, plan.cell, movingBox)
+	// The ledger is already open and the cut is pinned at its first page,
+	// so cut ∪ ledger covers every acked write.
+	cut, pages, err := cutSess.PullCell(ctx, r.cfg.Timeout, plan.cell, movingBox, r.cfg.MigratePageSize)
+	r.m.shardCalls.Add(int64(pages))
 	if err != nil {
 		closeLedger()
 		return 0, fmt.Errorf("cut pull: %w", err)

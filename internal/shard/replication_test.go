@@ -529,7 +529,14 @@ func TestCellSnapshotPagesOneConsistentCut(t *testing.T) {
 	want := append([]core.Item(nil), items...)
 	core.SortItems(want)
 
-	first, err := cl.CellSnapshot(ctx, 0, unitBox(), 0, pageSize)
+	// The pull pins a Session, as the rebuilder and the rebalancer do; the
+	// churn below rides the client's pooled conns.
+	sess, err := cl.NewSession(ctx)
+	if err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	defer sess.Close()
+	first, err := sess.CellSnapshot(ctx, 0, unitBox(), 0, pageSize)
 	if err != nil {
 		t.Fatalf("page 0: %v", err)
 	}
@@ -551,7 +558,7 @@ func TestCellSnapshotPagesOneConsistentCut(t *testing.T) {
 
 	got := append([]core.Item(nil), first.Items...)
 	for off := uint64(pageSize); off < total; off += pageSize {
-		page, err := cl.CellSnapshot(ctx, 0, unitBox(), off, pageSize)
+		page, err := sess.CellSnapshot(ctx, 0, unitBox(), off, pageSize)
 		if err != nil {
 			t.Fatalf("page at %d: %v", off, err)
 		}
@@ -580,7 +587,7 @@ func TestCellSnapshotPagesOneConsistentCut(t *testing.T) {
 	}
 
 	// A fresh pull from offset 0 sees the churned state.
-	after, err := cl.CellSnapshot(ctx, 0, unitBox(), 0, total)
+	after, err := sess.CellSnapshot(ctx, 0, unitBox(), 0, total)
 	if err != nil {
 		t.Fatalf("fresh pull: %v", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
@@ -32,65 +33,15 @@ import (
 //	        reqID uint64     (echoed verbatim in the response frame)
 //	        body  (per message type below)
 //
-// Message bodies:
+// Message bodies: each message's layout is its walk method below (the one
+// statement both directions run), over the codec's primitives — fixed-width
+// little-endian integers, float64 bit patterns, one-byte flags, uint32-counted
+// lists, and
 //
-//	ping        —
-//	pong        ready uint8, size uint64, synced uint8, syncGen uint64
-//	knnReq      k uint32, count uint32, count × point (dim × float64)
-//	knnResp     count uint32, count × { m uint32, m × (id int32, dist2 float64, point) }
-//	rangeReq    count uint32, count × (dim × float64 lo, dim × float64 hi)
-//	rangeResp   count uint32, count × { m uint32, m × item }
-//	insertReq   count uint32, count × item
-//	deleteReq   count uint32, count × item
-//	updateResp  applied uint32
-//	joinReq     radius float64, count uint32, count × point (answered by rangeResp)
-//	aggReq      count uint32, count × (dim × float64 lo, dim × float64 hi)
-//	aggResp     count uint32, count × { n uint64, dim × sum }
-//	            sum = flags uint8, nterms uint16, nterms × (idx uint16, word uint64)
-//	ingestReq   count uint32, count × (item, expireAt uint64) (answered by updateResp)
-//	expireReq   now uint64
-//	expireResp  expired uint64
-//	statsReq    —
-//	statsResp   nkinds uint32, nkinds × { nameLen uint8, name, max uint64,
-//	            nbuckets uint32, nbuckets × (low uint64, count uint64) }
-//	errResp     code uint16, len uint32, len × msg byte
-//	cellSnapReq cell uint32, dim × float64 lo, dim × float64 hi,
-//	            offset uint64, limit uint32
-//	cellSnapResp total uint64, count uint32, count × (item, expireAt uint64),
-//	            ocount uint32, ocount × (item, expireAt uint64)
-//	            (expireAt MinInt64 = not expiry-tracked; the pages of one
-//	            cell concatenate to the cell's canonically sorted multiset;
-//	            the trailing orphan list carries expiry entries whose item
-//	            is no longer live, final page only)
-//	resyncReq   evidenced uint8
-//	resyncResp  started uint8, target uint64
-//	aggCellsReq dim × float64 lo, dim × float64 hi (query box),
-//	            count uint32, count × (lo, hi) cell boxes
-//	            (answered by an aggResp with exactly one result: the
-//	            aggregate over box ∩ the union of the half-open cells)
-//	cellSumReq  count uint32, count × { cell uint32, dim × float64 lo,
-//	            dim × float64 hi }
-//	cellSumResp count uint32, count × (count uint64, digest uint64)
-//	            (one checksum per requested cell, in request order)
-//	migBeginReq epoch uint64, cell uint32, dim × float64 lo,
-//	            dim × float64 hi, total uint64
-//	            (opens a migration stage on this conn: the next total
-//	            staged items for cell must arrive as migPage frames on the
-//	            same conn; epoch >= 1 is the placement epoch being built)
-//	migPageReq  epoch uint64, cell uint32, offset uint64, count uint32,
-//	            count × (item, expireAt uint64)
-//	            (one page of the staged exact set, in stream order; the
-//	            stage lives on the conn, so a dropped conn discards it —
-//	            a torn migration stream applies nothing)
-//	migCommitReq epoch uint64, cell uint32,
-//	            ocount uint32, ocount × (item, expireAt uint64),
-//	            opcount uint32, opcount × (del uint8, item, expireAt uint64)
-//	            (atomically replays the trailing write ledger onto the
-//	            staged pages and exact-sets the cell box to the result;
-//	            ocount carries the orphaned expiry entries, opcount the
-//	            ledger of writes that raced the cut)
-//	migResp     changed uint8 (whether the commit changed local state)
-//	item        id int32, priority float64, dim × float64
+//	point       dim × float64
+//	box         lo point, hi point
+//	item        id int32, priority float64, point
+//	timed item  item, expireAt int64 (MinInt64 = not expiry-tracked)
 //
 // Version history: v2 added replication — pong sync state, per-candidate
 // coordinates in knnResp (the router filters merged candidates by cell
@@ -500,272 +451,75 @@ func DecodeHandshake(buf []byte) (dim int, err error) {
 	return dim, nil
 }
 
+// frameHeader is the length + CRC prefix of every frame; payloadHeader the
+// type byte + request ID that open every payload.
+const (
+	frameHeader   = 8
+	payloadHeader = 9
+)
+
 // EncodeFrame frames a message for the wire: length + CRC + payload.
 // It panics on unknown message types (a programming error, not input).
 func EncodeFrame(reqID uint64, m any, dim int) []byte {
-	payload := encodePayload(reqID, m, dim)
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
-}
-
-func encodePayload(reqID uint64, m any, dim int) []byte {
-	var buf []byte
-	hdr := func(t byte, sizeHint int) {
-		buf = make([]byte, 0, 9+sizeHint)
-		buf = append(buf, t)
-		buf = binary.LittleEndian.AppendUint64(buf, reqID)
-	}
-	switch v := m.(type) {
-	case Ping:
-		hdr(msgPing, 0)
-	case Pong:
-		hdr(msgPong, 18)
-		var r, s byte
-		if v.Ready {
-			r = 1
-		}
-		if v.Synced {
-			s = 1
-		}
-		buf = append(buf, r)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Size))
-		buf = append(buf, s)
-		buf = binary.LittleEndian.AppendUint64(buf, v.SyncGen)
-	case KNNReq:
-		hdr(msgKNNReq, 8+len(v.Points)*8*dim)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.K))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Points)))
-		for _, p := range v.Points {
-			buf = appendPoint(buf, p)
-		}
-	case KNNResp:
-		n := 4
-		for _, cands := range v.Results {
-			n += 4 + (12+8*dim)*len(cands)
-		}
-		hdr(msgKNNResp, n)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Results)))
-		for _, cands := range v.Results {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(cands)))
-			for _, c := range cands {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(c.ID))
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Dist2))
-				buf = appendPoint(buf, c.P)
-			}
-		}
-	case RangeReq:
-		hdr(msgRangeReq, 4+len(v.Boxes)*16*dim)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Boxes)))
-		for _, b := range v.Boxes {
-			buf = appendPoint(buf, b.Lo)
-			buf = appendPoint(buf, b.Hi)
-		}
-	case RangeResp:
-		n := 4
-		for _, items := range v.Results {
-			n += 4 + itemSize(dim)*len(items)
-		}
-		hdr(msgRangeResp, n)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Results)))
-		for _, items := range v.Results {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(items)))
-			for _, it := range items {
-				buf = appendItem(buf, it)
-			}
-		}
-	case UpdateReq:
-		t := msgInsertReq
-		if v.Delete {
-			t = msgDeleteReq
-		}
-		hdr(t, 4+itemSize(dim)*len(v.Items))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Items)))
-		for _, it := range v.Items {
-			buf = appendItem(buf, it)
-		}
-	case UpdateResp:
-		hdr(msgUpdateResp, 4)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Applied))
-	case JoinReq:
-		hdr(msgJoinReq, 12+len(v.Points)*8*dim)
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Radius))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Points)))
-		for _, p := range v.Points {
-			buf = appendPoint(buf, p)
-		}
-	case AggReq:
-		hdr(msgAggReq, 4+len(v.Boxes)*16*dim)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Boxes)))
-		for _, b := range v.Boxes {
-			buf = appendPoint(buf, b.Lo)
-			buf = appendPoint(buf, b.Hi)
-		}
-	case AggResp:
-		hdr(msgAggResp, 4+len(v.Results)*(8+dim*4))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Results)))
-		for _, a := range v.Results {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(a.Count))
-			for d := range a.Sums {
-				terms, flags := a.Sums[d].Terms()
-				buf = append(buf, flags)
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(len(terms)))
-				for _, t := range terms {
-					buf = binary.LittleEndian.AppendUint16(buf, t.Index)
-					buf = binary.LittleEndian.AppendUint64(buf, t.Word)
-				}
-			}
-		}
-	case IngestReq:
-		hdr(msgIngestReq, 4+(itemSize(dim)+8)*len(v.Items))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Items)))
-		for i, it := range v.Items {
-			buf = appendItem(buf, it)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.ExpireAts[i]))
-		}
-	case ExpireReq:
-		hdr(msgExpireReq, 8)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Now))
-	case ExpireResp:
-		hdr(msgExpireResp, 8)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Expired))
-	case StatsReq:
-		hdr(msgStatsReq, 0)
-	case StatsResp:
-		n := 4
-		for _, k := range v.Kinds {
-			n += 1 + len(k.Kind) + 12 + 16*len(k.Buckets)
-		}
-		hdr(msgStatsResp, n)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Kinds)))
-		for _, k := range v.Kinds {
-			buf = append(buf, byte(len(k.Kind)))
-			buf = append(buf, k.Kind...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(k.Max))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(k.Buckets)))
-			for _, b := range k.Buckets {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Low))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(b.Count))
-			}
-		}
-	case CellSnapshotReq:
-		hdr(msgCellSnapReq, 4+16*dim+12)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Cell))
-		buf = appendPoint(buf, v.Box.Lo)
-		buf = appendPoint(buf, v.Box.Hi)
-		buf = binary.LittleEndian.AppendUint64(buf, v.Offset)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Limit))
-	case CellSnapshotResp:
-		hdr(msgCellSnapResp, 16+(itemSize(dim)+8)*(len(v.Items)+len(v.Orphans)))
-		buf = binary.LittleEndian.AppendUint64(buf, v.Total)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Items)))
-		for i, it := range v.Items {
-			buf = appendItem(buf, it)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.ExpireAts[i]))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Orphans)))
-		for i, it := range v.Orphans {
-			buf = appendItem(buf, it)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.OrphanAts[i]))
-		}
-	case ResyncReq:
-		hdr(msgResyncReq, 1)
-		var e byte
-		if v.Evidenced {
-			e = 1
-		}
-		buf = append(buf, e)
-	case ResyncResp:
-		hdr(msgResyncResp, 9)
-		var s byte
-		if v.Started {
-			s = 1
-		}
-		buf = append(buf, s)
-		buf = binary.LittleEndian.AppendUint64(buf, v.Target)
-	case AggCellsReq:
-		hdr(msgAggCellsReq, 16*dim+4+len(v.Cells)*16*dim)
-		buf = appendPoint(buf, v.Box.Lo)
-		buf = appendPoint(buf, v.Box.Hi)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for _, b := range v.Cells {
-			buf = appendPoint(buf, b.Lo)
-			buf = appendPoint(buf, b.Hi)
-		}
-	case CellChecksumReq:
-		hdr(msgCellSumReq, 4+len(v.Cells)*(4+16*dim))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Cells)))
-		for i, c := range v.Cells {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
-			buf = appendPoint(buf, v.Boxes[i].Lo)
-			buf = appendPoint(buf, v.Boxes[i].Hi)
-		}
-	case CellChecksumResp:
-		hdr(msgCellSumResp, 4+16*len(v.Sums))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Sums)))
-		for _, s := range v.Sums {
-			buf = binary.LittleEndian.AppendUint64(buf, s.Count)
-			buf = binary.LittleEndian.AppendUint64(buf, s.Digest)
-		}
-	case MigrateBegin:
-		hdr(msgMigBeginReq, 12+16*dim+8)
-		buf = binary.LittleEndian.AppendUint64(buf, v.Epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Cell))
-		buf = appendPoint(buf, v.Box.Lo)
-		buf = appendPoint(buf, v.Box.Hi)
-		buf = binary.LittleEndian.AppendUint64(buf, v.Total)
-	case MigratePage:
-		hdr(msgMigPageReq, 24+(itemSize(dim)+8)*len(v.Items))
-		buf = binary.LittleEndian.AppendUint64(buf, v.Epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Cell))
-		buf = binary.LittleEndian.AppendUint64(buf, v.Offset)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Items)))
-		for i, it := range v.Items {
-			buf = appendItem(buf, it)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.ExpireAts[i]))
-		}
-	case MigrateCommit:
-		hdr(msgMigCommitReq, 20+(itemSize(dim)+8)*len(v.Orphans)+(itemSize(dim)+9)*len(v.Ops))
-		buf = binary.LittleEndian.AppendUint64(buf, v.Epoch)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v.Cell))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Orphans)))
-		for i, it := range v.Orphans {
-			buf = appendItem(buf, it)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.OrphanAts[i]))
-		}
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Ops)))
-		for _, op := range v.Ops {
-			var del byte
-			if op.Delete {
-				del = 1
-			}
-			buf = append(buf, del)
-			buf = appendItem(buf, op.Item)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(op.ExpireAt))
-		}
-	case MigrateResp:
-		hdr(msgMigResp, 1)
-		var c byte
-		if v.Changed {
-			c = 1
-		}
-		buf = append(buf, c)
-	case *RemoteError:
-		hdr(msgErr, 6+len(v.Msg))
-		buf = binary.LittleEndian.AppendUint16(buf, v.Code)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.Msg)))
-		buf = append(buf, v.Msg...)
-	default:
+	e, ok := m.(encoder)
+	if !ok {
 		panic(fmt.Sprintf("shard: EncodeFrame of unknown message type %T", m))
 	}
-	return buf
+	frame, t := e.put(codec{buf: make([]byte, frameHeader+payloadHeader, 64), dim: dim})
+	payload := frame[frameHeader:]
+	payload[0] = t
+	binary.LittleEndian.PutUint64(payload[1:], reqID)
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
+	return frame
+}
+
+// encoder is every message's encode entry: put walks the message's body
+// onto the codec and names its type byte. The codec travels by value, here
+// and through the decode table, so it never leaves the stack.
+type encoder interface {
+	put(codec) ([]byte, byte)
+}
+
+// decoders maps a type byte to the function that walks that message's body
+// off the wire; a nil entry is an unknown type. Insert and delete requests
+// share UpdateReq: the type byte is the Delete flag.
+var decoders = [256]func(codec) (any, error){
+	msgPing:         func(c codec) (any, error) { return Ping{}, c.end() },
+	msgPong:         func(c codec) (any, error) { var m Pong; m.walk(&c); return m, c.end() },
+	msgKNNReq:       func(c codec) (any, error) { var m KNNReq; m.walk(&c); return m, c.end() },
+	msgKNNResp:      func(c codec) (any, error) { var m KNNResp; m.walk(&c); return m, c.end() },
+	msgRangeReq:     func(c codec) (any, error) { var m RangeReq; m.walk(&c); return m, c.end() },
+	msgRangeResp:    func(c codec) (any, error) { var m RangeResp; m.walk(&c); return m, c.end() },
+	msgInsertReq:    func(c codec) (any, error) { var m UpdateReq; m.walk(&c); return m, c.end() },
+	msgDeleteReq:    func(c codec) (any, error) { m := UpdateReq{Delete: true}; m.walk(&c); return m, c.end() },
+	msgUpdateResp:   func(c codec) (any, error) { var m UpdateResp; m.walk(&c); return m, c.end() },
+	msgJoinReq:      func(c codec) (any, error) { var m JoinReq; m.walk(&c); return m, c.end() },
+	msgAggReq:       func(c codec) (any, error) { var m AggReq; m.walk(&c); return m, c.end() },
+	msgAggResp:      func(c codec) (any, error) { var m AggResp; m.walk(&c); return m, c.end() },
+	msgIngestReq:    func(c codec) (any, error) { var m IngestReq; m.walk(&c); return m, c.end() },
+	msgExpireReq:    func(c codec) (any, error) { var m ExpireReq; m.walk(&c); return m, c.end() },
+	msgExpireResp:   func(c codec) (any, error) { var m ExpireResp; m.walk(&c); return m, c.end() },
+	msgStatsReq:     func(c codec) (any, error) { return StatsReq{}, c.end() },
+	msgStatsResp:    func(c codec) (any, error) { var m StatsResp; m.walk(&c); return m, c.end() },
+	msgErr:          func(c codec) (any, error) { m := new(RemoteError); m.walk(&c); return m, c.end() },
+	msgCellSnapReq:  func(c codec) (any, error) { var m CellSnapshotReq; m.walk(&c); return m, c.end() },
+	msgCellSnapResp: func(c codec) (any, error) { var m CellSnapshotResp; m.walk(&c); return m, c.end() },
+	msgResyncReq:    func(c codec) (any, error) { var m ResyncReq; m.walk(&c); return m, c.end() },
+	msgResyncResp:   func(c codec) (any, error) { var m ResyncResp; m.walk(&c); return m, c.end() },
+	msgAggCellsReq:  func(c codec) (any, error) { var m AggCellsReq; m.walk(&c); return m, c.end() },
+	msgCellSumReq:   func(c codec) (any, error) { var m CellChecksumReq; m.walk(&c); return m, c.end() },
+	msgCellSumResp:  func(c codec) (any, error) { var m CellChecksumResp; m.walk(&c); return m, c.end() },
+	msgMigBeginReq:  func(c codec) (any, error) { var m MigrateBegin; m.walk(&c); return m, c.end() },
+	msgMigPageReq:   func(c codec) (any, error) { var m MigratePage; m.walk(&c); return m, c.end() },
+	msgMigCommitReq: func(c codec) (any, error) { var m MigrateCommit; m.walk(&c); return m, c.end() },
+	msgMigResp:      func(c codec) (any, error) { var m MigrateResp; m.walk(&c); return m, c.end() },
 }
 
 // ReadFrame reads one length-prefixed frame and returns its CRC-validated
 // payload.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -790,493 +544,551 @@ func DecodePayload(payload []byte, dim int) (reqID uint64, m any, err error) {
 	if dim < 1 || dim > 1<<16-1 {
 		return 0, nil, fmt.Errorf("%w: impossible dimension %d", ErrWire, dim)
 	}
-	if len(payload) < 9 {
-		return 0, nil, fmt.Errorf("%w: payload %d bytes, want >= 9", ErrWire, len(payload))
+	if len(payload) < payloadHeader {
+		return 0, nil, fmt.Errorf("%w: payload %d bytes, want >= %d", ErrWire, len(payload), payloadHeader)
 	}
 	t := payload[0]
-	reqID = binary.LittleEndian.Uint64(payload[1:9])
-	d := decoder{buf: payload[9:]}
-	switch t {
-	case msgPing:
-		m = Ping{}
-	case msgPong:
-		ready := d.u8()
-		size := d.u64()
-		synced := d.u8()
-		gen := d.u64()
-		if d.err == nil && (ready > 1 || synced > 1) {
-			return reqID, nil, fmt.Errorf("%w: pong flag bytes %d/%d", ErrWire, ready, synced)
-		}
-		m = Pong{Ready: ready == 1, Size: int64(size), Synced: synced == 1, SyncGen: gen}
-	case msgKNNReq:
-		k := d.u32()
-		count := d.count(8 * dim)
-		pts := make([]geom.Point, count)
-		for i := range pts {
-			pts[i] = d.point(dim)
-		}
-		if k < 1 || k > 1<<20 {
-			return reqID, nil, fmt.Errorf("%w: knn k=%d out of range", ErrWire, k)
-		}
-		m = KNNReq{K: int(k), Points: pts}
-	case msgKNNResp:
-		count := d.count(4)
-		res := make([][]heapx.Candidate, count)
-		for i := range res {
-			mcount := d.count(12 + 8*dim)
-			cands := make([]heapx.Candidate, mcount)
-			for j := range cands {
-				cands[j].ID = int32(d.u32())
-				cands[j].Dist2 = d.f64()
-				cands[j].P = d.point(dim)
-			}
-			res[i] = cands
-		}
-		m = KNNResp{Results: res}
-	case msgRangeReq:
-		count := d.count(16 * dim)
-		boxes := make([]geom.Box, count)
-		for i := range boxes {
-			lo := d.point(dim)
-			hi := d.point(dim)
-			if d.err == nil {
-				for ax := range lo {
-					if !(lo[ax] <= hi[ax]) {
-						return reqID, nil, fmt.Errorf("%w: inverted or NaN box on axis %d", ErrWire, ax)
-					}
-				}
-			}
-			boxes[i] = geom.Box{Lo: lo, Hi: hi}
-		}
-		m = RangeReq{Boxes: boxes}
-	case msgRangeResp:
-		count := d.count(4)
-		res := make([][]core.Item, count)
-		for i := range res {
-			mcount := d.count(itemSize(dim))
-			items := make([]core.Item, mcount)
-			for j := range items {
-				items[j] = d.item(dim)
-			}
-			res[i] = items
-		}
-		m = RangeResp{Results: res}
-	case msgInsertReq, msgDeleteReq:
-		count := d.count(itemSize(dim))
-		items := make([]core.Item, count)
-		for i := range items {
-			items[i] = d.item(dim)
-		}
-		m = UpdateReq{Delete: t == msgDeleteReq, Items: items}
-	case msgUpdateResp:
-		m = UpdateResp{Applied: int(d.u32())}
-	case msgJoinReq:
-		radius := d.f64()
-		if d.err == nil && (math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0) {
-			return reqID, nil, fmt.Errorf("%w: join radius %v out of range", ErrWire, radius)
-		}
-		count := d.count(8 * dim)
-		pts := make([]geom.Point, count)
-		for i := range pts {
-			pts[i] = d.point(dim)
-		}
-		m = JoinReq{Radius: radius, Points: pts}
-	case msgAggReq:
-		count := d.count(16 * dim)
-		boxes := make([]geom.Box, count)
-		for i := range boxes {
-			lo := d.point(dim)
-			hi := d.point(dim)
-			if d.err == nil {
-				for ax := range lo {
-					if !(lo[ax] <= hi[ax]) {
-						return reqID, nil, fmt.Errorf("%w: inverted or NaN box on axis %d", ErrWire, ax)
-					}
-				}
-			}
-			boxes[i] = geom.Box{Lo: lo, Hi: hi}
-		}
-		m = AggReq{Boxes: boxes}
-	case msgAggResp:
-		count := d.count(8 + dim*3)
-		res := make([]core.BoxAggregate, count)
-		for i := range res {
-			n := int64(d.u64())
-			if d.err == nil && n < 0 {
-				return reqID, nil, fmt.Errorf("%w: negative aggregate count", ErrWire)
-			}
-			res[i].Count = n
-			res[i].Sums = make([]mathx.ExactSum, dim)
-			for ax := 0; ax < dim; ax++ {
-				flags := d.u8()
-				nterms := int(d.u16())
-				terms := make([]mathx.SumTerm, 0, nterms)
-				// Canonical form only (so decode→encode is byte-identical):
-				// raw index strictly ascending — positive-accumulator words
-				// sort before negative ones because of the index high bit —
-				// and no zero words.
-				prev := -1
-				for t := 0; t < nterms && d.err == nil; t++ {
-					tm := mathx.SumTerm{Index: d.u16(), Word: d.u64()}
-					if d.err == nil && (int(tm.Index) <= prev || tm.Word == 0) {
-						return reqID, nil, fmt.Errorf("%w: non-canonical aggregate sum terms", ErrWire)
-					}
-					prev = int(tm.Index)
-					terms = append(terms, tm)
-				}
-				s, ok := mathx.SumFromTerms(terms, flags)
-				if d.err == nil && !ok {
-					return reqID, nil, fmt.Errorf("%w: invalid aggregate sum terms", ErrWire)
-				}
-				res[i].Sums[ax] = s
-			}
-		}
-		m = AggResp{Results: res}
-	case msgIngestReq:
-		count := d.count(itemSize(dim) + 8)
-		items := make([]core.Item, count)
-		ats := make([]int64, count)
-		for i := range items {
-			items[i] = d.item(dim)
-			ats[i] = int64(d.u64())
-		}
-		m = IngestReq{Items: items, ExpireAts: ats}
-	case msgExpireReq:
-		m = ExpireReq{Now: int64(d.u64())}
-	case msgExpireResp:
-		n := int64(d.u64())
-		if d.err == nil && n < 0 {
-			return reqID, nil, fmt.Errorf("%w: negative expired count", ErrWire)
-		}
-		m = ExpireResp{Expired: n}
-	case msgStatsReq:
-		m = StatsReq{}
-	case msgStatsResp:
-		nkinds := d.count(13)
-		kinds := make([]KindLatency, 0, nkinds)
-		for i := 0; i < nkinds; i++ {
-			nameLen := int(d.u8())
-			name := string(d.take(nameLen))
-			max := int64(d.u64())
-			nbuckets := d.count(16)
-			bs := make([]HistBucket, 0, nbuckets)
-			for j := 0; j < nbuckets && d.err == nil; j++ {
-				b := HistBucket{Low: int64(d.u64()), Count: int64(d.u64())}
-				if b.Low < 0 || b.Count < 0 {
-					return reqID, nil, fmt.Errorf("%w: negative histogram bucket", ErrWire)
-				}
-				bs = append(bs, b)
-			}
-			if d.err == nil && max < 0 {
-				return reqID, nil, fmt.Errorf("%w: negative histogram max", ErrWire)
-			}
-			kinds = append(kinds, KindLatency{Kind: name, Max: max, Buckets: bs})
-		}
-		m = StatsResp{Kinds: kinds}
-	case msgCellSnapReq:
-		cell := d.u32()
-		lo := d.point(dim)
-		hi := d.point(dim)
-		if d.err == nil {
-			for ax := range lo {
-				if !(lo[ax] <= hi[ax]) {
-					return reqID, nil, fmt.Errorf("%w: inverted or NaN cell box on axis %d", ErrWire, ax)
-				}
-			}
-		}
-		offset := d.u64()
-		limit := d.u32()
-		if d.err == nil && cell > 1<<20 {
-			return reqID, nil, fmt.Errorf("%w: cell id %d out of range", ErrWire, cell)
-		}
-		m = CellSnapshotReq{Cell: int(cell), Box: geom.Box{Lo: lo, Hi: hi}, Offset: offset, Limit: int(limit)}
-	case msgCellSnapResp:
-		total := d.u64()
-		count := d.count(itemSize(dim) + 8)
-		items := make([]core.Item, count)
-		ats := make([]int64, count)
-		for i := range items {
-			items[i] = d.item(dim)
-			ats[i] = int64(d.u64())
-		}
-		ocount := d.count(itemSize(dim) + 8)
-		orphans := make([]core.Item, ocount)
-		oats := make([]int64, ocount)
-		for i := range orphans {
-			orphans[i] = d.item(dim)
-			oats[i] = int64(d.u64())
-		}
-		if d.err == nil && uint64(count) > total {
-			return reqID, nil, fmt.Errorf("%w: snapshot page %d items exceeds total %d", ErrWire, count, total)
-		}
-		m = CellSnapshotResp{Total: total, Items: items, ExpireAts: ats, Orphans: orphans, OrphanAts: oats}
-	case msgResyncReq:
-		evidenced := d.u8()
-		if d.err == nil && evidenced > 1 {
-			return reqID, nil, fmt.Errorf("%w: resync evidenced byte %d", ErrWire, evidenced)
-		}
-		m = ResyncReq{Evidenced: evidenced == 1}
-	case msgResyncResp:
-		started := d.u8()
-		target := d.u64()
-		if d.err == nil && started > 1 {
-			return reqID, nil, fmt.Errorf("%w: resync started byte %d", ErrWire, started)
-		}
-		m = ResyncResp{Started: started == 1, Target: target}
-	case msgAggCellsReq:
-		qlo := d.point(dim)
-		qhi := d.point(dim)
-		if d.err == nil {
-			for ax := range qlo {
-				if !(qlo[ax] <= qhi[ax]) {
-					return reqID, nil, fmt.Errorf("%w: inverted or NaN box on axis %d", ErrWire, ax)
-				}
-			}
-		}
-		count := d.count(16 * dim)
-		cells := make([]geom.Box, count)
-		for i := range cells {
-			lo := d.point(dim)
-			hi := d.point(dim)
-			if d.err == nil {
-				for ax := range lo {
-					if !(lo[ax] <= hi[ax]) {
-						return reqID, nil, fmt.Errorf("%w: inverted or NaN cell box on axis %d", ErrWire, ax)
-					}
-				}
-			}
-			cells[i] = geom.Box{Lo: lo, Hi: hi}
-		}
-		m = AggCellsReq{Box: geom.Box{Lo: qlo, Hi: qhi}, Cells: cells}
-	case msgCellSumReq:
-		count := d.count(4 + 16*dim)
-		cells := make([]int, count)
-		boxes := make([]geom.Box, count)
-		for i := range cells {
-			cell := d.u32()
-			lo := d.point(dim)
-			hi := d.point(dim)
-			if d.err == nil {
-				if cell > 1<<20 {
-					return reqID, nil, fmt.Errorf("%w: cell id %d out of range", ErrWire, cell)
-				}
-				for ax := range lo {
-					if !(lo[ax] <= hi[ax]) {
-						return reqID, nil, fmt.Errorf("%w: inverted or NaN cell box on axis %d", ErrWire, ax)
-					}
-				}
-			}
-			cells[i] = int(cell)
-			boxes[i] = geom.Box{Lo: lo, Hi: hi}
-		}
-		m = CellChecksumReq{Cells: cells, Boxes: boxes}
-	case msgCellSumResp:
-		count := d.count(16)
-		sums := make([]CellChecksum, count)
-		for i := range sums {
-			sums[i].Count = d.u64()
-			sums[i].Digest = d.u64()
-		}
-		m = CellChecksumResp{Sums: sums}
-	case msgMigBeginReq:
-		epoch := d.u64()
-		cell := d.u32()
-		lo := d.point(dim)
-		hi := d.point(dim)
-		total := d.u64()
-		if d.err == nil {
-			if epoch == 0 {
-				return reqID, nil, fmt.Errorf("%w: migration epoch 0 (epochs start at 1)", ErrWire)
-			}
-			if cell > 1<<20 {
-				return reqID, nil, fmt.Errorf("%w: cell id %d out of range", ErrWire, cell)
-			}
-			for ax := range lo {
-				if !(lo[ax] <= hi[ax]) {
-					return reqID, nil, fmt.Errorf("%w: inverted or NaN cell box on axis %d", ErrWire, ax)
-				}
-			}
-		}
-		m = MigrateBegin{Epoch: epoch, Cell: int(cell), Box: geom.Box{Lo: lo, Hi: hi}, Total: total}
-	case msgMigPageReq:
-		epoch := d.u64()
-		cell := d.u32()
-		offset := d.u64()
-		count := d.count(itemSize(dim) + 8)
-		items := make([]core.Item, count)
-		ats := make([]int64, count)
-		for i := range items {
-			items[i] = d.item(dim)
-			ats[i] = int64(d.u64())
-		}
-		if d.err == nil {
-			if epoch == 0 {
-				return reqID, nil, fmt.Errorf("%w: migration epoch 0 (epochs start at 1)", ErrWire)
-			}
-			if cell > 1<<20 {
-				return reqID, nil, fmt.Errorf("%w: cell id %d out of range", ErrWire, cell)
-			}
-		}
-		m = MigratePage{Epoch: epoch, Cell: int(cell), Offset: offset, Items: items, ExpireAts: ats}
-	case msgMigCommitReq:
-		epoch := d.u64()
-		cell := d.u32()
-		ocount := d.count(itemSize(dim) + 8)
-		orphans := make([]core.Item, ocount)
-		oats := make([]int64, ocount)
-		for i := range orphans {
-			orphans[i] = d.item(dim)
-			oats[i] = int64(d.u64())
-		}
-		opcount := d.count(itemSize(dim) + 9)
-		ops := make([]MigrateOp, opcount)
-		for i := range ops {
-			del := d.u8()
-			if d.err == nil && del > 1 {
-				return reqID, nil, fmt.Errorf("%w: migration op delete byte %d", ErrWire, del)
-			}
-			ops[i].Delete = del == 1
-			ops[i].Item = d.item(dim)
-			ops[i].ExpireAt = int64(d.u64())
-		}
-		if d.err == nil {
-			if epoch == 0 {
-				return reqID, nil, fmt.Errorf("%w: migration epoch 0 (epochs start at 1)", ErrWire)
-			}
-			if cell > 1<<20 {
-				return reqID, nil, fmt.Errorf("%w: cell id %d out of range", ErrWire, cell)
-			}
-		}
-		m = MigrateCommit{Epoch: epoch, Cell: int(cell), Orphans: orphans, OrphanAts: oats, Ops: ops}
-	case msgMigResp:
-		changed := d.u8()
-		if d.err == nil && changed > 1 {
-			return reqID, nil, fmt.Errorf("%w: migrate changed byte %d", ErrWire, changed)
-		}
-		m = MigrateResp{Changed: changed == 1}
-	case msgErr:
-		code := d.u16()
-		n := d.u32()
-		if d.err == nil && int(n) != len(d.buf) {
-			return reqID, nil, fmt.Errorf("%w: error message length %d, have %d bytes", ErrWire, n, len(d.buf))
-		}
-		m = &RemoteError{Code: code, Msg: string(d.buf)}
-		d.buf = nil
-	default:
+	reqID = binary.LittleEndian.Uint64(payload[1:payloadHeader])
+	decode := decoders[t]
+	if decode == nil {
 		return reqID, nil, fmt.Errorf("%w: unknown message type 0x%02x", ErrWire, t)
 	}
-	if d.err != nil {
-		return reqID, nil, d.err
-	}
-	if t != msgErr && len(d.buf) != 0 {
-		return reqID, nil, fmt.Errorf("%w: %d trailing bytes after message 0x%02x", ErrWire, len(d.buf), t)
+	m, err = decode(codec{buf: payload[payloadHeader:], dec: true, dim: dim})
+	if err != nil {
+		return reqID, nil, err
 	}
 	return reqID, m, nil
 }
 
-// decoder is a cursor over a payload body that records the first error and
-// then no-ops, so message decoders read straight-line without per-field
-// error plumbing.
-type decoder struct {
+// Message walks. Each message states its body layout exactly once, as a
+// walk over the codec's primitives: the same statements append the fields
+// when encoding and read-and-check them when decoding, so the two directions
+// cannot drift and every validity rule lives beside the field it guards.
+
+func (Ping) put(c codec) ([]byte, byte)     { return c.buf, msgPing }
+func (StatsReq) put(c codec) ([]byte, byte) { return c.buf, msgStatsReq }
+
+func (m Pong) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgPong }
+func (m *Pong) walk(c *codec) {
+	c.flag(&m.Ready)
+	c.i64(&m.Size)
+	c.flag(&m.Synced)
+	c.u64(&m.SyncGen)
+}
+
+func (m KNNReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgKNNReq }
+func (m *KNNReq) walk(c *codec) {
+	c.int(&m.K)
+	c.points(&m.Points)
+	if c.dec && (m.K < 1 || m.K > 1<<20) {
+		c.fail("knn k=%d out of range", m.K)
+	}
+}
+
+func (m KNNResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgKNNResp }
+func (m *KNNResp) walk(c *codec) {
+	for i := range seq(c, &m.Results, 4) {
+		for j := range seq(c, &m.Results[i], 12+8*c.dim) {
+			x := &m.Results[i][j]
+			c.i32(&x.ID)
+			c.f64(&x.Dist2)
+			c.point(&x.P)
+		}
+	}
+}
+
+func (m RangeReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgRangeReq }
+func (m *RangeReq) walk(c *codec)             { c.boxes(&m.Boxes) }
+
+func (m RangeResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgRangeResp }
+func (m *RangeResp) walk(c *codec) {
+	for i := range seq(c, &m.Results, 4) {
+		c.items(&m.Results[i])
+	}
+}
+
+func (m UpdateReq) put(c codec) ([]byte, byte) {
+	m.walk(&c)
+	if m.Delete {
+		return c.buf, msgDeleteReq
+	}
+	return c.buf, msgInsertReq
+}
+func (m *UpdateReq) walk(c *codec) { c.items(&m.Items) }
+
+func (m UpdateResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgUpdateResp }
+func (m *UpdateResp) walk(c *codec)             { c.int(&m.Applied) }
+
+func (m JoinReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgJoinReq }
+func (m *JoinReq) walk(c *codec) {
+	c.f64(&m.Radius)
+	if c.dec && (math.IsNaN(m.Radius) || math.IsInf(m.Radius, 0) || m.Radius < 0) {
+		c.fail("join radius %v out of range", m.Radius)
+	}
+	c.points(&m.Points)
+}
+
+func (m AggReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggReq }
+func (m *AggReq) walk(c *codec)             { c.boxes(&m.Boxes) }
+
+func (m AggResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggResp }
+func (m *AggResp) walk(c *codec) {
+	for i := range seq(c, &m.Results, 8+3*c.dim) {
+		a := &m.Results[i]
+		c.nonneg(&a.Count, "aggregate count")
+		if c.dec && c.err == nil {
+			a.Sums = make([]mathx.ExactSum, c.dim)
+		}
+		for d := range a.Sums {
+			c.exactSum(&a.Sums[d])
+		}
+	}
+}
+
+func (m IngestReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgIngestReq }
+func (m *IngestReq) walk(c *codec)             { c.timedItems(&m.Items, &m.ExpireAts) }
+
+func (m ExpireReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgExpireReq }
+func (m *ExpireReq) walk(c *codec)             { c.i64(&m.Now) }
+
+func (m ExpireResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgExpireResp }
+func (m *ExpireResp) walk(c *codec)             { c.nonneg(&m.Expired, "expired count") }
+
+func (m StatsResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgStatsResp }
+func (m *StatsResp) walk(c *codec) {
+	for i := range seq(c, &m.Kinds, 13) {
+		k := &m.Kinds[i]
+		n := uint8(len(k.Kind))
+		c.u8(&n)
+		c.str(&k.Kind, int(n))
+		c.nonneg(&k.Max, "histogram max")
+		for j := range seq(c, &k.Buckets, 16) {
+			c.nonneg(&k.Buckets[j].Low, "histogram bucket")
+			c.nonneg(&k.Buckets[j].Count, "histogram bucket")
+		}
+	}
+}
+
+func (m *RemoteError) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgErr }
+func (m *RemoteError) walk(c *codec) {
+	c.u16(&m.Code)
+	c.str(&m.Msg, c.count(len(m.Msg), 1))
+}
+
+func (m CellSnapshotReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSnapReq }
+func (m *CellSnapshotReq) walk(c *codec) {
+	c.cell(&m.Cell)
+	c.box(&m.Box)
+	c.u64(&m.Offset)
+	c.int(&m.Limit)
+}
+
+func (m CellSnapshotResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSnapResp }
+func (m *CellSnapshotResp) walk(c *codec) {
+	c.u64(&m.Total)
+	c.timedItems(&m.Items, &m.ExpireAts)
+	c.timedItems(&m.Orphans, &m.OrphanAts)
+	if c.dec && uint64(len(m.Items)) > m.Total {
+		c.fail("snapshot page %d items exceeds total %d", len(m.Items), m.Total)
+	}
+}
+
+func (m ResyncReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgResyncReq }
+func (m *ResyncReq) walk(c *codec)             { c.flag(&m.Evidenced) }
+
+func (m ResyncResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgResyncResp }
+func (m *ResyncResp) walk(c *codec) {
+	c.flag(&m.Started)
+	c.u64(&m.Target)
+}
+
+func (m AggCellsReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggCellsReq }
+func (m *AggCellsReq) walk(c *codec) {
+	c.box(&m.Box)
+	c.boxes(&m.Cells)
+}
+
+// Cells and Boxes travel interleaved, one (cell, box) record per entry.
+func (m CellChecksumReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSumReq }
+func (m *CellChecksumReq) walk(c *codec) {
+	n := len(seq(c, &m.Cells, 4+16*c.dim))
+	if c.dec {
+		m.Boxes = make([]geom.Box, n)
+	}
+	for i := range m.Cells {
+		c.cell(&m.Cells[i])
+		c.box(&m.Boxes[i])
+	}
+}
+
+func (m CellChecksumResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSumResp }
+func (m *CellChecksumResp) walk(c *codec) {
+	for i := range seq(c, &m.Sums, 16) {
+		c.u64(&m.Sums[i].Count)
+		c.u64(&m.Sums[i].Digest)
+	}
+}
+
+func (m MigrateBegin) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigBeginReq }
+func (m *MigrateBegin) walk(c *codec) {
+	c.epoch(&m.Epoch)
+	c.cell(&m.Cell)
+	c.box(&m.Box)
+	c.u64(&m.Total)
+}
+
+func (m MigratePage) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigPageReq }
+func (m *MigratePage) walk(c *codec) {
+	c.epoch(&m.Epoch)
+	c.cell(&m.Cell)
+	c.u64(&m.Offset)
+	c.timedItems(&m.Items, &m.ExpireAts)
+}
+
+func (m MigrateCommit) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigCommitReq }
+func (m *MigrateCommit) walk(c *codec) {
+	c.epoch(&m.Epoch)
+	c.cell(&m.Cell)
+	c.timedItems(&m.Orphans, &m.OrphanAts)
+	for i := range seq(c, &m.Ops, c.itemSize()+9) {
+		op := &m.Ops[i]
+		c.flag(&op.Delete)
+		c.item(&op.Item)
+		c.i64(&op.ExpireAt)
+	}
+}
+
+func (m MigrateResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigResp }
+func (m *MigrateResp) walk(c *codec)             { c.flag(&m.Changed) }
+
+// codec is the bidirectional cursor the walks run over. Encoding (dec
+// false) every primitive appends its field to buf and nothing can fail.
+// Decoding, buf is the message body and off the read position: every
+// primitive reads its field, checks it, records the first error in err and
+// from then on no-ops leaving zero values behind — so walks read
+// straight-line without per-field error plumbing, never index past the input
+// and never allocate for a count the remaining bytes cannot back. Validity
+// rules are decode-only: the encoder writes what it is given.
+type codec struct {
 	buf []byte
+	off int
+	dec bool
+	dim int
 	err error
 }
 
-func (d *decoder) take(n int) []byte {
-	if d.err != nil {
+// fail records the first decode error.
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: %s", ErrWire, fmt.Sprintf(format, args...))
+	}
+}
+
+// end closes a decode: the first error, or unread bytes after the message.
+func (c *codec) end() error {
+	if c.left() != 0 {
+		c.fail("%d trailing bytes after the message", c.left())
+	}
+	return c.err
+}
+
+// take consumes the next n body bytes (decode only); nil after any error.
+func (c *codec) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("%w: truncated body (want %d more bytes, have %d)", ErrWire, n, len(d.buf))
+	if c.left() < n {
+		c.fail("truncated body (want %d more bytes, have %d)", n, c.left())
 		return nil
 	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
-	return out
+	c.off += n
+	return c.buf[c.off-n : c.off]
 }
 
-func (d *decoder) u8() byte {
-	b := d.take(1)
-	if b == nil {
+// left is the unread body length (decode only).
+func (c *codec) left() int { return len(c.buf) - c.off }
+
+// The fixed-width primitives. Encoding only ever reads the message — a
+// router fans one request's slices out to several replicas at once. The
+// encode half appends to c.buf in place (not through
+// binary.LittleEndian.AppendUintN, which returns a fresh slice header): an
+// in-place append that does not grow stores only the new length, so the hot
+// path writes no pointer and pays no GC write barrier.
+
+func (c *codec) u8(v *uint8) {
+	if c.dec {
+		*v = uint8(c.get(1))
+	} else {
+		c.buf = append(c.buf, *v)
+	}
+}
+
+func (c *codec) u16(v *uint16) {
+	if c.dec {
+		*v = uint16(c.get(2))
+	} else {
+		c.buf = append(c.buf, byte(*v), byte(*v>>8))
+	}
+}
+
+func (c *codec) u32(v *uint32) {
+	if c.dec {
+		*v = uint32(c.get(4))
+	} else {
+		c.put32(*v)
+	}
+}
+
+func (c *codec) u64(v *uint64) {
+	if c.dec {
+		*v = c.get(8)
+	} else {
+		c.put64(*v)
+	}
+}
+
+func (c *codec) put32(v uint32) {
+	c.buf = append(c.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+}
+
+func (c *codec) put64(v uint64) {
+	c.buf = append(c.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+}
+
+// get reads an n-byte little-endian unsigned integer; 0 after any error.
+func (c *codec) get(n int) uint64 {
+	switch b := c.take(n); len(b) {
+	case 1:
+		return uint64(b[0])
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	}
+	return 0
+}
+
+func (c *codec) i32(v *int32) {
+	if c.dec {
+		*v = int32(c.get(4))
+	} else {
+		c.put32(uint32(*v))
+	}
+}
+
+// int is a non-negative int field that travels as a uint32.
+func (c *codec) int(v *int) {
+	if c.dec {
+		*v = int(c.get(4))
+	} else {
+		c.put32(uint32(*v))
+	}
+}
+
+func (c *codec) i64(v *int64) {
+	if c.dec {
+		*v = int64(c.get(8))
+	} else {
+		c.put64(uint64(*v))
+	}
+}
+
+func (c *codec) f64(v *float64) {
+	if c.dec {
+		*v = math.Float64frombits(c.get(8))
+	} else {
+		c.put64(math.Float64bits(*v))
+	}
+}
+
+// flag is a bool as one byte; any value but 0 or 1 is malformed.
+func (c *codec) flag(v *bool) {
+	if c.dec {
+		b := c.get(1)
+		if b > 1 {
+			c.fail("flag byte %d", b)
+		}
+		*v = b == 1
+	} else if *v {
+		c.buf = append(c.buf, 1)
+	} else {
+		c.buf = append(c.buf, 0)
+	}
+}
+
+// nonneg is an int64 count or bound that must not decode negative.
+func (c *codec) nonneg(v *int64, what string) {
+	c.i64(v)
+	if c.dec && *v < 0 {
+		c.fail("negative %s", what)
+	}
+}
+
+// cell is a partition cell id: uint32 on the wire, at most 1<<20.
+func (c *codec) cell(v *int) {
+	c.int(v)
+	if c.dec && *v > 1<<20 {
+		c.fail("cell id %d out of range", *v)
+	}
+}
+
+// epoch is a placement epoch; epochs start at 1, so 0 is malformed.
+func (c *codec) epoch(v *uint64) {
+	c.u64(v)
+	if c.dec && *v == 0 {
+		c.fail("migration epoch 0 (epochs start at 1)")
+	}
+}
+
+// count walks a uint32 element count. elemSize is the fewest bytes one
+// element occupies: decoding, the count is checked against the bytes
+// actually remaining before the caller allocates, so a corrupted count can
+// neither over-allocate nor mask trailing garbage; encoding, the same figure
+// reserves the elements' room in one step.
+func (c *codec) count(n, elemSize int) int {
+	u := uint32(n)
+	c.u32(&u)
+	if !c.dec {
+		c.buf = slices.Grow(c.buf, n*elemSize)
+		return n
+	}
+	if c.err == nil && int64(u)*int64(elemSize) > int64(c.left()) {
+		c.fail("count %d × %d bytes exceeds remaining %d", u, elemSize, c.left())
+	}
+	if c.err != nil {
 		return 0
 	}
-	return b[0]
+	return int(u)
 }
 
-func (d *decoder) u16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
+// seq walks a list's uint32 count and, decoding, allocates the list; the
+// caller ranges over the result to walk each element in place.
+func seq[T any](c *codec, s *[]T, elemSize int) []T {
+	n := c.count(len(*s), elemSize)
+	if c.dec {
+		*s = make([]T, n)
 	}
-	return binary.LittleEndian.Uint16(b)
+	return *s
 }
 
-func (d *decoder) u32() uint32 {
-	b := d.take(4)
-	if b == nil {
-		return 0
+// str is n raw bytes of text; the length travels separately.
+func (c *codec) str(s *string, n int) {
+	if !c.dec {
+		c.buf = append(c.buf, *s...)
+	} else {
+		*s = string(c.take(n))
 	}
-	return binary.LittleEndian.Uint32(b)
 }
 
-func (d *decoder) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// point is dim float64 coordinates.
+func (c *codec) point(p *geom.Point) {
+	if !c.dec {
+		for _, v := range *p {
+			c.put64(math.Float64bits(v))
+		}
+	} else if b := c.take(8 * c.dim); b != nil {
+		q := make(geom.Point, c.dim)
+		for i := range q {
+			q[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		*p = q
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
-
-// count reads a u32 element count and validates it against the bytes
-// actually remaining (elemSize > 0), so a corrupted count can neither
-// over-allocate nor mask trailing garbage.
-func (d *decoder) count(elemSize int) int {
-	c := d.u32()
-	if d.err != nil {
-		return 0
+// box is a lo point then a hi point with lo <= hi on every axis (±Inf
+// faces are legal: a partition's outer cells have them).
+func (c *codec) box(b *geom.Box) {
+	c.point(&b.Lo)
+	c.point(&b.Hi)
+	if c.dec && c.err == nil {
+		for ax := range b.Lo {
+			if !(b.Lo[ax] <= b.Hi[ax]) {
+				c.fail("inverted or NaN box on axis %d", ax)
+				return
+			}
+		}
 	}
-	if elemSize > 0 && int64(c)*int64(elemSize) > int64(len(d.buf)) {
-		d.err = fmt.Errorf("%w: count %d × %d bytes exceeds remaining %d", ErrWire, c, elemSize, len(d.buf))
-		return 0
-	}
-	return int(c)
 }
 
-func (d *decoder) point(dim int) geom.Point {
-	b := d.take(8 * dim)
-	if b == nil {
-		return nil
+func (c *codec) points(s *[]geom.Point) {
+	for i := range seq(c, s, 8*c.dim) {
+		c.point(&(*s)[i])
 	}
-	p := make(geom.Point, dim)
-	for i := range p {
-		p[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return p
 }
 
-// itemSize is the encoded size of one item in dimension dim (matches the
-// persist layout: id, priority, coordinates).
-func itemSize(dim int) int { return 4 + 8 + 8*dim }
-
-func appendPoint(buf []byte, p geom.Point) []byte {
-	for _, v := range p {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+func (c *codec) boxes(s *[]geom.Box) {
+	for i := range seq(c, s, 16*c.dim) {
+		c.box(&(*s)[i])
 	}
-	return buf
 }
 
-func appendItem(buf []byte, it core.Item) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(it.ID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Priority))
-	return appendPoint(buf, it.P)
+// itemSize is the encoded size of one item (matches the persist layout:
+// id, priority, coordinates).
+func (c *codec) itemSize() int { return 4 + 8 + 8*c.dim }
+
+func (c *codec) item(it *core.Item) {
+	c.i32(&it.ID)
+	c.f64(&it.Priority)
+	c.point(&it.P)
 }
 
-func (d *decoder) item(dim int) core.Item {
-	var it core.Item
-	it.ID = int32(d.u32())
-	it.Priority = d.f64()
-	it.P = d.point(dim)
-	return it
+func (c *codec) items(s *[]core.Item) {
+	for i := range seq(c, s, c.itemSize()) {
+		c.item(&(*s)[i])
+	}
+}
+
+// timedItems is a counted list of (item, expireAt int64) records held as
+// parallel slices; UntrackedDeadline marks an item with no TTL entry.
+func (c *codec) timedItems(items *[]core.Item, ats *[]int64) {
+	n := len(seq(c, items, c.itemSize()+8))
+	if c.dec {
+		*ats = make([]int64, n)
+	}
+	for i := range *items {
+		c.item(&(*items)[i])
+		c.i64(&(*ats)[i])
+	}
+}
+
+// exactSum travels in ExactSum's sparse word form: flags, a uint16 term
+// count, then (index uint16, word uint64) terms. Canonical form only, so
+// decode→encode is byte-identical: raw index strictly ascending —
+// positive-accumulator words sort before negative ones because of the index
+// high bit — and no zero words.
+func (c *codec) exactSum(s *mathx.ExactSum) {
+	var terms []mathx.SumTerm
+	var flags uint8
+	if !c.dec {
+		terms, flags = s.Terms()
+	}
+	c.u8(&flags)
+	n := uint16(len(terms))
+	c.u16(&n)
+	if c.dec {
+		if 10*int(n) > c.left() {
+			c.fail("%d sum terms exceed remaining %d bytes", n, c.left())
+			return
+		}
+		terms = make([]mathx.SumTerm, n)
+	}
+	prev := -1
+	for i := range terms {
+		t := &terms[i]
+		c.u16(&t.Index)
+		c.u64(&t.Word)
+		if c.dec && (int(t.Index) <= prev || t.Word == 0) {
+			c.fail("non-canonical aggregate sum terms")
+		}
+		prev = int(t.Index)
+	}
+	if c.dec && c.err == nil {
+		sum, ok := mathx.SumFromTerms(terms, flags)
+		if !ok {
+			c.fail("invalid aggregate sum terms")
+		}
+		*s = sum
+	}
 }
