@@ -4,7 +4,9 @@
 // optionally shaped into a ramp or a step overload), measures every
 // request's latency from its scheduled arrival (no coordinated omission),
 // and reports per-request-kind p50/p90/p99/p999 — optionally as a
-// pimkd-bench/v1 JSON record alongside the bench harness's captures.
+// pimkd-bench/v1 JSON record alongside the bench harness's captures. It
+// exits 1 if any request ended in a hard error, after printing the table
+// and writing -json; sheds and generator drops are not errors.
 //
 //	pimkd-load -target http://127.0.0.1:7070 -rate 500 -duration 10s
 //	pimkd-load -target http://127.0.0.1:7070 -shape step -factor 10 -warm 5s
@@ -139,6 +141,13 @@ func run(target, mix string, rate float64, dur time.Duration, shape string, fact
 			return err
 		}
 		fmt.Printf("wrote %s\n", jsonOut)
+	}
+	var hard int64
+	for _, kr := range res.Kinds {
+		hard += kr.Errors
+	}
+	if hard > 0 {
+		return fmt.Errorf("%d requests ended in a hard error", hard)
 	}
 	return nil
 }

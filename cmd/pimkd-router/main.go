@@ -21,7 +21,7 @@
 //	curl 'localhost:8080/range?lo=0.1,0.1&hi=0.2,0.2'
 //	curl -X POST 'localhost:8080/insert?id=123456&p=0.3,0.7'
 //	curl 'localhost:8080/shardz'      # membership, health, drift ratios
-//	curl 'localhost:8080/statsz'      # scatter/prune/hedge/wire counters
+//	curl 'localhost:8080/statsz'      # scatter/prune/failover/wire counters
 //
 // Replication: every partition cell is stored on -replication shards
 // (primary + followers on the next shard indexes, mod N). Writes fan to
@@ -59,8 +59,9 @@
 // Failure semantics: the router never serves a silent partial answer. A
 // query needing a cell with no in-sync replica fails with 503 (plus
 // Retry-After) until one returns; an update is acked only when an in-sync
-// replica durably applied it. Reads are hedged after -hedge; writes are
-// single-attempt per replica.
+// replica durably applied it. Reads and writes make one attempt per
+// replica; a read whose replica fails is retried on the cell's next
+// in-sync replica within the same request.
 package main
 
 import (
@@ -86,15 +87,13 @@ func main() {
 		dim       = flag.Int("dim", 2, "point dimension")
 		bounds    = flag.String("bounds", "", "partition bounds as lo...,hi... (2*dim comma-separated floats); default unit cube")
 		timeout   = flag.Duration("timeout", 2*time.Second, "per-shard call timeout")
-		hedge     = flag.Duration("hedge", 0, "hedge read calls after this delay (0 = timeout/4, negative = off)")
 		probe     = flag.Duration("probe-interval", 500*time.Millisecond, "health probe cadence")
 		failAfter = flag.Int("fail-threshold", 3, "consecutive transport failures before a shard is excluded")
-		drift     = flag.Float64("drift", 2.0, "flag shards above this multiple of the mean point count as rebalance candidates")
 		repl      = flag.Int("replication", 2, "copies of every cell (clamped to the shard count; 1 = no replication)")
 		sweep     = flag.Duration("sweep-interval", 0, "anti-entropy checksum sweep cadence (0 = 10x probe interval, negative = off)")
 		settle    = flag.Duration("sweep-settle", 0, "settle window before a sweep mismatch is re-sampled and judged (0 = timeout)")
 		rebalance = flag.Duration("rebalance-interval", 0, "online rebalancer cadence: sample per-cell loads and live-migrate the hottest cell's split half when drift exceeds -rebalance-threshold (0 = off)")
-		rebThresh = flag.Float64("rebalance-threshold", 0, "max/mean shard drift ratio that triggers a rebalance (0 = same as -drift)")
+		rebThresh = flag.Float64("rebalance-threshold", 2.0, "max/mean shard drift ratio that triggers a rebalance and flags rebalance candidates in /shardz")
 	)
 	flag.Parse()
 
@@ -112,15 +111,12 @@ func main() {
 		log.Fatalf("partition: %v", err)
 	}
 	router, err := shard.NewRouter(part, addrs, shard.Config{
-		Replication:    *repl,
-		Timeout:        *timeout,
-		HedgeDelay:     *hedge,
-		ProbeInterval:  *probe,
-		FailThreshold:  *failAfter,
-		DriftThreshold: *drift,
-		SweepInterval:  *sweep,
-		SweepSettle:    *settle,
-
+		Replication:        *repl,
+		Timeout:            *timeout,
+		ProbeInterval:      *probe,
+		FailThreshold:      *failAfter,
+		SweepInterval:      *sweep,
+		SweepSettle:        *settle,
 		RebalanceInterval:  *rebalance,
 		RebalanceThreshold: *rebThresh,
 	})
@@ -149,8 +145,8 @@ func main() {
 	_ = server.Close()
 	m := router.Metrics()
 	router.Close()
-	fmt.Printf("routed %d knn / %d range / %d updates: %d shard calls, %d pruned visits, %d hedges, %d degraded\n",
-		m.KNNRequests, m.RangeRequests, m.Updates, m.ShardCalls, m.Pruned, m.Hedges, m.Degraded)
+	fmt.Printf("routed %d knn / %d range / %d updates: %d shard calls, %d pruned visits, %d degraded\n",
+		m.KNNRequests, m.RangeRequests, m.Updates, m.ShardCalls, m.Pruned, m.Degraded)
 	fmt.Printf("wire bytes: %d out, %d in\n", m.WireBytesOut, m.WireBytesIn)
 	if m.Replication > 1 {
 		fmt.Printf("replication: factor %d, %d failovers, %d stale fences, %d resync nudges\n",

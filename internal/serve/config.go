@@ -27,7 +27,6 @@
 package serve
 
 import (
-	"math/rand"
 	"time"
 
 	"pimkd/internal/persist"
@@ -52,11 +51,7 @@ type Config struct {
 	// (currently the reservoir sampling of batch records kept for /statsz).
 	// Together with seeded workload generators and core.Config.Seed this
 	// makes a replayed request trace fully deterministic. Default 1.
-	// Ignored when Rng is set.
 	Seed int64
-	// Rng, when non-nil, replaces the Seed-derived generator. The Service
-	// takes ownership: the Rng must not be used concurrently elsewhere.
-	Rng *rand.Rand
 	// OnBatch, when non-nil, is invoked on the executor goroutine after
 	// every batch completes, before replies are delivered. Because it runs
 	// on the goroutine that owns the tree, it may safely inspect the tree

@@ -56,8 +56,8 @@ type kindAgg struct {
 	sumBalance   float64
 }
 
-func newMetrics(rng *rand.Rand) *metrics {
-	return &metrics{rng: rng, perKind: map[string]*kindAgg{}, lat: map[string]*hist.Histogram{}}
+func newMetrics(seed int64) *metrics {
+	return &metrics{rng: rand.New(rand.NewSource(seed)), perKind: map[string]*kindAgg{}, lat: map[string]*hist.Histogram{}}
 }
 
 // observeLatency records one request's service latency (admission to reply

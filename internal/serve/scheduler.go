@@ -150,6 +150,12 @@ func (s *Service) execute(b *batch, epoch int64) {
 		Linger: rec.Linger,
 		Cost:   rec.Cost,
 	}
+	if write && err == nil {
+		// Refresh the lock-free size mirror while the executor still owns
+		// the tree, and before any reply: a caller whose write was acked
+		// must read a TreeSize that includes it.
+		s.size.Store(int64(s.tree.Size()))
+	}
 	now := time.Now()
 	for i, req := range b.reqs {
 		rep := reply{info: info, err: err}
@@ -164,13 +170,8 @@ func (s *Service) execute(b *batch, epoch int64) {
 		<-s.tokens      // release the admission token
 	}
 
-	if write && err == nil {
-		// Refresh the lock-free size mirror while the executor still owns
-		// the tree; TreeSize readers (wire pings) never touch the tree.
-		s.size.Store(int64(s.tree.Size()))
-		if s.cfg.Persist != nil {
-			s.maybeCheckpoint()
-		}
+	if write && err == nil && s.cfg.Persist != nil {
+		s.maybeCheckpoint()
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -112,10 +111,6 @@ type pendingQueue struct {
 // machine) must not be used by anyone else until Close returns.
 func New(cfg Config, tree *core.Tree) *Service {
 	cfg = cfg.withDefaults()
-	rng := cfg.Rng
-	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
-	}
 	s := &Service{
 		cfg:     cfg,
 		tree:    tree,
@@ -124,7 +119,7 @@ func New(cfg Config, tree *core.Tree) *Service {
 		batchCh: make(chan *batch, cfg.MaxPending),
 		done:    make(chan struct{}),
 		pending: map[batchKey]*pendingQueue{},
-		metrics: newMetrics(rng),
+		metrics: newMetrics(cfg.Seed),
 	}
 	s.size.Store(int64(tree.Size()))
 	if cfg.TraceCapacity > 0 {
@@ -430,7 +425,9 @@ func (s *Service) checkCell(cellID int, cell geom.Box) error {
 }
 
 // TreeSize returns the live item count without touching the executor-owned
-// tree: the executor refreshes a lock-free mirror after every write batch.
+// tree: the executor refreshes a lock-free mirror after every write batch,
+// before replying to it. It reads your writes: once a write call returns,
+// TreeSize reflects it.
 func (s *Service) TreeSize() int64 { return s.size.Load() }
 
 // Dim returns the tree's dimension (immutable after construction).

@@ -126,8 +126,8 @@ func NewHandler(r *Router) http.Handler {
 			// Sweep is the last anti-entropy round's per-cell verdicts (absent
 			// until the first sweep completes, or when sweeping is disabled).
 			Sweep []CellSweepStatus `json:"sweep,omitempty"`
-		}{healthy, len(st), r.Replication(), RebalanceCandidates(counts, r.cfg.DriftThreshold), st,
-			r.Cells(), r.cfg.DriftThreshold, r.Epoch(), r.CellCounts(req.Context()), r.m.sweepTies.Load(),
+		}{healthy, len(st), r.Replication(), RebalanceCandidates(counts, r.cfg.RebalanceThreshold), st,
+			r.Cells(), r.cfg.RebalanceThreshold, r.Epoch(), r.CellCounts(req.Context()), r.m.sweepTies.Load(),
 			perShard, cluster, r.SweepStatus()})
 	})
 

@@ -40,12 +40,6 @@ type Config struct {
 	Replication int
 	// Timeout bounds each per-shard call (dial + round trip). Default 2s.
 	Timeout time.Duration
-	// HedgeDelay launches a second identical attempt for read calls that
-	// have not answered within this delay; the first success wins. Updates
-	// are never hedged (set semantics make a duplicate harmless, but a
-	// hedge could ack a write the failure path then reports lost). Default
-	// Timeout/4; negative disables hedging.
-	HedgeDelay time.Duration
 	// FailThreshold is how many consecutive transport failures mark a
 	// shard unhealthy (excluded from fan-out until a probe revives it).
 	// Default 3.
@@ -55,10 +49,6 @@ type Config struct {
 	// counts and sync state, and nudging fenced shards to resync. Default
 	// 500ms.
 	ProbeInterval time.Duration
-	// DriftThreshold flags a shard as a rebalance candidate when its point
-	// count exceeds this multiple of the mean (Status surfaces the flags).
-	// Default 2.0.
-	DriftThreshold float64
 	// SweepInterval is the anti-entropy cadence: every interval the router
 	// asks every eligible replica of every cell for a cell checksum and
 	// evidenced-fences replicas that stably diverge from the majority —
@@ -80,7 +70,8 @@ type Config struct {
 	// disables rebalancing (the default); negative also disables.
 	RebalanceInterval time.Duration
 	// RebalanceThreshold is the max/mean shard drift ratio that triggers a
-	// rebalance pass. Default = DriftThreshold.
+	// rebalance pass; Status flags the shards above it as rebalance
+	// candidates. Default 2.0.
 	RebalanceThreshold float64
 	// MigratePageSize is how many items one MigratePage frame carries while
 	// staging a migration. Default 512.
@@ -98,17 +89,11 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 2 * time.Second
 	}
-	if c.HedgeDelay == 0 {
-		c.HedgeDelay = c.Timeout / 4
-	}
 	if c.FailThreshold <= 0 {
 		c.FailThreshold = 3
 	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 2.0
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = 10 * c.ProbeInterval
@@ -117,7 +102,7 @@ func (c Config) withDefaults() Config {
 		c.SweepSettle = c.Timeout
 	}
 	if c.RebalanceThreshold <= 0 {
-		c.RebalanceThreshold = c.DriftThreshold
+		c.RebalanceThreshold = 2.0
 	}
 	if c.MigratePageSize <= 0 {
 		c.MigratePageSize = 512
@@ -323,7 +308,6 @@ type routerMetrics struct {
 	errors        atomic.Int64
 	shardCalls    atomic.Int64
 	pruned        atomic.Int64
-	hedges        atomic.Int64
 	failovers     atomic.Int64
 	staleMarks    atomic.Int64
 	resyncNudges  atomic.Int64
@@ -345,8 +329,6 @@ type Fanout struct {
 	// Pruned is how many cells the distance/intersection pruning skipped
 	// (provably unable to affect the answer).
 	Pruned int `json:"pruned"`
-	// Hedges counts duplicate attempts launched by the hedging policy.
-	Hedges int `json:"hedges"`
 }
 
 // NewRouter connects to one shard per partition cell (addrs[i] is shard
@@ -541,64 +523,24 @@ func (r *Router) pickReplica(lay *layout, cell int, tried map[int]bool) *shardHa
 	return elig[int(lay.rr[cell].Add(1))%len(elig)]
 }
 
-// callResult is one shard attempt's outcome.
-type callResult struct {
-	v   any
-	err error
-}
-
-// hedgedRead runs attempt against a shard with the per-call timeout,
-// launching one duplicate attempt after HedgeDelay if the first has not
-// answered; the first success wins. Only read calls go through here.
-// Returns the number of hedges launched.
-func (r *Router) hedgedRead(ctx context.Context, sh *shardHandle, attempt func(context.Context) (any, error)) (any, int, error) {
+// callShard makes one attempt against a shard with the per-call timeout,
+// for reads and writes alike. A success resets the shard's failure count;
+// only a transport failure counts against its health — a *RemoteError
+// means the shard is alive and answering. Failover to another replica is
+// the caller's job (coverCells, fanWrite), not a retry here.
+func (r *Router) callShard(ctx context.Context, sh *shardHandle, attempt func(context.Context) (any, error)) (any, error) {
 	cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
-	ch := make(chan callResult, 2)
-	launch := func() {
-		r.m.shardCalls.Add(1)
-		go func() {
-			v, err := attempt(cctx)
-			ch <- callResult{v, err}
-		}()
-	}
-	launch()
-	hedges := 0
-	var hedgeTimer <-chan time.Time
-	if r.cfg.HedgeDelay > 0 {
-		hedgeTimer = time.After(r.cfg.HedgeDelay)
-	}
-	outstanding := 1
-	var firstErr error
-	for outstanding > 0 {
-		select {
-		case <-hedgeTimer:
-			hedgeTimer = nil
-			launch()
-			outstanding++
-			hedges++
-			r.m.hedges.Add(1)
-		case res := <-ch:
-			outstanding--
-			if res.err == nil {
-				sh.fails.Store(0)
-				return res.v, hedges, nil
-			}
-			var re *RemoteError
-			if errors.As(res.err, &re) && !re.Retryable() {
-				// The shard is alive and refusing: fail fast, health intact.
-				return nil, hedges, res.err
-			}
-			if firstErr == nil {
-				firstErr = res.err
-			}
-		}
-	}
+	r.m.shardCalls.Add(1)
+	v, err := attempt(cctx)
 	var re *RemoteError
-	if !errors.As(firstErr, &re) {
-		r.noteFailure(sh) // transport-level failure, counts against health
+	switch {
+	case err == nil:
+		sh.fails.Store(0)
+	case !errors.As(err, &re):
+		r.noteFailure(sh)
 	}
-	return nil, hedges, firstErr
+	return v, err
 }
 
 // shardResp is one successful shard call in a read plan: the shard, the
@@ -621,7 +563,7 @@ type shardResp struct {
 // no eligible replica left are returned as uncovered; the caller decides
 // whether that degrades the answer.
 func (r *Router) coverCells(ctx context.Context, lay *layout, needed []int, covered, tried map[int]bool, wholeTree bool,
-	query func(c context.Context, sh *shardHandle, cells []int) (any, error)) (resps []shardResp, uncovered []int, hedges int) {
+	query func(c context.Context, sh *shardHandle, cells []int) (any, error)) (resps []shardResp, uncovered []int) {
 	for {
 		var remaining []int
 		for _, cell := range needed {
@@ -630,7 +572,7 @@ func (r *Router) coverCells(ctx context.Context, lay *layout, needed []int, cove
 			}
 		}
 		if len(remaining) == 0 {
-			return resps, nil, hedges
+			return resps, nil
 		}
 		plan := map[int][]int{}
 		for _, cell := range remaining {
@@ -639,7 +581,7 @@ func (r *Router) coverCells(ctx context.Context, lay *layout, needed []int, cove
 			}
 		}
 		if len(plan) == 0 {
-			return resps, remaining, hedges
+			return resps, remaining
 		}
 		var (
 			mu sync.Mutex
@@ -651,12 +593,11 @@ func (r *Router) coverCells(ctx context.Context, lay *layout, needed []int, cove
 			wg.Add(1)
 			go func(sh *shardHandle, cells []int) {
 				defer wg.Done()
-				v, h, err := r.hedgedRead(ctx, sh, func(c context.Context) (any, error) {
+				v, err := r.callShard(ctx, sh, func(c context.Context) (any, error) {
 					return query(c, sh, cells)
 				})
 				mu.Lock()
 				defer mu.Unlock()
-				hedges += h
 				if err != nil {
 					return // the next round reassigns these cells
 				}
@@ -824,10 +765,9 @@ func (r *Router) KNN(ctx context.Context, q geom.Point, k int) ([]heapx.Candidat
 	// nor crowd a true owned neighbor out of the truncated top-k.
 	if sh := r.pickReplica(lay, order[0].cell, tried); sh != nil {
 		tried[sh.id] = true
-		v, h, err := r.hedgedRead(ctx, sh, func(c context.Context) (any, error) {
+		v, err := r.callShard(ctx, sh, func(c context.Context) (any, error) {
 			return r.knnOwned(c, lay, sh, q, k)
 		})
-		fan.Hedges += h
 		if err == nil {
 			resps = append(resps, shardResp{sh: sh, v: v})
 			for _, rk := range order {
@@ -852,12 +792,11 @@ func (r *Router) KNN(ctx context.Context, q geom.Point, k int) ([]heapx.Candidat
 		}
 		needed = append(needed, rk.cell)
 	}
-	more, uncovered, h2 := r.coverCells(ctx, lay, needed, covered, tried, true,
+	more, uncovered := r.coverCells(ctx, lay, needed, covered, tried, true,
 		func(c context.Context, sh *shardHandle, _ []int) (any, error) {
 			return r.knnOwned(c, lay, sh, q, k)
 		})
 	resps = append(resps, more...)
-	fan.Hedges += h2
 	fan.Queried = len(resps)
 
 	// Gather: responses are already stray-filtered and conclusive (knnOwned);
@@ -931,12 +870,11 @@ func (r *Router) Range(ctx context.Context, box geom.Box) ([]core.Item, Fanout, 
 		}
 		needed = append(needed, i)
 	}
-	resps, uncovered, hedges := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
+	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
 		func(c context.Context, sh *shardHandle, _ []int) (any, error) {
 			return sh.client.Range(c, []geom.Box{box})
 		})
 	fan.Queried = len(resps)
-	fan.Hedges = hedges
 	if len(uncovered) > 0 {
 		r.m.degraded.Add(1)
 		return nil, fan, fmt.Errorf("%w: cell %d intersects range box and has no in-sync replica", ErrDegraded, uncovered[0])
@@ -1085,24 +1023,14 @@ func (r *Router) fanWrite(ctx context.Context, items []core.Item, delta int64,
 	var wg sync.WaitGroup
 	for _, wc := range calls {
 		wg.Add(1)
-		r.m.shardCalls.Add(1)
 		go func(wc *writeCall) {
 			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-			defer cancel()
 			sort.Ints(wc.idxs)
-			wc.err = send(cctx, wc.sh, wc.idxs)
-			if wc.err == nil {
-				wc.sh.fails.Store(0)
-				n := int64(len(wc.idxs)) * delta
-				if wc.sh.count.Add(n) < 0 {
-					wc.sh.count.Store(0)
-				}
-				return
-			}
-			var re *RemoteError
-			if !errors.As(wc.err, &re) {
-				r.noteFailure(wc.sh) // transport failure, counts against health
+			_, wc.err = r.callShard(ctx, wc.sh, func(c context.Context) (any, error) {
+				return nil, send(c, wc.sh, wc.idxs)
+			})
+			if wc.err == nil && wc.sh.count.Add(int64(len(wc.idxs))*delta) < 0 {
+				wc.sh.count.Store(0)
 			}
 		}(wc)
 	}
@@ -1243,8 +1171,8 @@ type ShardStatus struct {
 	// Count is the router's live point count estimate (probe-refreshed),
 	// counting every hosted replica's copy.
 	Count int64 `json:"count"`
-	// Drift is Count over the mean count; > Config.DriftThreshold flags
-	// the shard as a rebalance candidate.
+	// Drift is Count over the mean count; > Config.RebalanceThreshold
+	// flags the shard as a rebalance candidate.
 	Drift     float64 `json:"drift"`
 	Rebalance bool    `json:"rebalance_candidate"`
 	// WireOut/WireIn are cumulative wire bytes to/from this shard.
@@ -1275,7 +1203,7 @@ func (r *Router) Status() []ShardStatus {
 			Cells:     lay.pl.CellsOf(sh.id),
 			Count:     counts[i],
 			Drift:     drift[i],
-			Rebalance: drift[i] > r.cfg.DriftThreshold,
+			Rebalance: drift[i] > r.cfg.RebalanceThreshold,
 			WireOut:   wo,
 			WireIn:    wi,
 		}
@@ -1296,7 +1224,9 @@ type MetricsSnapshot struct {
 	Errors        int64 `json:"errors"`
 	ShardCalls    int64 `json:"shard_calls"`
 	Pruned        int64 `json:"pruned_cell_visits"`
-	Hedges        int64 `json:"hedges"`
+	// Hedges is always 0: reads make one attempt per replica and fail over
+	// within the request. The field stays for readers of the JSON shape.
+	Hedges int64 `json:"hedges"`
 	// Failovers counts cell writes acked while the home primary did not
 	// apply them (the acting primary was a non-home replica).
 	Failovers int64 `json:"failovers"`
@@ -1352,7 +1282,6 @@ func (r *Router) Metrics() MetricsSnapshot {
 		Errors:          r.m.errors.Load(),
 		ShardCalls:      r.m.shardCalls.Load(),
 		Pruned:          r.m.pruned.Load(),
-		Hedges:          r.m.hedges.Load(),
 		Failovers:       r.m.failovers.Load(),
 		StaleMarks:      r.m.staleMarks.Load(),
 		ResyncNudges:    r.m.resyncNudges.Load(),

@@ -44,12 +44,11 @@ func (r *Router) Join(ctx context.Context, p geom.Point, radius float64) ([]core
 		}
 		needed = append(needed, i)
 	}
-	resps, uncovered, hedges := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
+	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
 		func(c context.Context, sh *shardHandle, _ []int) (any, error) {
 			return sh.client.Join(c, []geom.Point{p}, radius)
 		})
 	fan.Queried = len(resps)
-	fan.Hedges = hedges
 	if len(uncovered) > 0 {
 		r.m.degraded.Add(1)
 		return nil, fan, fmt.Errorf("%w: cell %d within join radius has no in-sync replica", ErrDegraded, uncovered[0])
@@ -88,7 +87,7 @@ func (r *Router) Aggregate(ctx context.Context, box geom.Box) (core.BoxAggregate
 		}
 		needed = append(needed, i)
 	}
-	resps, uncovered, hedges := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, false,
+	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, false,
 		func(c context.Context, sh *shardHandle, cells []int) (any, error) {
 			// Cell-assigned exact counting: the shard aggregates only items
 			// the assigned cell boxes own, so migration strays outside every
@@ -100,7 +99,6 @@ func (r *Router) Aggregate(ctx context.Context, box geom.Box) (core.BoxAggregate
 			return sh.client.AggregateCells(c, box, boxes)
 		})
 	fan.Queried = len(resps)
-	fan.Hedges = hedges
 	if len(uncovered) > 0 {
 		r.m.degraded.Add(1)
 		return core.BoxAggregate{}, fan, fmt.Errorf("%w: cell %d intersects aggregate box and has no in-sync replica",

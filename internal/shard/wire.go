@@ -401,8 +401,9 @@ func (e *RemoteError) Error() string {
 	return fmt.Sprintf("shard: remote error code=%d: %s", e.Code, e.Msg)
 }
 
-// Retryable reports whether the condition is transient (safe to hedge or
-// retry for read-only requests).
+// Retryable reports whether the condition is transient: the shard is
+// overloaded or not ready, so a client may retry later. The HTTP front-end
+// maps it to 503 with Retry-After.
 func (e *RemoteError) Retryable() bool { return e.Code == CodeUnavailable || e.Code == CodeNotReady }
 
 // WriteHandshake writes the connection header declaring the shard's

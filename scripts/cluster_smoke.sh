@@ -88,8 +88,8 @@ wait_synced() { # wait until the router reports every shard healthy and in sync
   wait_http "$ROUTER/statsz" '"stale_shards": *0'
 }
 
-log "building pimkd-server and pimkd-router"
-go build -o "$BIN/" ./cmd/pimkd-server ./cmd/pimkd-router
+log "building pimkd-server, pimkd-router, pimkd-load"
+go build -o "$BIN/" ./cmd/pimkd-server ./cmd/pimkd-router ./cmd/pimkd-load
 
 start_shard() { # index (1..3)
   local i="$1"
@@ -148,10 +148,9 @@ for i in $(seq 0 59); do
   insert_point "$i" "$x" "$y" || fail "insert $i refused while every shard is healthy"
 done
 
-log "phase 1: read workload through the router (load generator, -target)"
-go run ./examples/serving -target "$ROUTER" -clients 4 -requests 15 -k 4 >"$WORK/load1.log" 2>&1 ||
+log "phase 1: kNN read workload through the router (pimkd-load)"
+"$BIN/pimkd-load" -target "$ROUTER" -mix knn=1 -k 4 -rate 60 -duration 1s >"$WORK/load1.log" 2>&1 ||
   fail "load generator against healthy cluster"
-grep -q "router fanout" "$WORK/load1.log" || fail "load generator saw no router fanout info"
 
 log "scenario A: killing shard 2 (kill -9) mid-run — failover, not refusal"
 kill -9 "$SHARD2_PID"
@@ -248,8 +247,8 @@ log "divergent replica repaired to identical (point $CORRUPT_ID restored)"
 log "verifying zero lost acked updates after sweep detect + repair"
 verify_acked "sweep detect + repair"
 
-log "read workload against the rebuilt cluster"
-go run ./examples/serving -target "$ROUTER" -clients 4 -requests 10 -k 4 >"$WORK/load2.log" 2>&1 ||
+log "kNN read workload against the rebuilt cluster"
+"$BIN/pimkd-load" -target "$ROUTER" -mix knn=1 -k 4 -rate 60 -duration 1s >"$WORK/load2.log" 2>&1 ||
   fail "load generator against rebuilt cluster"
 
 log "scenario D: hot-spot ingest — automatic live cell split + point migration"
