@@ -31,6 +31,10 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
+	if !(*dcut >= 0 && *cut >= 0 && *eps >= 0) {
+		fmt.Fprintln(os.Stderr, "-dcut, -cut and -eps must be non-negative numbers")
+		os.Exit(2)
+	}
 
 	pts := workload.GaussianClusters(*n, 2, *k, *sigma, *seed)
 	if *noise > 0 {

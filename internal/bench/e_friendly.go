@@ -52,12 +52,12 @@ func runFriendly(w io.Writer, quick bool) {
 		tree := core.New(core.Config{Dim: 2, Seed: 9}, mach)
 		tree.Build(makeItems(ds.pts))
 		qs := workload.Sample(ds.pts, s, 0, 11)
-		_, trace := tree.KNNBatch(qs, k, 0)
+		tree.KNN(qs, k)
 		tb.Row(ds.name,
 			rep.CompactFraction, rep.AspectP95, rep.ExpansionFraction, rep.UniformityCV,
 			rep.Friendly(),
-			perQuery(trace.LeavesTouched, s)/float64(k),
-			perQuery(trace.Hops, s))
+			perQuery(tree.OpStats.LeavesTouched, s)/float64(k),
+			perQuery(tree.OpStats.Hops, s))
 	}
 	tb.Fprint(w)
 	fmt.Fprintln(w, "shape check: rows judged friendly keep leaves/(q·k) near a small constant, as Theorem 4.5")

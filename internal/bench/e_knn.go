@@ -43,9 +43,10 @@ func runKNN(w io.Writer, quick bool) {
 		"k", "pim words/q", "words/(q·k)", "hops/q", "hops/(q·k·log*P)", "leaves/q", "leaves/q/k",
 		"pkd words/q", "pkd/(q·k)")
 	for _, k := range []int{1, 2, 4, 8, 16, 32} {
-		pre := mach.Stats()
-		_, trace := tree.KNNBatch(qs, k, 0)
+		pre, preOps := mach.Stats(), tree.OpStats
+		tree.KNN(qs, k)
 		d := mach.Stats().Sub(pre)
+		hops, leaves := tree.OpStats.Hops-preOps.Hops, tree.OpStats.LeavesTouched-preOps.LeavesTouched
 		pk.Meter.Reset()
 		for _, q := range qs {
 			pk.KNN(q, k)
@@ -53,10 +54,10 @@ func runKNN(w io.Writer, quick bool) {
 		tb.Row(k,
 			perQuery(d.Communication, s),
 			perQuery(d.Communication, s)/float64(k),
-			perQuery(trace.Hops, s),
-			perQuery(trace.Hops, s)/(float64(k)*logStarP),
-			perQuery(trace.LeavesTouched, s),
-			perQuery(trace.LeavesTouched, s)/float64(k),
+			perQuery(hops, s),
+			perQuery(hops, s)/(float64(k)*logStarP),
+			perQuery(leaves, s),
+			perQuery(leaves, s)/float64(k),
 			perQuery(pk.Meter.NodeVisits*core.NodeWords(dim), s),
 			perQuery(pk.Meter.NodeVisits*core.NodeWords(dim), s)/float64(k))
 	}
@@ -80,18 +81,18 @@ func runANN(w io.Writer, quick bool) {
 		"eps", "comm/q", "hops/q", "nodes/q", "leaves/q", "vs exact nodes")
 	var exactNodes float64
 	for i, eps := range []float64{0, 0.1, 0.25, 0.5, 1.0, 2.0} {
-		pre := mach.Stats()
-		_, trace := tree.KNNBatch(qs, k, eps)
+		pre, preOps := mach.Stats(), tree.OpStats
+		tree.ANN(qs, k, eps)
 		d := mach.Stats().Sub(pre)
-		nodes := perQuery(trace.NodesVisited, s)
+		nodes := perQuery(tree.OpStats.NodesVisited-preOps.NodesVisited, s)
 		if i == 0 {
 			exactNodes = nodes
 		}
 		tb.Row(eps,
 			perQuery(d.Communication, s),
-			perQuery(trace.Hops, s),
+			perQuery(tree.OpStats.Hops-preOps.Hops, s),
 			nodes,
-			perQuery(trace.LeavesTouched, s),
+			perQuery(tree.OpStats.LeavesTouched-preOps.LeavesTouched, s),
 			nodes/exactNodes)
 	}
 	tb.Fprint(w)

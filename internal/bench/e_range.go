@@ -43,20 +43,19 @@ func runRange(w io.Writer, quick bool) {
 				}
 				boxes[i] = geom.NewBox(lo, hi)
 			}
-			pre := mach.Stats()
+			pre, preOps := mach.Stats(), tree.OpStats
 			cnt := tree.RangeCount(boxes)
 			d := mach.Stats().Sub(pre)
-			tr := tree.LastRangeTrace()
 			var kout int64
 			for _, c := range cnt {
 				kout += int64(c)
 			}
-			nodesPerQ := perQuery(tr.NodesVisited, s)
+			nodesPerQ := perQuery(tree.OpStats.NodesVisited-preOps.NodesVisited, s)
 			koutPerQ := perQuery(kout, s)
 			tb.Row(side, koutPerQ, nodesPerQ,
 				(nodesPerQ-2*koutPerQ/8)/envelope, // leaf buckets hold ≤8 points
 				perQuery(d.Communication, s),
-				perQuery(tr.Hops, s))
+				perQuery(tree.OpStats.Hops-preOps.Hops, s))
 		}
 		tb.Fprint(w)
 	}

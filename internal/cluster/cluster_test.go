@@ -58,6 +58,28 @@ func TestDPCSharedMatchesPIM(t *testing.T) {
 	}
 }
 
+// TestDPCEmptyBallRadius: a negative or NaN d_cut is the empty ball in all
+// three implementations, so every density is zero and they still agree.
+func TestDPCEmptyBallRadius(t *testing.T) {
+	pts := workload.GaussianClusters(200, 2, 3, 0.03, 9)
+	for _, dcut := range []float64{-0.05, math.NaN()} {
+		par := DPCParams{DCut: dcut, Eps: 0.1}
+		want := DPCBrute(pts, par)
+		pimRes := DPCPIM(pim.NewMachine(8, 1<<20), pts, par, 1)
+		shared, _ := DPCShared(pts, par, 1)
+		for i := range pts {
+			if want.Density[i] != 0 || pimRes.Density[i] != 0 || shared.Density[i] != 0 {
+				t.Fatalf("d_cut=%g density[%d]: brute %d pim %d shared %d",
+					dcut, i, want.Density[i], pimRes.Density[i], shared.Density[i])
+			}
+			if pimRes.DependentID[i] != want.DependentID[i] || shared.DependentID[i] != want.DependentID[i] {
+				t.Fatalf("d_cut=%g dependent[%d]: brute %d pim %d shared %d",
+					dcut, i, want.DependentID[i], pimRes.DependentID[i], shared.DependentID[i])
+			}
+		}
+	}
+}
+
 // TestDPCLargeDistributedBuild exercises the distributed construction path
 // (sketch + per-module builds + stitching) which once dropped the priority
 // augmentation at stitch nodes — a regression test for exactly that.

@@ -93,7 +93,8 @@ func DPCPIM(mach *pim.Machine, pts []geom.Point, par DPCParams, seed int64) DPCR
 }
 
 // DPCBrute is the quadratic reference implementation used to validate both
-// the PIM and the shared-memory algorithms on small inputs.
+// the PIM and the shared-memory algorithms on small inputs. Like the trees'
+// radius queries, it treats a negative or NaN DCut as the empty ball.
 func DPCBrute(pts []geom.Point, par DPCParams) DPCResult {
 	n := len(pts)
 	res := DPCResult{
@@ -103,6 +104,9 @@ func DPCBrute(pts []geom.Point, par DPCParams) DPCResult {
 		Labels:        make([]int32, n),
 	}
 	r2 := par.DCut * par.DCut
+	if !(par.DCut >= 0) {
+		r2 = -1
+	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if geom.Dist2(pts[i], pts[j]) <= r2 {

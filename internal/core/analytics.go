@@ -6,7 +6,6 @@ import (
 	"pimkd/internal/geom"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
-	"pimkd/internal/pim"
 )
 
 // ItemLess is the canonical item order used wherever answers assembled from
@@ -69,30 +68,23 @@ func (t *Tree) ProbeJoin(probes []Item, radius float64) [][]Item {
 
 // JoinTrees computes the full tree-vs-tree spatial join: every pair
 // (a, b) with a stored in probe, b stored in t, and dist(a,b) ≤ radius,
-// in canonical JoinPairLess order. The dual-tree traversal prunes whole
-// subtree pairs whose bounding boxes are farther than radius apart; work is
-// metered on t's machine (t is the "build" side; probe's leaves are pulled
-// to wherever the traversal runs, charged as leaf pull words).
+// in canonical JoinPairLess order; nil for a negative or NaN radius. The
+// dual-tree traversal prunes whole subtree pairs whose bounding boxes are
+// farther than radius apart; work is metered on t's machine (t is the
+// "build" side; probe's leaves are pulled to wherever the traversal runs,
+// charged as leaf pull words).
 func (t *Tree) JoinTrees(probe *Tree, radius float64) []JoinPair {
-	if t.root == Nil || probe == nil || probe.root == Nil || radius < 0 {
+	if probe == nil || !(radius >= 0) {
 		return nil
 	}
 	r2 := radius * radius
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-
 	// Fan the probe side into independent top subtrees so the pair
 	// traversals run in parallel, one walker each.
 	probeRoots := probe.topSubtrees(4 * t.mach.P())
 	pairs := make([][]JoinPair, len(probeRoots))
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/join:tree")
-		parallel.For(len(probeRoots), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			var out []JoinPair
-			w.joinPair(t.root, probe, probeRoots[i], radius, r2, &out)
-			pairs[i] = out
-		})
+	t.walk("core/join:tree", len(probeRoots), nil, func(i int, w walker) {
+		w.joinPair(t.root, probe, probeRoots[i], r2, &pairs[i])
+		w.done(len(pairs[i]))
 	})
 	var all []JoinPair
 	for _, p := range pairs {
@@ -129,23 +121,23 @@ func (t *Tree) topSubtrees(want int) []NodeID {
 	return frontier
 }
 
-// joinPair recurses over (t-subtree, probe-subtree) pairs. The walker's
-// contention machinery meters visits on t's side; scanning a probe leaf
-// pulls its points to the current processor.
-func (w *rangeWalker) joinPair(id NodeID, probe *Tree, pid NodeID, radius, r2 float64, out *[]JoinPair) {
+// joinPair recurses over (t-subtree, probe-subtree) pairs closer than r2
+// squared. t's side is touched under push-pull; scanning a t leaf against a
+// probe leaf pulls the probe's points to the current processor.
+func (w *walker) joinPair(id NodeID, probe *Tree, pid NodeID, r2 float64, out *[]JoinPair) {
 	nd := w.t.nd(id)
 	pnd := probe.nd(pid)
 	if boxDist2(nd.box, pnd.box) > r2 {
 		return
 	}
 	if nd.leaf && pnd.leaf {
-		nd, onCPU := w.visit(id)
-		// Probe leaf points travel to the traversal site.
-		if onCPU {
-			w.r.CPUWork(int64(len(nd.pts)) * int64(len(pnd.pts)))
+		w.leaves++
+		work := int64(len(nd.pts)) * int64(len(pnd.pts))
+		if w.touch(id) {
+			w.r.CPUWork(work)
 		} else {
 			w.r.Transfer(int(w.mod), int64(len(pnd.pts))*pointWords(w.t.cfg.Dim))
-			w.r.ModuleWork(int(w.mod), int64(len(nd.pts))*int64(len(pnd.pts)))
+			w.r.ModuleWork(int(w.mod), work)
 		}
 		for _, p := range pnd.pts {
 			for _, m := range nd.pts {
@@ -158,13 +150,13 @@ func (w *rangeWalker) joinPair(id NodeID, probe *Tree, pid NodeID, radius, r2 fl
 	}
 	// Descend the larger non-leaf side to keep box pairs tight.
 	if pnd.leaf || (!nd.leaf && int(nd.exact) >= int(pnd.exact)) {
-		w.visit(id)
-		w.joinPair(nd.left, probe, pid, radius, r2, out)
-		w.joinPair(nd.right, probe, pid, radius, r2, out)
+		w.touch(id)
+		w.joinPair(nd.left, probe, pid, r2, out)
+		w.joinPair(nd.right, probe, pid, r2, out)
 		return
 	}
-	w.joinPair(id, probe, pnd.left, radius, r2, out)
-	w.joinPair(id, probe, pnd.right, radius, r2, out)
+	w.joinPair(id, probe, pnd.left, r2, out)
+	w.joinPair(id, probe, pnd.right, r2, out)
 }
 
 // boxDist2 is the squared minimum distance between two boxes (0 if they
@@ -230,40 +222,14 @@ func (t *Tree) RangeAggregate(boxes []geom.Box) []BoxAggregate {
 	for i := range res {
 		res[i].Sums = make([]mathx.ExactSum, t.cfg.Dim)
 	}
-	if t.root == Nil {
-		return res
-	}
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/range:aggregate")
-		parallel.For(len(boxes), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			w.aggregate(t.root, boxes[i], &res[i])
-		})
+	t.walk("core/range:aggregate", len(boxes), nil, func(i int, w walker) {
+		agg := &res[i]
+		agg.Count = int64(w.inRegion(t.root, &region{box: boxes[i]}, func(it Item) {
+			for d := range it.P {
+				agg.Sums[d].Add(it.P[d])
+			}
+		}))
+		w.done(int(agg.Count))
 	})
 	return res
-}
-
-func (w *rangeWalker) aggregate(id NodeID, box geom.Box, agg *BoxAggregate) {
-	nd := w.t.nd(id)
-	if !box.Intersects(nd.box) {
-		return
-	}
-	contained := box.ContainsBox(nd.box)
-	nd, onCPU := w.visit(id)
-	if nd.leaf {
-		w.leafWork(len(nd.pts), onCPU)
-		for _, it := range nd.pts {
-			if contained || box.Contains(it.P) {
-				agg.Count++
-				for d := range it.P {
-					agg.Sums[d].Add(it.P[d])
-				}
-			}
-		}
-		return
-	}
-	w.aggregate(nd.left, box, agg)
-	w.aggregate(nd.right, box, agg)
 }

@@ -105,10 +105,6 @@ type Tree struct {
 
 	// OpStats tallies structure-level event counters useful to experiments.
 	OpStats OpStats
-
-	// rangeTrace holds the trace of the most recent range/radius batch
-	// (a Tree serves one batch operation at a time).
-	rangeTrace RangeTrace
 }
 
 // OpStats counts structural events in a Tree's lifetime.
@@ -126,6 +122,12 @@ type OpStats struct {
 	Pulls, Pushes int64
 	// DelayedFlushes counts delayed-construction flush phases.
 	DelayedFlushes int64
+	// Hops, NodesVisited, LeavesTouched and Reported total the walkers of
+	// the irregular traversals (kNN/ANN, range, radius, aggregate, priority
+	// search, joins): off-chip hops of query state, node touches, leaf
+	// buckets scanned, and answer items produced. Walkers add to them
+	// atomically, once per query; read them between batches.
+	Hops, NodesVisited, LeavesTouched, Reported int64
 }
 
 // New creates an empty PIM-kd-tree on machine mach. Use Build to load a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pimkd/internal/geom"
@@ -31,6 +32,71 @@ func TestEmptyTreeOperations(t *testing.T) {
 	tree.BatchInsert([]Item{{P: geom.Point{0.5, 0.5}, ID: 1}})
 	if tree.Size() != 1 {
 		t.Fatal("insert into empty tree failed")
+	}
+}
+
+// TestRadiusEdges checks every ball query against a literal dist ≤ r brute
+// force at the edges of the radius domain: a negative or NaN radius is the
+// empty ball (squaring it would answer the |r|-ball), ±0 matches coincident
+// points only, and +Inf matches everything. ANN clamps a NaN ε to exact.
+func TestRadiusEdges(t *testing.T) {
+	tree, items := testTree(t, 2000, 2, 8, 5)
+	centers := []geom.Point{{0.5, 0.5}, items[7].P, items[1500].P}
+	probes := make([]Item, len(centers))
+	for i, c := range centers {
+		probes[i] = Item{P: c, ID: int32(5000 + i)}
+	}
+	probeTree := New(Config{Dim: 2, Seed: 6}, pim.NewMachine(8, 1<<20))
+	probeTree.Build(probes)
+	same := func(got, want []Item) bool {
+		SortItems(got)
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if !ItemEq(got[i], want[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, r := range []float64{-0.1, math.NaN(), math.Copysign(0, -1), 0, 0.1, math.Inf(1)} {
+		want := make([][]Item, len(centers))
+		pairs := 0
+		for i, c := range centers {
+			for _, it := range items {
+				if geom.Dist(c, it.P) <= r {
+					want[i] = append(want[i], it)
+				}
+			}
+			SortItems(want[i])
+			pairs += len(want[i])
+		}
+		counts := tree.RadiusCount(centers, r)
+		reports := tree.RadiusReport(centers, r)
+		joins := tree.ProbeJoin(probes, r)
+		for i := range centers {
+			if counts[i] != len(want[i]) {
+				t.Errorf("r=%g center %d: RadiusCount %d, want %d", r, i, counts[i], len(want[i]))
+			}
+			if !same(reports[i], want[i]) {
+				t.Errorf("r=%g center %d: RadiusReport has %d items, want %d", r, i, len(reports[i]), len(want[i]))
+			}
+			if !same(joins[i], want[i]) {
+				t.Errorf("r=%g probe %d: ProbeJoin has %d items, want %d", r, i, len(joins[i]), len(want[i]))
+			}
+		}
+		if got := len(tree.JoinTrees(probeTree, r)); got != pairs {
+			t.Errorf("r=%g: JoinTrees has %d pairs, want %d", r, got, pairs)
+		}
+	}
+	exact, nan := tree.KNN(centers, 5), tree.ANN(centers, 5, math.NaN())
+	for i := range centers {
+		for j := range exact[i] {
+			if j >= len(nan[i]) || nan[i][j].ID != exact[i][j].ID {
+				t.Fatalf("center %d: ANN with NaN eps %v, want exact %v", i, nan[i], exact[i])
+			}
+		}
 	}
 }
 

@@ -1,25 +1,9 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
-	"pimkd/internal/parallel"
-	"pimkd/internal/pim"
 )
-
-// KNNTrace aggregates the structural cost events of a kNN/ANN batch; the
-// benchmark harness uses it to validate the Θ(k) leaves-touched and
-// O(k log* P) communication shapes of Theorems 4.5/4.6.
-type KNNTrace struct {
-	// Hops counts off-chip module-to-module transitions of query state.
-	Hops int64
-	// NodesVisited counts tree nodes touched.
-	NodesVisited int64
-	// LeavesTouched counts leaf buckets scanned.
-	LeavesTouched int64
-}
 
 // KNN answers a batch of k-nearest-neighbor queries, returning for each
 // query up to k candidates by ascending distance. Each query first routes
@@ -28,142 +12,57 @@ type KNNTrace struct {
 // chains for ascents, top-down subtrees for sibling descents), so off-chip
 // hops happen only at group borders and at up-down turning points.
 func (t *Tree) KNN(qs []geom.Point, k int) [][]heapx.Candidate {
-	res, _ := t.KNNBatch(qs, k, 0)
-	return res
+	return t.ANN(qs, k, 0)
 }
 
 // ANN answers (1+eps)-approximate kNN: every reported distance is at most
-// (1+eps) times the true k-th distance.
+// (1+eps) times the true k-th distance. eps = 0 is exact; a negative or NaN
+// eps is clamped to exact.
 func (t *Tree) ANN(qs []geom.Point, k int, eps float64) [][]heapx.Candidate {
-	res, _ := t.KNNBatch(qs, k, eps)
+	res := make([][]heapx.Candidate, len(qs))
+	if t.root == Nil || k < 1 {
+		return res
+	}
+	if !(eps >= 0) {
+		eps = 0
+	}
+	shrink2 := (1 + eps) * (1 + eps)
+	leaves := t.LeafSearch(qs)
+	t.walk("core/knn:backtrack", len(qs), leaves, func(i int, w walker) {
+		q, best := qs[i], heapx.NewKBest(k)
+		w.nearest(leaves[i], q, best, shrink2)
+		w.backtrack(leaves[i], func(sib NodeID) { w.nearer(sib, q, best, shrink2) })
+		res[i] = best.Sorted()
+		w.done(len(res[i]))
+	})
 	return res
 }
 
-// KNNBatch is the traced engine behind KNN and ANN (eps = 0 is exact;
-// negative eps is clamped to exact).
-func (t *Tree) KNNBatch(qs []geom.Point, k int, eps float64) ([][]heapx.Candidate, KNNTrace) {
-	res := make([][]heapx.Candidate, len(qs))
-	var trace KNNTrace
-	if t.root == Nil || len(qs) == 0 || k < 1 {
-		return res, trace
-	}
-	if eps < 0 {
-		eps = 0
-	}
-	leaves := t.LeafSearch(qs)
-	shrink2 := (1 + eps) * (1 + eps)
-	qw := queryWords(t.cfg.Dim)
-	cont := t.newContention()
-
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/knn:backtrack")
-		parallel.For(len(qs), func(i int) {
-			w := &knnWalker{
-				t: t, r: r, q: qs[i],
-				best:    heapx.NewKBest(k),
-				shrink2: shrink2,
-				qw:      qw,
-				cont:    cont,
-				home:    t.startModule(i),
-			}
-			leaf := leaves[i]
-			w.mod = t.nd(leaf).module
-			w.scanLeaf(leaf)
-			// Backtrack: climb to the root, exploring the sibling side at
-			// every turn when its cell can still beat the current bound.
-			for cur := leaf; ; {
-				p := t.nd(cur).parent
-				if p == Nil {
-					break
-				}
-				w.visit(p)
-				pn := t.nd(p)
-				sib := pn.left
-				if sib == cur {
-					sib = pn.right
-				}
-				// <= not <: with the canonical (dist2, id) tie-break a cell
-				// at exactly the bound can still hold a displacing candidate.
-				if t.nd(sib).box.Dist2ToPoint(w.q)*w.shrink2 <= w.best.Bound() {
-					w.descend(sib)
-				}
-				cur = p
-			}
-			res[i] = w.best.Sorted()
-			atomic.AddInt64(&trace.Hops, w.hops)
-			atomic.AddInt64(&trace.NodesVisited, w.nodes)
-			atomic.AddInt64(&trace.LeavesTouched, w.leaves)
-		})
-	})
-	return res, trace
-}
-
-// knnWalker carries one query's traversal state: the module it currently
-// executes on and its candidate set. All metering goes through the shared
-// round (atomic), so walkers run concurrently.
-type knnWalker struct {
-	t       *Tree
-	r       *pim.Round
-	q       geom.Point
-	best    *heapx.KBest
-	shrink2 float64
-	mod     int32
-	home    int32
-	qw      int64
-	cont    *contention
-
-	hops, nodes, leaves int64
-}
-
-// visit touches a node: local when the current module holds a copy
-// (master, top-down cache, or bottom-up chain); a remote touch hops the
-// query state to the node's master module — unless the node is contended
-// within this batch, in which case the push-pull rule processes the visit
-// on the CPU instead. Returns true when the visit ran on the CPU.
-func (w *knnWalker) visit(id NodeID) bool {
-	w.nodes++
-	onCPU, hopped := w.cont.visit(w.r, id, &w.mod, w.home, w.qw, 0)
-	if hopped {
-		w.hops++
-	}
-	return onCPU
-}
-
-func (w *knnWalker) scanLeaf(id NodeID) {
-	nd := w.t.nd(id)
-	w.nodes++
-	w.leaves++
-	onCPU, hopped := w.cont.visit(w.r, id, &w.mod, w.home, w.qw, int64(len(nd.pts))*pointWords(w.t.cfg.Dim))
-	if hopped {
-		w.hops++
-	}
-	if onCPU {
-		w.r.CPUWork(int64(len(nd.pts)))
-	} else {
-		w.r.ModuleWork(int(w.mod), int64(len(nd.pts)))
-	}
-	for _, it := range nd.pts {
-		w.best.OfferCand(heapx.Candidate{Dist2: geom.Dist2(w.q, it.P), ID: it.ID, P: it.P})
-	}
-}
-
-// descend explores a subtree depth-first, nearer child first, pruning by
-// cell distance against the (possibly ANN-shrunk) candidate bound.
-func (w *knnWalker) descend(id NodeID) {
+// nearest scans leaf id into best, or touches internal node id and explores
+// its children depth-first, nearer child first.
+func (w *walker) nearest(id NodeID, q geom.Point, best *heapx.KBest, shrink2 float64) {
 	nd := w.t.nd(id)
 	if nd.leaf {
-		w.scanLeaf(id)
+		for _, it := range w.scan(id) {
+			best.OfferCand(heapx.Candidate{Dist2: geom.Dist2(q, it.P), ID: it.ID, P: it.P})
+		}
 		return
 	}
-	w.visit(id)
+	w.touch(id)
 	near, far := nd.left, nd.right
-	if w.q[nd.axis] >= nd.split {
+	if q[nd.axis] >= nd.split {
 		near, far = far, near
 	}
-	if w.t.nd(near).box.Dist2ToPoint(w.q)*w.shrink2 <= w.best.Bound() {
-		w.descend(near)
-	}
-	if w.t.nd(far).box.Dist2ToPoint(w.q)*w.shrink2 <= w.best.Bound() {
-		w.descend(far)
+	w.nearer(near, q, best, shrink2)
+	w.nearer(far, q, best, shrink2)
+}
+
+// nearer explores the subtree at id only when its cell can still beat the
+// (ANN-shrunk) candidate bound. <= not <: with the canonical (dist2, id)
+// tie-break a cell at exactly the bound can still hold a displacing
+// candidate.
+func (w *walker) nearer(id NodeID, q geom.Point, best *heapx.KBest, shrink2 float64) {
+	if w.t.nd(id).box.Dist2ToPoint(q)*shrink2 <= best.Bound() {
+		w.nearest(id, q, best, shrink2)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 
 	"pimkd/internal/geom"
-	"pimkd/internal/parallel"
-	"pimkd/internal/pim"
 )
 
 // Dependent is the result of one nearest-higher-priority query: the ID of
@@ -13,10 +11,8 @@ import (
 // and the distance to it. ID is -1 when no higher-priority item exists
 // (the query point is a global peak).
 type Dependent struct {
-	ID    int32
-	Dist  float64
-	Hops  int64
-	Nodes int64
+	ID   int32
+	Dist float64
 }
 
 // DependentPoints answers a batch of nearest-higher-priority queries — the
@@ -24,126 +20,62 @@ type Dependent struct {
 // (point, priority, id) it returns the nearest stored item strictly greater
 // in (Priority, ID) order. The traversal is a 1NN priority search that only
 // descends subtrees whose maximum (Priority, ID) augmentation exceeds the
-// query's, with the usual cell-distance pruning; the dual-way caching keeps
-// it group-local like kNN.
+// query's, with the usual cell-distance pruning; like kNN it backtracks
+// from the query's own leaf, since the nearest higher-priority point tends
+// to be nearby.
 func (t *Tree) DependentPoints(qs []Item) []Dependent {
 	res := make([]Dependent, len(qs))
-	for i := range res {
-		res[i] = Dependent{ID: -1, Dist: math.Inf(1)}
-	}
-	if t.root == Nil || len(qs) == 0 {
-		return res
-	}
 	pts := make([]geom.Point, len(qs))
 	for i := range qs {
+		res[i] = Dependent{ID: -1, Dist: math.Inf(1)}
 		pts[i] = qs[i].P
 	}
 	leaves := t.LeafSearch(pts)
-	qw := queryWords(t.cfg.Dim)
-	cont := t.newContention()
-
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/priority:dependent")
-		parallel.For(len(qs), func(i int) {
-			w := &priWalker{
-				t: t, r: r, q: qs[i],
-				bestD2: math.Inf(1),
-				bestID: -1,
-				mod:    t.nd(leaves[i]).module,
-				home:   t.startModule(i),
-				qw:     qw,
-				cont:   cont,
-			}
-			// Backtrack from the query's own leaf like kNN: the nearest
-			// higher-priority point tends to be nearby, so most of the walk
-			// stays inside the leaf's group.
-			w.scanLeaf(leaves[i])
-			for cur := leaves[i]; ; {
-				p := t.nd(cur).parent
-				if p == Nil {
-					break
-				}
-				w.visit(p)
-				pn := t.nd(p)
-				sib := pn.left
-				if sib == cur {
-					sib = pn.right
-				}
-				w.descend(sib)
-				cur = p
-			}
-			if w.bestID >= 0 {
-				res[i] = Dependent{ID: w.bestID, Dist: math.Sqrt(w.bestD2), Hops: w.hops, Nodes: w.nodes}
-			} else {
-				res[i] = Dependent{ID: -1, Dist: math.Inf(1), Hops: w.hops, Nodes: w.nodes}
-			}
-		})
+	t.walk("core/priority:dependent", len(qs), leaves, func(i int, w walker) {
+		// best.Dist holds the squared distance until the walk ends.
+		q, best := &qs[i], &res[i]
+		w.higher(leaves[i], q, best)
+		w.backtrack(leaves[i], func(sib NodeID) { w.higherIn(sib, q, best) })
+		best.Dist = math.Sqrt(best.Dist)
+		if best.ID < 0 {
+			w.done(0)
+		} else {
+			w.done(1)
+		}
 	})
 	return res
 }
 
-type priWalker struct {
-	t      *Tree
-	r      *pim.Round
-	q      Item
-	bestD2 float64
-	bestID int32
-	mod    int32
-	home   int32
-	qw     int64
-	cont   *contention
-
-	hops, nodes int64
-}
-
-func (w *priWalker) visit(id NodeID) {
-	w.nodes++
-	_, hopped := w.cont.visit(w.r, id, &w.mod, w.home, w.qw, 0)
-	if hopped {
-		w.hops++
-	}
-}
-
-func (w *priWalker) scanLeaf(id NodeID) {
+// higher scans leaf id for items above q, or touches internal node id and
+// explores its children, nearer child first.
+func (w *walker) higher(id NodeID, q *Item, best *Dependent) {
 	nd := w.t.nd(id)
-	w.nodes++
-	onCPU, hopped := w.cont.visit(w.r, id, &w.mod, w.home, w.qw, int64(len(nd.pts))*pointWords(w.t.cfg.Dim))
-	if hopped {
-		w.hops++
-	}
-	if onCPU {
-		w.r.CPUWork(int64(len(nd.pts)))
-	} else {
-		w.r.ModuleWork(int(w.mod), int64(len(nd.pts)))
-	}
-	for _, it := range nd.pts {
-		if !priLess(w.q.Priority, w.q.ID, it.Priority, it.ID) {
-			continue
-		}
-		if d2 := geom.Dist2(w.q.P, it.P); d2 < w.bestD2 {
-			w.bestD2, w.bestID = d2, it.ID
-		}
-	}
-}
-
-func (w *priWalker) descend(id NodeID) {
-	nd := w.t.nd(id)
-	// Priority pruning: skip subtrees with no higher-priority point.
-	if !priLess(w.q.Priority, w.q.ID, nd.maxPri, nd.maxPriID) {
-		return
-	}
-	if nd.box.Dist2ToPoint(w.q.P) >= w.bestD2 {
-		return
-	}
 	if nd.leaf {
-		w.scanLeaf(id)
+		for _, it := range w.scan(id) {
+			if !priLess(q.Priority, q.ID, it.Priority, it.ID) {
+				continue
+			}
+			if d2 := geom.Dist2(q.P, it.P); d2 < best.Dist {
+				best.ID, best.Dist = it.ID, d2
+			}
+		}
 		return
 	}
-	w.visit(id)
+	w.touch(id)
 	near, far := nd.left, nd.right
-	if w.q.P[nd.axis] >= nd.split {
+	if q.P[nd.axis] >= nd.split {
 		near, far = far, near
 	}
-	w.descend(near)
-	w.descend(far)
+	w.higherIn(near, q, best)
+	w.higherIn(far, q, best)
+}
+
+// higherIn explores the subtree at id only when it holds an item above q
+// and its cell is closer than the best found so far.
+func (w *walker) higherIn(id NodeID, q *Item, best *Dependent) {
+	nd := w.t.nd(id)
+	if !priLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || nd.box.Dist2ToPoint(q.P) >= best.Dist {
+		return
+	}
+	w.higher(id, q, best)
 }

@@ -1,19 +1,8 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"pimkd/internal/geom"
-	"pimkd/internal/parallel"
-	"pimkd/internal/pim"
 )
-
-// RangeTrace aggregates the structural cost events of a range/radius batch.
-type RangeTrace struct {
-	Hops         int64
-	NodesVisited int64
-	Reported     int64
-}
 
 // RangeReport answers a batch of orthogonal range queries, returning the
 // items inside each box. Traversal is the standard candidate-cell descent
@@ -21,19 +10,8 @@ type RangeTrace struct {
 // current module holds no copy of.
 func (t *Tree) RangeReport(boxes []geom.Box) [][]Item {
 	res := make([][]Item, len(boxes))
-	if t.root == Nil {
-		return res
-	}
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/range:report")
-		parallel.For(len(boxes), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			var out []Item
-			w.report(t.root, boxes[i], &out)
-			res[i] = out
-		})
+	t.walk("core/range:report", len(boxes), nil, func(i int, w walker) {
+		w.done(w.inRegion(t.root, &region{box: boxes[i]}, func(it Item) { res[i] = append(res[i], it) }))
 	})
 	return res
 }
@@ -42,194 +20,104 @@ func (t *Tree) RangeReport(boxes []geom.Box) [][]Item {
 // subtree-size shortcuts for fully contained cells.
 func (t *Tree) RangeCount(boxes []geom.Box) []int {
 	res := make([]int, len(boxes))
-	if t.root == Nil {
-		return res
-	}
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/range:count")
-		parallel.For(len(boxes), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			res[i] = w.count(t.root, boxes[i])
-		})
+	t.walk("core/range:count", len(boxes), nil, func(i int, w walker) {
+		res[i] = w.inRegion(t.root, &region{box: boxes[i]}, nil)
+		w.done(res[i])
 	})
 	return res
 }
 
 // RadiusCount returns, for each center, the number of stored points within
-// Euclidean distance radius (inclusive) — the density primitive of DPC.
+// Euclidean distance radius (inclusive) — the density primitive of DPC. A
+// negative or NaN radius counts nothing.
 func (t *Tree) RadiusCount(centers []geom.Point, radius float64) []int {
 	res := make([]int, len(centers))
-	if t.root == Nil {
-		return res
-	}
-	r2 := radius * radius
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/range:radius-count")
-		parallel.For(len(centers), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			res[i] = w.radiusCount(t.root, centers[i], radius, r2)
-		})
+	t.walk("core/range:radius-count", len(centers), nil, func(i int, w walker) {
+		g := ball(centers[i], radius)
+		res[i] = w.inRegion(t.root, &g, nil)
+		w.done(res[i])
 	})
 	return res
 }
 
 // RadiusReport returns, for each center, the items within Euclidean
-// distance radius (inclusive).
+// distance radius (inclusive). A negative or NaN radius reports nothing.
 func (t *Tree) RadiusReport(centers []geom.Point, radius float64) [][]Item {
 	res := make([][]Item, len(centers))
-	if t.root == Nil {
-		return res
-	}
-	r2 := radius * radius
-	t.rangeTrace = RangeTrace{}
-	cont := t.newContention()
-	t.mach.RunRound(func(r *pim.Round) {
-		r.Label("core/range:radius-report")
-		parallel.For(len(centers), func(i int) {
-			w := &rangeWalker{t: t, r: r, mod: t.startModule(i), home: t.startModule(i), qw: queryWords(t.cfg.Dim), cont: cont}
-			var out []Item
-			w.radiusReport(t.root, centers[i], radius, r2, &out)
-			res[i] = out
-		})
+	t.walk("core/range:radius-report", len(centers), nil, func(i int, w walker) {
+		g := ball(centers[i], radius)
+		w.done(w.inRegion(t.root, &g, func(it Item) { res[i] = append(res[i], it) }))
 	})
 	return res
 }
 
-// LastRangeTrace returns the trace of the most recent range/radius batch.
-func (t *Tree) LastRangeTrace() RangeTrace {
-	return RangeTrace{
-		Hops:         atomic.LoadInt64(&t.rangeTrace.Hops),
-		NodesVisited: atomic.LoadInt64(&t.rangeTrace.NodesVisited),
-		Reported:     atomic.LoadInt64(&t.rangeTrace.Reported),
+// region is a range query's search region: the box, or the closed ball of
+// radius r (r2 squared) around c.
+type region struct {
+	box   geom.Box
+	ball  bool
+	c     geom.Point
+	r, r2 float64
+}
+
+// ball returns the closed ball of radius r around c. A negative or NaN
+// radius is the empty ball; squaring it would answer the |r|-ball instead.
+func ball(c geom.Point, r float64) region {
+	if !(r >= 0) {
+		return region{ball: true, c: c, r: -1, r2: -1}
 	}
+	return region{ball: true, c: c, r: r, r2: r * r}
 }
 
-// startModule picks the module a query's traversal starts on; Group 0 is
-// replicated everywhere, so queries spread evenly.
-func (t *Tree) startModule(i int) int32 {
-	return int32(i % t.mach.P())
+// meets reports whether cell b may hold points of g.
+func (g *region) meets(b geom.Box) bool {
+	if g.ball {
+		return b.Dist2ToPoint(g.c) <= g.r2
+	}
+	return g.box.Intersects(b)
 }
 
-type rangeWalker struct {
-	t    *Tree
-	r    *pim.Round
-	mod  int32
-	home int32
-	qw   int64
-	cont *contention
+// covers reports whether cell b lies entirely inside g.
+func (g *region) covers(b geom.Box) bool {
+	if g.ball {
+		return b.InsideBall(g.c, g.r)
+	}
+	return g.box.ContainsBox(b)
 }
 
-// visit touches a node under the batch's push-pull contention rule and
-// returns the node plus whether the visit ran on the CPU.
-func (w *rangeWalker) visit(id NodeID) (*node, bool) {
+// has reports whether point p lies in g.
+func (g *region) has(p geom.Point) bool {
+	if g.ball {
+		return geom.Dist2(g.c, p) <= g.r2
+	}
+	return g.box.Contains(p)
+}
+
+// inRegion walks the subtree at id and returns the number of its items
+// inside g, passing each to hit. Without a hit callback it only counts, and
+// counts a subtree g covers from its exact size after touching the
+// subtree's root alone.
+func (w *walker) inRegion(id NodeID, g *region, hit func(Item)) int {
 	nd := w.t.nd(id)
-	atomic.AddInt64(&w.t.rangeTrace.NodesVisited, 1)
-	extra := int64(0)
-	if nd.leaf {
-		extra = int64(len(nd.pts)) * pointWords(w.t.cfg.Dim)
-	}
-	onCPU, hopped := w.cont.visit(w.r, id, &w.mod, w.home, w.qw, extra)
-	if hopped {
-		atomic.AddInt64(&w.t.rangeTrace.Hops, 1)
-	}
-	return nd, onCPU
-}
-
-// leafWork meters a bucket scan on the right processor.
-func (w *rangeWalker) leafWork(n int, onCPU bool) {
-	if onCPU {
-		w.r.CPUWork(int64(n))
-	} else {
-		w.r.ModuleWork(int(w.mod), int64(n))
-	}
-}
-
-func (w *rangeWalker) report(id NodeID, box geom.Box, out *[]Item) {
-	nd := w.t.nd(id)
-	if !box.Intersects(nd.box) {
-		return
-	}
-	nd, onCPU := w.visit(id)
-	if nd.leaf {
-		w.leafWork(len(nd.pts), onCPU)
-		for _, it := range nd.pts {
-			if box.Contains(it.P) {
-				*out = append(*out, it)
-				atomic.AddInt64(&w.t.rangeTrace.Reported, 1)
-			}
-		}
-		return
-	}
-	w.report(nd.left, box, out)
-	w.report(nd.right, box, out)
-}
-
-func (w *rangeWalker) count(id NodeID, box geom.Box) int {
-	nd := w.t.nd(id)
-	if !box.Intersects(nd.box) {
+	if !g.meets(nd.box) {
 		return 0
 	}
-	if box.ContainsBox(nd.box) {
-		w.visit(id)
+	if hit == nil && g.covers(nd.box) {
+		w.touch(id)
 		return int(nd.exact)
 	}
-	nd, onCPU := w.visit(id)
-	if nd.leaf {
-		w.leafWork(len(nd.pts), onCPU)
-		c := 0
-		for _, it := range nd.pts {
-			if box.Contains(it.P) {
-				c++
+	if !nd.leaf {
+		w.touch(id)
+		return w.inRegion(nd.left, g, hit) + w.inRegion(nd.right, g, hit)
+	}
+	n := 0
+	for _, it := range w.scan(id) {
+		if g.has(it.P) {
+			n++
+			if hit != nil {
+				hit(it)
 			}
 		}
-		return c
 	}
-	return w.count(nd.left, box) + w.count(nd.right, box)
-}
-
-func (w *rangeWalker) radiusCount(id NodeID, c geom.Point, radius, r2 float64) int {
-	nd := w.t.nd(id)
-	if nd.box.Dist2ToPoint(c) > r2 {
-		return 0
-	}
-	if nd.box.InsideBall(c, radius) {
-		w.visit(id)
-		return int(nd.exact)
-	}
-	nd, onCPU := w.visit(id)
-	if nd.leaf {
-		w.leafWork(len(nd.pts), onCPU)
-		n := 0
-		for _, it := range nd.pts {
-			if geom.Dist2(c, it.P) <= r2 {
-				n++
-			}
-		}
-		return n
-	}
-	return w.radiusCount(nd.left, c, radius, r2) + w.radiusCount(nd.right, c, radius, r2)
-}
-
-func (w *rangeWalker) radiusReport(id NodeID, c geom.Point, radius, r2 float64, out *[]Item) {
-	nd := w.t.nd(id)
-	if nd.box.Dist2ToPoint(c) > r2 {
-		return
-	}
-	nd, onCPU := w.visit(id)
-	if nd.leaf {
-		w.leafWork(len(nd.pts), onCPU)
-		for _, it := range nd.pts {
-			if geom.Dist2(c, it.P) <= r2 {
-				*out = append(*out, it)
-				atomic.AddInt64(&w.t.rangeTrace.Reported, 1)
-			}
-		}
-		return
-	}
-	w.radiusReport(nd.left, c, radius, r2, out)
-	w.radiusReport(nd.right, c, radius, r2, out)
+	return n
 }

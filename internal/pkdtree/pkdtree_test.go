@@ -143,18 +143,20 @@ func TestRangeAndRadius(t *testing.T) {
 		}
 	}
 	q := geom.Point{0.5, 0.5}
-	r := 0.2
-	want := 0
-	for _, it := range items {
-		if geom.Dist2(q, it.P) <= r*r {
-			want++
+	// A negative or NaN radius is the empty ball, as dist ≤ r literally says.
+	for _, r := range []float64{0.2, -0.2, math.NaN()} {
+		want := 0
+		for _, it := range items {
+			if geom.Dist(q, it.P) <= r {
+				want++
+			}
 		}
-	}
-	if got := tree.RadiusCount(q, r); got != want {
-		t.Fatalf("radius count %d want %d", got, want)
-	}
-	if got := len(tree.RadiusReport(q, r)); got != want {
-		t.Fatalf("radius report %d want %d", got, want)
+		if got := tree.RadiusCount(q, r); got != want {
+			t.Fatalf("r=%g: radius count %d want %d", r, got, want)
+		}
+		if got := len(tree.RadiusReport(q, r)); got != want {
+			t.Fatalf("r=%g: radius report %d want %d", r, got, want)
+		}
 	}
 }
 

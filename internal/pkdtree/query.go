@@ -144,8 +144,12 @@ func (t *Tree) RangeCount(box geom.Box) int {
 }
 
 // RadiusCount returns the number of items within Euclidean distance r of q
-// (inclusive), the primitive used by density peak clustering.
+// (inclusive), the primitive used by density peak clustering. A negative or
+// NaN r counts nothing.
 func (t *Tree) RadiusCount(q geom.Point, r float64) int {
+	if !(r >= 0) {
+		return 0
+	}
 	r2 := r * r
 	var visit func(nd *node) int
 	visit = func(nd *node) int {
@@ -171,8 +175,12 @@ func (t *Tree) RadiusCount(q geom.Point, r float64) int {
 	return visit(t.root)
 }
 
-// RadiusReport returns all items within Euclidean distance r of q.
+// RadiusReport returns all items within Euclidean distance r of q (none
+// for a negative or NaN r).
 func (t *Tree) RadiusReport(q geom.Point, r float64) []Item {
+	if !(r >= 0) {
+		return nil
+	}
 	r2 := r * r
 	var out []Item
 	var visit func(nd *node)

@@ -222,7 +222,7 @@ type reply struct {
 }
 
 // batchKey groups coalescible requests: same kind, for kNN the same k
-// (core.KNNBatch answers a whole batch at a single k), and for joins the
+// (core.KNN answers a whole batch at a single k), and for joins the
 // same radius (core.ProbeJoin probes a whole batch at a single radius).
 type batchKey struct {
 	kind OpKind
