@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 
 	"pimkd/internal/counter"
 	"pimkd/internal/geom"
@@ -67,7 +68,13 @@ type node struct {
 	dead  bool
 }
 
-// Tree is a PIM-kd-tree bound to a pim.Machine.
+// Tree is a PIM-kd-tree bound to a pim.Machine. A Tree runs one batch
+// operation at a time: its visit counters, its per-batch scratch and its
+// OpStats tallies belong to the running batch, whose own work may be
+// parallel. Callers that share a Tree serialise its batches, as the serving
+// layer's single executor does. A batch ended by a pim.RoundTimeout may
+// leave module programs running after it returns; it leaves its scratch to
+// them, so the next batch starts on fresh buffers.
 type Tree struct {
 	cfg  Config
 	mach *pim.Machine
@@ -102,6 +109,16 @@ type Tree struct {
 	// unfinishedList tracks their roots for the flush phase.
 	unfinishedComps int
 	unfinishedList  []NodeID
+
+	// visits counts, per arena slot, the touches of the current traversal
+	// batch's walkers (the push-pull rule in walker.touch). It is sized to
+	// the arena's capacity and cleared per batch, so a batch allocates
+	// nothing in proportion to the tree.
+	visits []atomic.Int32
+	// scratch holds LeafSearch's per-module wave buffers, reused across
+	// waves and batches; nil while a batch holds them, or after a batch
+	// that panicked left them to its abandoned module programs.
+	scratch *searchScratch
 
 	// OpStats tallies structure-level event counters useful to experiments.
 	OpStats OpStats

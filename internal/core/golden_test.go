@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
@@ -234,6 +237,142 @@ func TestTraversalGolden(t *testing.T) {
 				t.Errorf("%s/%s at GOMAXPROCS=2: answer hash %#x, want %#x", op.name, b, h, goldenWant[i].hash)
 			}
 			i++
+		}
+	}
+}
+
+// TestTraversalScratchScales guards the batch path against allocating in
+// proportion to the tree: the bytes a 16-query KNN batch and an 8-box
+// RangeReport batch allocate may grow by at most 1.25× from n = 2^12 to
+// n = 2^16. Boxes shrink with n so they report about 16 points at either
+// size; the per-batch answers stay the same size.
+func TestTraversalScratchScales(t *testing.T) {
+	const (
+		queries = 16
+		boxes   = 8
+		iters   = 40
+	)
+	perBatch := func(n int) (knn, rng float64) {
+		mach := pim.NewMachine(goldenP, 1<<22)
+		tree := New(Config{Dim: 2, Seed: 32}, mach)
+		pts := workload.Uniform(n, 2, 321)
+		items := make([]Item, n)
+		for i, p := range pts {
+			items[i] = Item{P: p, ID: int32(i)}
+		}
+		tree.Build(items)
+		side := math.Sqrt(16 / float64(n))
+		qs := workload.Uniform(queries*iters, 2, 322)
+		bs := make([]geom.Box, boxes*iters)
+		for i, q := range workload.Uniform(boxes*iters, 2, 323) {
+			bs[i] = geom.NewBox(q, geom.Point{q[0] + side, q[1] + side})
+		}
+		measure := func(batch func(i int)) float64 {
+			for i := 0; i < 4; i++ { // warm-up: the first batches size the scratch
+				batch(i)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < iters; i++ {
+				batch(i)
+			}
+			runtime.ReadMemStats(&after)
+			return float64(after.TotalAlloc-before.TotalAlloc) / iters
+		}
+		knn = measure(func(i int) { tree.KNN(qs[i*queries:(i+1)*queries], 4) })
+		rng = measure(func(i int) { tree.RangeReport(bs[i*boxes : (i+1)*boxes]) })
+		return knn, rng
+	}
+	smallKNN, smallRange := perBatch(1 << 12)
+	bigKNN, bigRange := perBatch(1 << 16)
+	for _, c := range []struct {
+		name       string
+		small, big float64
+	}{{"KNN", smallKNN, bigKNN}, {"RangeReport", smallRange, bigRange}} {
+		t.Logf("%s batch: %.0f B at n=2^12, %.0f B at n=2^16", c.name, c.small, c.big)
+		if c.big > 1.25*c.small {
+			t.Errorf("%s batch allocates %.0f B at n=2^16 against %.0f B at n=2^12: more than 1.25×", c.name, c.big, c.small)
+		}
+	}
+}
+
+// hangRound is an Injector that holds every module program of one round in
+// its first Transfer until a later round begins. A round deadline abandons
+// those programs mid-program, and they finish while the next batch runs.
+type hangRound struct {
+	target  int64
+	release chan struct{}
+	once    sync.Once
+	calls   atomic.Int32 // SendOK calls made in the target round
+}
+
+func (h *hangRound) ModuleAction(round int64, mod, attempt int) pim.Action {
+	if round > h.target {
+		h.once.Do(func() { close(h.release) })
+	}
+	return pim.Action{}
+}
+
+func (h *hangRound) SendOK(round int64, mod, attempt int) bool {
+	if round == h.target {
+		h.calls.Add(1)
+		<-h.release
+	}
+	return true
+}
+
+// TestLeafSearchScratchAfterRoundTimeout runs a LeafSearch whose Group-0
+// programs overrun the round deadline, so the RoundTimeout abandons them
+// while they still hold the batch's wave buffers. They resume during the
+// next LeafSearch on the same tree, which must answer as a reference tree
+// does; under -race it also checks that the two batches share no buffer.
+func TestLeafSearchScratchAfterRoundTimeout(t *testing.T) {
+	const n, queries = 1 << 12, 512
+	build := func() *Tree {
+		tree := New(Config{Dim: 2, Seed: 33}, pim.NewMachine(8, 1<<22))
+		items := make([]Item, n)
+		for i, p := range workload.Uniform(n, 2, 331) {
+			items[i] = Item{P: p, ID: int32(i)}
+		}
+		tree.Build(items)
+		return tree
+	}
+	ref, tree := build(), build()
+	first := workload.Uniform(queries, 2, 332)
+	second := workload.Uniform(queries, 2, 333)
+
+	tree.LeafSearch(first) // sizes the tree's wave buffers
+	mach := tree.mach
+	mach.SetRoundDeadline(20 * time.Millisecond)
+	h := &hangRound{target: mach.RoundSeq() + 1, release: make(chan struct{})}
+	mach.SetInjector(h)
+	var timeout *pim.RoundTimeout
+	func() {
+		defer func() { timeout, _ = recover().(*pim.RoundTimeout) }()
+		tree.LeafSearch(first)
+	}()
+	if timeout == nil {
+		t.Fatal("the hung Group-0 round raised no RoundTimeout")
+	}
+	got := tree.LeafSearch(second)
+	// Each abandoned Group-0 program ends with one more Transfer, after all
+	// of its writes.
+	for end := time.Now().Add(10 * time.Second); int(h.calls.Load()) < 2*len(timeout.Stragglers); time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the abandoned Group-0 programs did not finish")
+		}
+	}
+	mach.SetInjector(nil)
+	want := ref.LeafSearch(second)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("query %d: leaf %d after the abandoned round, reference %d", i, got[i], want[i])
+		}
+	}
+	got, want = tree.LeafSearch(first), ref.LeafSearch(first)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("re-run query %d: leaf %d, reference %d", i, got[i], want[i])
 		}
 	}
 }

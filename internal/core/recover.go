@@ -18,12 +18,12 @@ import (
 // other round; the transfer volume is Θ(shard size) ≈ n/P words, the
 // quantity experiment E24 verifies.
 //
-// RecoverModule is safe to call from a module goroutine mid-round (the
+// RecoverModule is safe to call from a round's worker mid-round (the
 // fault.Supervisor does exactly that): it reads only structural placement
 // fields, which module programs never write, and meters through its own
 // nested round. The returned cost is that round's exact metered
 // contribution (Round.Metered), so it stays deterministic even when other
-// module goroutines of the interrupted round are metering concurrently.
+// workers of the interrupted round are metering concurrently.
 func (t *Tree) RecoverModule(mod int) (nodes, points int64, cost pim.Stats) {
 	if mod < 0 || mod >= t.mach.P() {
 		panic(fmt.Sprintf("core: RecoverModule(%d) out of range [0,%d)", mod, t.mach.P()))

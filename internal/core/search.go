@@ -93,6 +93,16 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 	firedSet := map[NodeID]bool{}
 	frontier := map[NodeID][]int32{}
 
+	// The batch takes the tree's wave buffers and gives them back only on a
+	// normal return. A RoundTimeout abandons module programs that may still
+	// write to the buffers, so a batch that panics keeps them, and the next
+	// batch allocates fresh ones.
+	sc := t.scratch
+	t.scratch = nil
+	if sc == nil {
+		sc = new(searchScratch)
+	}
+
 	// Wave 0: traverse Group 0 on evenly loaded modules (Group 0 is
 	// replicated everywhere, so any module can route any query — the top of
 	// the tree is skew-proof by replication, not by luck).
@@ -103,13 +113,11 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 			// No Group 0 (small tree): the whole batch starts at the root.
 			frontier[t.root] = identityQueries(n)
 		} else {
-			perMod := make([][]int32, p)
+			sc.reset(p)
+			perMod, exitN, exitQ, bumpsPer := sc.perMod, sc.exitN, sc.exitQ, sc.bumpsPer
 			for i := 0; i < n; i++ {
 				perMod[i%p] = append(perMod[i%p], int32(i))
 			}
-			exitN := make([][]NodeID, p)
-			exitQ := make([][]int32, p)
-			bumpsPer := make([][]bumpReq, p)
 			r.OnModules(func(ctx *pim.ModuleCtx) {
 				m := ctx.ID()
 				ctx.Transfer(int64(len(perMod[m])) * qw)
@@ -177,11 +185,8 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 			}
 			parallel.Sort(entries, func(a, b NodeID) bool { return a < b })
 
-			type pushTask struct {
-				entry   NodeID
-				queries []int32
-			}
-			pushes := make([][]pushTask, p)
+			sc.reset(p)
+			pushes, exitN, exitQ, bumpsPer := sc.pushes, sc.exitN, sc.exitQ, sc.bumpsPer
 
 			for _, entry := range entries {
 				queries := frontier[entry]
@@ -270,12 +275,9 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 				}
 			}
 
-			// Execute pushes concurrently, one goroutine per module. Each
-			// query index appears in exactly one task, so writes to
-			// leaves[qi] are race-free.
-			exitN := make([][]NodeID, p)
-			exitQ := make([][]int32, p)
-			bumpsPer := make([][]bumpReq, p)
+			// Execute pushes concurrently, each module's tasks in its own
+			// program. Each query index appears in exactly one task, so
+			// writes to leaves[qi] are race-free.
 			r.OnModules(func(ctx *pim.ModuleCtx) {
 				m := ctx.ID()
 				for _, task := range pushes[m] {
@@ -336,6 +338,7 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 		})
 		frontier = next
 	}
+	t.scratch = sc
 
 	fired = make([]NodeID, 0, len(firedSet))
 	for id := range firedSet {
@@ -343,6 +346,47 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 	}
 	parallel.Sort(fired, func(a, b NodeID) bool { return a < b })
 	return leaves, fired
+}
+
+// pushTask is one pushed frontier entry: the queries that descend from
+// entry inside its component's module.
+type pushTask struct {
+	entry   NodeID
+	queries []int32
+}
+
+// searchScratch holds a tree's per-module LeafSearch wave buffers. Each
+// wave truncates them and refills them, so the batch path reuses their
+// capacity instead of rebuilding P slices per wave. Module m's program
+// appends only to index m.
+type searchScratch struct {
+	perMod   [][]int32
+	exitN    [][]NodeID
+	exitQ    [][]int32
+	bumpsPer [][]bumpReq
+	pushes   [][]pushTask
+}
+
+// reset sizes every buffer to p modules and empties it.
+func (s *searchScratch) reset(p int) {
+	s.perMod = resetLists(s.perMod, p)
+	s.exitN = resetLists(s.exitN, p)
+	s.exitQ = resetLists(s.exitQ, p)
+	s.bumpsPer = resetLists(s.bumpsPer, p)
+	s.pushes = resetLists(s.pushes, p)
+}
+
+// resetLists returns p empty lists, reusing l's when it has p of them.
+// Emptied elements are zeroed so they hold no stale references.
+func resetLists[T any](l [][]T, p int) [][]T {
+	if len(l) != p {
+		return make([][]T, p)
+	}
+	for i := range l {
+		clear(l[i])
+		l[i] = l[i][:0]
+	}
+	return l
 }
 
 func maxInt16(a, b int16) int16 {

@@ -19,8 +19,6 @@ const cpuResident int32 = -2
 type walker struct {
 	t *Tree
 	r *pim.Round
-	// visits counts, per node, the touches of this batch's walkers.
-	visits []atomic.Int32
 	// mod is the module holding the query state; home is the query's evenly
 	// assigned module.
 	mod, home int32
@@ -31,18 +29,23 @@ type walker struct {
 // walk runs body once per query i in [0, n), all in one round labelled
 // label. Query i's walker starts on the master module of leaf start[i], or
 // on its home module when start is nil. body gets the walker by value, so it
-// stays on body's stack, and ends with w.done. An empty tree or batch runs
-// no round.
+// stays on body's stack, and ends with w.done. The tree's visit counters
+// are cleared first, so the push-pull rule in touch counts this batch's
+// touches only. An empty tree or batch runs no round.
 func (t *Tree) walk(label string, n int, start []NodeID, body func(i int, w walker)) {
 	if t.root == Nil || n == 0 {
 		return
 	}
-	visits := make([]atomic.Int32, len(t.nodes))
+	if len(t.visits) < len(t.nodes) {
+		t.visits = make([]atomic.Int32, cap(t.nodes))
+	} else {
+		clear(t.visits[:len(t.nodes)])
+	}
 	t.mach.RunRound(func(r *pim.Round) {
 		r.Label(label)
 		parallel.ForChunked(n, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				w := walker{t: t, r: r, visits: visits, home: t.startModule(i)}
+				w := walker{t: t, r: r, home: t.startModule(i)}
 				w.mod = w.home
 				if start != nil {
 					w.mod = t.nd(start[i]).module
@@ -84,7 +87,7 @@ func (w *walker) touch(id NodeID) bool {
 	w.nodes++
 	if nd.group != 0 {
 		tau := t.tau[nd.group]
-		if cnt := int(w.visits[id].Add(1)); cnt > tau {
+		if cnt := int(t.visits[id].Add(1)); cnt > tau {
 			if cnt == tau+1 {
 				words := nodeWords(t.cfg.Dim)
 				if nd.leaf {

@@ -11,7 +11,7 @@ import (
 // core.Tree implements it (RecoverModule): the host re-ships every node and
 // leaf point resident on the module in a metered round labeled
 // "fault/recover/module=N", returning the round's exact metered cost.
-// Implementations must be safe to call from a module goroutine mid-round
+// Implementations must be safe to call from a round's worker mid-round
 // (reads of structural state only) and to call concurrently for different
 // modules, and must report cost from their own rounds (e.g. Round.Metered)
 // rather than by bracketing Machine.Stats, which would absorb concurrent
@@ -29,12 +29,14 @@ type SupervisorConfig struct {
 	MaxRetries int
 	// BaseBackoff is the delay before the first retry; it doubles per
 	// attempt, capped at MaxBackoff. Defaults 200µs / 10ms. Backoff is wall
-	// time only and never metered.
+	// time only and never metered. It sleeps on the round's worker for the
+	// faulted module, which started a spare worker for the round's other
+	// modules before calling the handler.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
 	// OnEvent, when non-nil, observes every recovery event (from the
-	// faulting module's goroutine; keep it cheap and do not submit machine
-	// work from it).
+	// worker executing the faulted module; keep it cheap and do not submit
+	// machine work from it).
 	OnEvent func(Event)
 }
 

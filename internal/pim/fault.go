@@ -12,15 +12,15 @@
 //     time — so a seeded fault plan produces an identical fault schedule,
 //     identical metering, and identical results on every run.
 //  2. Containment. A faulting module program must never kill the process.
-//     A panic in a module goroutine is unrecoverable in plain Go (recover
-//     only works on the panicking goroutine); the machine therefore wraps
-//     every module program and re-raises the first unresolved fault as a
+//     A panic on a round's worker goroutine is unrecoverable in plain Go
+//     (recover only works on the panicking goroutine); the machine
+//     therefore wraps every module program and re-raises the first unresolved fault as a
 //     typed panic *on the goroutine driving the round*, where callers (the
 //     fault.Supervisor, the serving layer) can recover it.
 //
 // Recovery composes through RecoveryHandler: when an injected crash or
 // stall is contained, the machine hands the fault to the registered handler
-// on the faulting module's goroutine. The handler (fault.Supervisor)
+// on the worker executing the faulted module. The handler (fault.Supervisor)
 // rebuilds the module's shard from host-side authoritative state — metered
 // through the normal pim counters, in rounds of its own — and returns true
 // to retry the failed module program in place. The crashed attempt metered
@@ -69,7 +69,7 @@ func (k FaultKind) String() string {
 
 // ModuleFault is the typed, contained form of a module failure. It is
 // raised as a panic value on the goroutine driving the round (never left to
-// kill a module goroutine) when no recovery handler resolves it.
+// kill a worker goroutine) when no recovery handler resolves it.
 type ModuleFault struct {
 	// Kind classifies the fault.
 	Kind FaultKind
@@ -97,18 +97,20 @@ func (f *ModuleFault) Error() string {
 
 // RoundTimeout is raised (as a panic on the round-driving goroutine) when a
 // round's module programs do not all finish within the machine's round
-// deadline. The stalled goroutines are abandoned: they may still complete
-// in the background and their metering lands on the machine totals, so a
-// timed-out round's accounting is best-effort (the recovery path re-meters
-// what matters). Prefer injected stalls, which are resolved
-// deterministically before the program runs.
+// deadline. No program of the round starts after the deadline fires; the
+// stalled ones are abandoned: they may still complete in the background
+// and their metering lands on the machine totals, so a timed-out round's
+// accounting is best-effort (the recovery path re-meters what matters).
+// Prefer injected stalls, which are resolved deterministically before the
+// program runs.
 type RoundTimeout struct {
 	// Round is the machine round sequence number.
 	Round int64
 	// Deadline is the configured per-round deadline that expired.
 	Deadline time.Duration
-	// Stragglers lists the module ids that had not finished at the
-	// deadline.
+	// Stragglers lists the module ids whose programs had started and not
+	// returned at the deadline — or, when none was running, the ones that
+	// never started.
 	Stragglers []int
 }
 
@@ -126,15 +128,17 @@ type Action struct {
 	// exceeds the machine's round deadline is escalated to a FaultStall
 	// without running the program (deterministically — no real deadline
 	// race); a shorter stall sleeps, showing up as wall-clock straggling in
-	// traces but metering nothing.
+	// traces but metering nothing. The stalled worker first starts a spare
+	// one, so the round's other modules run meanwhile and the stalls of one
+	// round overlap instead of adding up toward its deadline.
 	Stall time.Duration
 }
 
 // Injector decides fault injection for a machine. Implementations must be
 // pure functions of their own configuration and the (round, module,
 // attempt) coordinates — in particular independent of wall time — so that
-// runs are reproducible. Methods are called concurrently from module
-// goroutines.
+// runs are reproducible. Methods are called concurrently from the round's
+// worker goroutines.
 type Injector interface {
 	// ModuleAction is consulted before running module mod's program in the
 	// given round; attempt counts recovery retries of that program.
@@ -147,8 +151,8 @@ type Injector interface {
 }
 
 // RecoveryHandler resolves contained module faults. HandleModuleFault runs
-// on the faulting module's goroutine, mid-round, while sibling module
-// programs continue; it may run rounds of its own on the machine (fault
+// on the worker executing the faulted module, mid-round, while the other
+// workers go on with sibling module programs; it may run rounds of its own on the machine (fault
 // injection is suppressed for those). Return true to retry the faulted
 // module's program, false to escalate the fault as a typed panic on the
 // round's driving goroutine. Only injected faults (FaultCrash, FaultStall)

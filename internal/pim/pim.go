@@ -5,9 +5,9 @@
 //
 // The simulator does two jobs at once:
 //
-//  1. It *executes* module programs as real goroutines, one per module per
-//     round, so the algorithms in this repository are genuinely parallel
-//     programs (not just cost formulas).
+//  1. It *executes* module programs concurrently, on a set of worker
+//     goroutines per round, so the algorithms in this repository are
+//     genuinely parallel programs (not just cost formulas).
 //  2. It *meters* exactly the quantities the paper's theorems bound:
 //     CPU work, CPU span (an analytic proxy logged by phases), total PIM
 //     work, PIM time (sum over rounds of the max per-module work),
@@ -21,6 +21,7 @@ package pim
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync"
@@ -184,6 +185,9 @@ type Machine struct {
 	// Per-module cumulative meters, for load-balance inspection.
 	moduleWork []atomic.Int64
 	moduleComm []atomic.Int64
+	// mods is the identity module list 0..P-1 that every OnModules round
+	// runs.
+	mods []int
 
 	// obs is the round observer; nil (the default) keeps rounds unobserved
 	// at the cost of a single atomic load per BeginRound.
@@ -217,6 +221,10 @@ func NewMachine(p, cacheM int) *Machine {
 		cacheM:     cacheM,
 		moduleWork: make([]atomic.Int64, p),
 		moduleComm: make([]atomic.Int64, p),
+		mods:       make([]int, p),
+	}
+	for i := range m.mods {
+		m.mods[i] = i
 	}
 	m.obs.Store(defaultObserver.Load())
 	return m
@@ -497,9 +505,14 @@ func (c *ModuleCtx) Work(n int64) {
 // writing results into a staging buffer the CPU reads).
 func (c *ModuleCtx) Transfer(words int64) { c.r.Transfer(c.mod, words) }
 
-// OnModules runs fn concurrently on every module (one goroutine each) and
-// waits for all of them. fn must touch only module-local state for its own
-// module id plus read-only shared inputs.
+// OnModules runs fn on every module and waits for all of them. The
+// programs run concurrently on min(GOMAXPROCS, P) worker goroutines, each
+// claiming the next unstarted module until none is left. fn must touch only
+// module-local state for its own module id plus read-only shared inputs,
+// and must not wait on another module's program. A worker about to sleep
+// through an injected stall or to run the recovery handler first starts a
+// spare worker, so the blocked module holds no other module back and the
+// round's stalls overlap rather than add up.
 //
 // Module programs run with fault containment: a panicking program never
 // kills the process — the first unresolved fault of the round is re-raised
@@ -509,17 +522,39 @@ func (c *ModuleCtx) Transfer(words int64) { c.r.Transfer(c.mod, words) }
 // handler, which may rebuild the module's shard and retry the program in
 // place (detect → rebuild → retry).
 func (r *Round) OnModules(fn func(ctx *ModuleCtx)) {
-	mods := make([]int, r.m.p)
-	for i := range mods {
-		mods[i] = i
-	}
+	r.runModules(r.m.mods, fn)
+}
+
+// OnModuleSubset runs fn on the given module ids only, with the same
+// workers and fault containment as OnModules.
+func (r *Round) OnModuleSubset(mods []int, fn func(ctx *ModuleCtx)) {
 	r.runModules(mods, fn)
 }
 
-// OnModuleSubset runs fn concurrently on the given module ids only, with
-// the same fault containment as OnModules.
-func (r *Round) OnModuleSubset(mods []int, fn func(ctx *ModuleCtx)) {
-	r.runModules(mods, fn)
+// A module slot's life: idle until a worker claims it, running while its
+// program executes, then done. A round that misses its deadline cancels
+// the slots still idle, so no program starts after the RoundTimeout.
+const (
+	slotIdle int32 = iota
+	slotRunning
+	slotDone
+	slotCancelled
+)
+
+// moduleSlot is one module's program in a runModules call.
+type moduleSlot struct {
+	ctx   ModuleCtx
+	fault *ModuleFault
+	state atomic.Int32
+}
+
+// moduleRun is one runModules call: the slots its workers claim in order
+// through next.
+type moduleRun struct {
+	fn    func(ctx *ModuleCtx)
+	slots []moduleSlot
+	next  atomic.Int64
+	wg    sync.WaitGroup
 }
 
 // runModules is the shared fault-containing executor behind OnModules and
@@ -528,46 +563,26 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 	if len(mods) == 0 {
 		return
 	}
-	faults := make([]*ModuleFault, len(mods))
-	pending := make([]atomic.Bool, len(mods))
-	var wg sync.WaitGroup
-	wg.Add(len(mods))
-	for idx, mod := range mods {
-		pending[idx].Store(true)
-		go func(idx, mod int) {
-			defer wg.Done()
-			defer pending[idx].Store(false)
-			defer func() {
-				if p := recover(); p != nil {
-					if f, ok := p.(*ModuleFault); ok {
-						faults[idx] = f
-						return
-					}
-					faults[idx] = &ModuleFault{
-						Kind: FaultPanic, Module: mod, Round: r.seq,
-						Reason: p, Stack: debug.Stack(),
-					}
-				}
-			}()
-			faults[idx] = r.runModule(mod, fn)
-		}(idx, mod)
+	run := &moduleRun{fn: fn, slots: make([]moduleSlot, len(mods))}
+	for i, mod := range mods {
+		run.slots[i].ctx = ModuleCtx{r: r, mod: mod}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(mods))
+	run.wg.Add(workers)
+	work := run.work // one func value for all workers, not a closure each
+	for w := 0; w < workers; w++ {
+		go work()
 	}
 
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
 	if d := time.Duration(r.m.deadline.Load()); d > 0 {
+		done := make(chan struct{})
+		go func() { run.wg.Wait(); close(done) }()
 		timer := time.NewTimer(d)
 		defer timer.Stop()
 		select {
 		case <-done:
 		case <-timer.C:
-			var stragglers []int
-			for idx, mod := range mods {
-				if pending[idx].Load() {
-					stragglers = append(stragglers, mod)
-				}
-			}
-			if len(stragglers) > 0 {
+			if stragglers := run.cancel(); len(stragglers) > 0 {
 				r.m.containedFaults.Add(1)
 				panic(&RoundTimeout{Round: r.seq, Deadline: d, Stragglers: stragglers})
 			}
@@ -575,15 +590,83 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 			<-done
 		}
 	} else {
-		<-done
+		run.wg.Wait()
 	}
 
-	for _, f := range faults {
-		if f != nil {
+	for i := range run.slots {
+		if f := run.slots[i].fault; f != nil {
 			r.m.containedFaults.Add(1)
 			panic(f)
 		}
 	}
+}
+
+// work is one worker: it runs the next unclaimed module's program until
+// every slot is claimed or the round was cancelled.
+func (run *moduleRun) work() {
+	defer run.wg.Done()
+	for {
+		i := run.next.Add(1) - 1
+		if i >= int64(len(run.slots)) {
+			return
+		}
+		s := &run.slots[i]
+		if !s.state.CompareAndSwap(slotIdle, slotRunning) {
+			return // cancelled by a RoundTimeout
+		}
+		run.runSlot(s)
+	}
+}
+
+// runSlot runs one module's program under its own recover, so a panic
+// becomes that module's *ModuleFault and the worker goes on to the next.
+func (run *moduleRun) runSlot(s *moduleSlot) {
+	defer s.state.Store(slotDone)
+	defer func() {
+		if p := recover(); p != nil {
+			if f, ok := p.(*ModuleFault); ok {
+				s.fault = f
+				return
+			}
+			s.fault = &ModuleFault{
+				Kind: FaultPanic, Module: s.ctx.mod, Round: s.ctx.r.seq,
+				Reason: p, Stack: debug.Stack(),
+			}
+		}
+	}()
+	s.fault = run.runModule(&s.ctx)
+}
+
+// spare starts one more worker when modules are left unclaimed. A worker
+// calls it before it blocks in an injected stall or a recovery handler, so
+// the blocked module holds no other module back and the sleeps of one round
+// overlap instead of adding up on one worker.
+func (run *moduleRun) spare() {
+	if run.next.Load() < int64(len(run.slots)) {
+		run.wg.Add(1) // the calling worker's count is still held
+		go run.work()
+	}
+}
+
+// cancel handles a missed deadline: it cancels every slot not yet started
+// and returns the modules still running, in slot order. When none is
+// running but some never started (the workers were starved), those are
+// what kept the round from finishing, so it returns them instead; nil
+// means every program had finished.
+func (run *moduleRun) cancel() []int {
+	var running, cancelled []int
+	for i := range run.slots {
+		s := &run.slots[i]
+		if s.state.CompareAndSwap(slotIdle, slotCancelled) {
+			cancelled = append(cancelled, s.ctx.mod)
+		} else if s.state.Load() == slotRunning {
+			running = append(running, s.ctx.mod)
+		}
+	}
+	if len(running) == 0 {
+		return cancelled
+	}
+	return running
 }
 
 // runModule executes fn for one module, applying injected faults. Injected
@@ -591,19 +674,24 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 // when it resolves them (true), the program is retried — the faulted
 // attempt never ran, so retried metering stays deterministic. Unresolved
 // faults are returned for runModules to escalate; real panics from fn
-// propagate to the goroutine-level recover in runModules.
-func (r *Round) runModule(mod int, fn func(ctx *ModuleCtx)) *ModuleFault {
+// propagate to the per-module recover in runSlot. Before it sleeps through
+// a stall or hands a fault to the recovery handler, the worker starts a
+// spare.
+func (run *moduleRun) runModule(ctx *ModuleCtx) *ModuleFault {
+	r, mod := ctx.r, ctx.mod
 	for attempt := 0; ; attempt++ {
 		if r.inj != nil {
 			act := r.inj.ModuleAction(r.seq, mod, attempt)
 			if act.Crash {
 				mf := &ModuleFault{Kind: FaultCrash, Module: mod, Round: r.seq, Attempt: attempt, Injected: true}
+				run.spare()
 				if r.m.handleFault(mf) {
 					continue
 				}
 				return mf
 			}
 			if act.Stall > 0 {
+				run.spare()
 				if d := time.Duration(r.m.deadline.Load()); d > 0 && act.Stall >= d {
 					mf := &ModuleFault{Kind: FaultStall, Module: mod, Round: r.seq, Attempt: attempt, Injected: true}
 					if r.m.handleFault(mf) {
@@ -614,7 +702,7 @@ func (r *Round) runModule(mod int, fn func(ctx *ModuleCtx)) *ModuleFault {
 				time.Sleep(act.Stall)
 			}
 		}
-		fn(&ModuleCtx{r: r, mod: mod})
+		run.fn(ctx)
 		return nil
 	}
 }
