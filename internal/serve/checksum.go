@@ -20,18 +20,18 @@ import (
 // priority bits + coordinate bits; deadline attribution; orphan entries),
 // so checksum equality between two replicas means a RestoreCell between
 // them would apply an empty diff, up to a ~2⁻⁶⁴ digest collision.
-func cellChecksum(items []core.Item, deadlines []int64, orphans []core.Item, orphanAts []int64) shard.CellChecksum {
+func cellChecksum(snap CellSnapshot) shard.CellChecksum {
 	var digest uint64
 	var buf []byte
-	for i, it := range items {
-		buf = appendChecksumElem(buf[:0], 0x01, it, deadlines[i])
+	for i, it := range snap.Items {
+		buf = appendChecksumElem(buf[:0], 0x01, it, snap.Deadlines[i])
 		digest += fnv1a64(buf)
 	}
-	for i, it := range orphans {
-		buf = appendChecksumElem(buf[:0], 0x02, it, orphanAts[i])
+	for i, it := range snap.Orphans {
+		buf = appendChecksumElem(buf[:0], 0x02, it, snap.OrphanAts[i])
 		digest += fnv1a64(buf)
 	}
-	return shard.CellChecksum{Count: uint64(len(items)), Digest: digest}
+	return shard.CellChecksum{Count: uint64(len(snap.Items)), Digest: digest}
 }
 
 // appendChecksumElem serializes one element in the same canonical form the

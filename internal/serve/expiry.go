@@ -70,13 +70,18 @@ func (h expiryHeap) entriesIn(in func(core.Item) bool) []expiryEntry {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !core.ItemEq(out[i].item, out[j].item) {
-			return core.ItemLess(out[i].item, out[j].item)
-		}
-		return out[i].at < out[j].at
-	})
+	sortEntries(out)
 	return out
+}
+
+// sortEntries puts entries in the canonical (item, deadline) order.
+func sortEntries(es []expiryEntry) {
+	sort.Slice(es, func(i, j int) bool {
+		if !core.ItemEq(es[i].item, es[j].item) {
+			return core.ItemLess(es[i].item, es[j].item)
+		}
+		return es[i].at < es[j].at
+	})
 }
 
 // tracks reports whether an entry with exactly this (item, deadline) is

@@ -40,70 +40,59 @@ const (
 	// KindExpire sweeps tracked ingest entries whose deadline is ≤ the
 	// request's logical now, deleting them from the tree.
 	KindExpire
-	// KindSnapshotCell reads one partition cell's contents for peer rebuild:
-	// the canonically sorted multiset of items the half-open cell box owns,
-	// with parallel expiry deadlines.
+	// KindSnapshotCell reads one partition cell's full replicated state for
+	// peer rebuild and anti-entropy: the canonically sorted multiset of
+	// items the half-open cell box owns, with parallel expiry deadlines and
+	// the cell's orphaned expiry entries. ChecksumCell hashes this same cut.
 	KindSnapshotCell
-	// KindChecksumCell summarizes one partition cell's replicated state as a
-	// count + order-independent digest (anti-entropy). It reads exactly the
-	// state KindSnapshotCell would ship, so checksum equality between two
-	// replicas means a RestoreCell between them would change nothing.
-	KindChecksumCell
 	// KindRestoreCell atomically replaces one partition cell's contents
-	// with a peer's snapshot (WAL-logged at execution time, like expire).
-	// Batches of this kind are labeled fault/rebuild/cell=N so the
-	// supervisor's metered accounting attributes rebuild cost exactly.
+	// with a peer's snapshot: a cell migration with no ledger ops.
 	KindRestoreCell
 	// KindMigrateCell atomically adopts a migrating cell region during an
 	// online rebalance: the staged snapshot pages plus the replayed write
-	// ledger become the region's exact contents, with RestoreCell's
-	// one-batch multiset-diff apply. Labeled shard/migrate/cell=N so the
-	// migration's metered cost is attributable per cell.
+	// ledger become the region's exact contents, in one multiset-diff
+	// commit.
 	KindMigrateCell
 	numKinds
 )
 
+// kinds holds each kind's facts in one place: the name /statsz and the
+// latency histograms report it under, whether it leaves the tree unmodified
+// (read batches may share a scheduling epoch; write batches never do), and
+// the label every round of one of its batches runs under — a format given
+// the batch's cell id (%[1]d) and its executor sequence number (%[2]d).
+// Cell restores are labeled like the supervisor's module rebuilds so
+// peer-rebuild cost lands in the fault-tolerance budget, and migration
+// adopts under their own namespace so the rebalancer's cost stays separable
+// from both serving and rebuilds.
+var kinds = [numKinds]struct {
+	name  string
+	read  bool
+	label string
+}{
+	KindLookup:       {"lookup", true, "serve/lookup/batch=%[2]d"},
+	KindKNN:          {"knn", true, "serve/knn/batch=%[2]d"},
+	KindRange:        {"range", true, "serve/range/batch=%[2]d"},
+	KindInsert:       {"insert", false, "serve/insert/batch=%[2]d"},
+	KindDelete:       {"delete", false, "serve/delete/batch=%[2]d"},
+	KindJoin:         {"join", true, "serve/join/batch=%[2]d"},
+	KindAggregate:    {"aggregate", true, "serve/aggregate/batch=%[2]d"},
+	KindIngest:       {"ingest", false, "serve/ingest/batch=%[2]d"},
+	KindExpire:       {"expire", false, "serve/expire/batch=%[2]d"},
+	KindSnapshotCell: {"snapshot-cell", true, "serve/snapshot-cell/batch=%[2]d"},
+	KindRestoreCell:  {"restore-cell", false, "fault/rebuild/cell=%[1]d"},
+	KindMigrateCell:  {"migrate-cell", false, "shard/migrate/cell=%[1]d"},
+}
+
 func (k OpKind) String() string {
-	switch k {
-	case KindLookup:
-		return "lookup"
-	case KindKNN:
-		return "knn"
-	case KindRange:
-		return "range"
-	case KindInsert:
-		return "insert"
-	case KindDelete:
-		return "delete"
-	case KindJoin:
-		return "join"
-	case KindAggregate:
-		return "aggregate"
-	case KindIngest:
-		return "ingest"
-	case KindExpire:
-		return "expire"
-	case KindSnapshotCell:
-		return "snapshot-cell"
-	case KindChecksumCell:
-		return "checksum-cell"
-	case KindRestoreCell:
-		return "restore-cell"
-	case KindMigrateCell:
-		return "migrate-cell"
+	if k >= 0 && k < numKinds {
+		return kinds[k].name
 	}
 	return "unknown"
 }
 
-// IsRead reports whether the kind leaves the tree unmodified. Read batches
-// may share a scheduling epoch; write batches never do.
-func (k OpKind) IsRead() bool {
-	switch k {
-	case KindLookup, KindKNN, KindRange, KindJoin, KindAggregate, KindSnapshotCell, KindChecksumCell:
-		return true
-	}
-	return false
-}
+// IsRead reports whether the kind leaves the tree unmodified.
+func (k OpKind) IsRead() bool { return k >= 0 && k < numKinds && kinds[k].read }
 
 // Neighbor is one kNN result: the stored item's ID and its Euclidean
 // distance from the query point.
@@ -167,13 +156,10 @@ type request struct {
 	// cluster apply path uses this so a fanned write and a peer-rebuild
 	// restore of the same item cannot double-apply.
 	unique bool
-	// cell state for snapshot-cell / restore-cell (cell id travels in
-	// batchKey.k so distinct cells never coalesce). box holds the cell's
-	// half-open box; the rest is the restore payload.
-	items     []core.Item
-	deadlines []int64
-	orphans   []core.Item
-	orphanAts []int64
+	// snap is the restore-cell / migrate-cell payload. The cell id travels
+	// in batchKey.k so distinct cells never coalesce; box holds the cell's
+	// half-open box.
+	snap *CellSnapshot
 	// ops is the migrate-cell write ledger: the inserts/deletes that raced
 	// the migration cut, replayed in order onto the staged snapshot before
 	// the exact-set apply.
@@ -192,11 +178,10 @@ type request struct {
 
 // reply is the fanned-out result of one request.
 type reply struct {
-	items     []core.Item // lookup, range, join
-	neighbors []Neighbor  // knn
-	// cands is the knn result in raw (dist2, id) form — what the shard wire
-	// path returns so a router can merge shards without re-deriving dist2
-	// from a rounded sqrt.
+	items []core.Item // lookup, range, join
+	// cands is the knn result in raw (dist2, id) form: the shard wire path
+	// ships it as is, so a router merges shards without re-deriving dist2
+	// from a rounded sqrt, and KNN converts it to Neighbors.
 	cands []heapx.Candidate
 	// agg carries the exact windowed-aggregation answer; shipping the raw
 	// superaccumulator (not a rounded centroid) is what lets a router merge
@@ -205,20 +190,14 @@ type reply struct {
 	// expired is the number of tracked ingest entries this expire request
 	// swept (entries with deadline ≤ the request's now, popped this batch).
 	expired int
-	// deadlines parallels items for snapshot-cell replies (math.MinInt64
-	// sentinel = no TTL entry); orphans/orphanAts carry the cell's expiry
-	// entries whose item is no longer live.
-	deadlines []int64
-	orphans   []core.Item
-	orphanAts []int64
+	// snap is the snapshot-cell answer.
+	snap *CellSnapshot
 	// changed reports whether a restore-cell actually modified the cell
 	// (false = the local copy already matched the peer snapshot — the
 	// rebuild convergence signal).
 	changed bool
-	// csum is the checksum-cell answer.
-	csum shard.CellChecksum
-	info BatchInfo
-	err  error
+	info    BatchInfo
+	err     error
 }
 
 // batchKey groups coalescible requests: same kind, for kNN the same k

@@ -3,18 +3,19 @@ package serve
 import (
 	"time"
 
-	"pimkd/internal/core"
 	"pimkd/internal/persist"
 )
 
-// Durable-write mode. When Config.Persist is set, the executor appends every
-// sealed write batch to the write-ahead log *before* committing it to the
-// machine — a request is only ever acknowledged after its batch is durable —
-// and a background checkpointer periodically folds the log into a fresh
-// snapshot without blocking the executor:
+// Durable-write mode. When Config.Persist is set, every write batch reaches
+// the tree through commit (scheduler.go), which appends its delete set and
+// its insert set to the write-ahead log *before* applying either — a
+// request is only ever acknowledged after its batch is durable — and a
+// background checkpointer periodically folds the log into a fresh snapshot
+// without blocking the executor:
 //
-//	executor (owns tree):  LogBatch → BatchInsert/Delete → reply → maybe
-//	                       BeginCheckpoint (cheap: capture items + rotate WAL)
+//	executor (owns tree):  commit: LogBatch → BatchDelete/Insert → reply →
+//	                       maybe BeginCheckpoint (cheap: capture items +
+//	                       rotate WAL)
 //	checkpointer:          Checkpoint.Write (heavy: encode, fsync, rename, GC)
 //
 // BeginCheckpoint runs between batches on the executor, so the captured
@@ -22,24 +23,6 @@ import (
 // subsequent batches. Close drains the checkpointer and syncs the WAL before
 // returning, so no acknowledged write or started checkpoint is ever in
 // flight after shutdown.
-
-// logDurable appends a write batch to the WAL. Called by the executor with
-// the batch's live requests already filtered, before any machine work.
-func (s *Service) logDurable(b *batch) error {
-	op := persist.OpInsert
-	if b.key.kind == KindDelete {
-		op = persist.OpDelete
-	}
-	items := make([]core.Item, len(b.reqs))
-	for i, req := range b.reqs {
-		items[i] = req.item
-	}
-	if _, err := s.cfg.Persist.LogBatch(op, items); err != nil {
-		s.metrics.persistFailed()
-		return err
-	}
-	return nil
-}
 
 // maybeCheckpoint runs on the executor after each committed write batch and
 // starts a checkpoint when either trigger (batch count, wall interval) is

@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
 	"time"
 
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/persist"
 	"pimkd/internal/pim"
+	"pimkd/internal/shard"
 )
 
 // runExecutor is the scheduling loop. It is the only goroutine that touches
@@ -74,41 +74,13 @@ func (s *Service) execute(b *batch, epoch int64) {
 	}
 
 	write := !b.key.kind.IsRead()
-	// Durable-write mode: the batch becomes durable *before* it commits to
-	// the machine. If the append fails, the batch is refused in its
-	// entirety — no machine work, no partial state — and its callers see
-	// ErrPersist. Expire, restore-cell, migrate-cell, and set-semantics
-	// (unique) batches are the exception: their applied sets are only known
-	// at execution time, so runBatch logs them itself (still before the
-	// commit).
-	if write && s.cfg.Persist != nil &&
-		b.key.kind != KindExpire && b.key.kind != KindRestoreCell && b.key.kind != KindMigrateCell && !b.key.unique {
-		if perr := s.logDurable(b); perr != nil {
-			for _, req := range b.reqs {
-				req.done <- reply{err: fmt.Errorf("%w: %v", ErrPersist, perr)}
-				<-s.tokens
-			}
-			return
-		}
-	}
-
 	mach := s.tree.Machine()
 	s.batchSeq++
 	// Scope every round this batch triggers under a batch-identifying
-	// label, so the tracer (or any observer) attributes per-round cost —
-	// stragglers included — to the exact batch that caused it. Cell
-	// restores are labeled like the supervisor's module rebuilds
-	// (fault/recover/module=N) so peer-rebuild cost is attributed to the
-	// fault-tolerance budget, not the serving path.
-	label := fmt.Sprintf("serve/%s/batch=%d", b.key.kind, s.batchSeq)
-	if b.key.kind == KindRestoreCell {
-		label = fmt.Sprintf("fault/rebuild/cell=%d", b.key.k)
-	}
-	if b.key.kind == KindMigrateCell {
-		// Migration adopts are metered under their own namespace so the
-		// rebalancer's cost is separable from both serving and rebuilds.
-		label = fmt.Sprintf("shard/migrate/cell=%d", b.key.k)
-	}
+	// label (see kinds), so the tracer (or any observer) attributes
+	// per-round cost — stragglers included — to the exact batch that
+	// caused it.
+	label := fmt.Sprintf(kinds[b.key.kind].label, b.key.k, s.batchSeq)
 	pop := mach.PushLabel(label)
 	pre := mach.SnapshotStats()
 	results, err := s.runBatchSafe(b)
@@ -230,13 +202,6 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 		res := s.tree.KNN(qs, b.key.k)
 		out := make([]reply, n)
 		for i, cands := range res {
-			ns := make([]Neighbor, len(cands))
-			for j, c := range cands {
-				ns[j] = Neighbor{ID: c.ID, Dist: math.Sqrt(c.Dist2)}
-			}
-			out[i].neighbors = ns
-			// Keep the raw candidates too: the shard wire path ships dist2
-			// so the router's global merge never compares rounded sqrts.
 			out[i].cands = cands
 		}
 		return out, nil
@@ -253,20 +218,30 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 		}
 		return out, nil
 
-	case KindInsert:
+	case KindInsert, KindIngest:
 		items := make([]core.Item, n)
 		for i, req := range b.reqs {
 			items[i] = req.item
 		}
 		if b.key.unique {
-			applied, err := s.applyUnique(items)
-			if err != nil {
-				return nil, err
-			}
-			s.tree.BatchInsert(applied)
-			return make([]reply, n), nil
+			items = s.filterUnique(items)
 		}
-		s.tree.BatchInsert(items)
+		if err := s.commit(nil, items); err != nil {
+			return nil, err
+		}
+		if b.key.kind == KindIngest {
+			// Track deadlines only after the insert committed: a refused or
+			// panicked batch must not leave phantom expiry entries. A unique
+			// ingest tracks a deadline only if no identical (item, deadline)
+			// entry exists — a restored snapshot may already carry it;
+			// within-batch duplicates collapse the same way because push is
+			// incremental.
+			for _, req := range b.reqs {
+				if !b.key.unique || !s.expiry.tracks(req.item, req.expireAt) {
+					s.expiry.push(expiryEntry{at: req.expireAt, item: req.item})
+				}
+			}
+		}
 		return make([]reply, n), nil
 
 	case KindDelete:
@@ -274,7 +249,9 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 		for i, req := range b.reqs {
 			items[i] = req.item
 		}
-		s.tree.BatchDelete(items)
+		if err := s.commit(items, nil); err != nil {
+			return nil, err
+		}
 		return make([]reply, n), nil
 
 	case KindJoin:
@@ -301,35 +278,6 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 		}
 		return out, nil
 
-	case KindIngest:
-		items := make([]core.Item, n)
-		for i, req := range b.reqs {
-			items[i] = req.item
-		}
-		if b.key.unique {
-			applied, err := s.applyUnique(items)
-			if err != nil {
-				return nil, err
-			}
-			s.tree.BatchInsert(applied)
-			// Track a deadline only if no identical (item, deadline) entry
-			// exists — a restored snapshot may already carry it. Within-batch
-			// duplicates collapse the same way because push is incremental.
-			for _, req := range b.reqs {
-				if !s.expiry.tracks(req.item, req.expireAt) {
-					s.expiry.push(expiryEntry{at: req.expireAt, item: req.item})
-				}
-			}
-			return make([]reply, n), nil
-		}
-		s.tree.BatchInsert(items)
-		// Track deadlines only after the insert committed: a panicked
-		// batch must not leave phantom expiry entries.
-		for _, req := range b.reqs {
-			s.expiry.push(expiryEntry{at: req.expireAt, item: req.item})
-		}
-		return make([]reply, n), nil
-
 	case KindExpire:
 		// The sweep horizon is the batch's max now; each request is
 		// answered with the count of popped entries at or below its own
@@ -341,22 +289,14 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 			}
 		}
 		due := s.expiry.popDue(maxNow)
-		if len(due) > 0 {
-			items := make([]core.Item, len(due))
-			for i, e := range due {
-				items[i] = e.item
-			}
-			// Log-before-commit for the sweep's delete set. On failure the
-			// entries return to the tracker and the tree is untouched: the
-			// sweep simply has not happened.
-			if s.cfg.Persist != nil {
-				if _, perr := s.cfg.Persist.LogBatch(persist.OpDelete, items); perr != nil {
-					s.expiry.pushAll(due)
-					s.metrics.persistFailed()
-					return nil, fmt.Errorf("%w: %v", ErrPersist, perr)
-				}
-			}
-			s.tree.BatchDelete(items)
+		items := make([]core.Item, len(due))
+		for i, e := range due {
+			items[i] = e.item
+		}
+		if err := s.commit(items, nil); err != nil {
+			// The sweep has not happened: its entries return to the tracker.
+			s.expiry.pushAll(due)
+			return nil, err
 		}
 		out := make([]reply, n)
 		for i, req := range b.reqs {
@@ -373,33 +313,15 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 	case KindSnapshotCell:
 		out := make([]reply, n)
 		for i, req := range b.reqs {
-			items, deadlines, orphans, orphanAts := s.cellState(req.box)
-			out[i] = reply{items: items, deadlines: deadlines, orphans: orphans, orphanAts: orphanAts}
+			snap := s.cellState(req.box)
+			out[i].snap = &snap
 		}
 		return out, nil
 
-	case KindChecksumCell:
+	case KindRestoreCell, KindMigrateCell:
 		out := make([]reply, n)
 		for i, req := range b.reqs {
-			out[i].csum = cellChecksum(s.cellState(req.box))
-		}
-		return out, nil
-
-	case KindRestoreCell:
-		out := make([]reply, n)
-		for i, req := range b.reqs {
-			changed, err := s.restoreCell(req)
-			if err != nil {
-				return nil, err
-			}
-			out[i].changed = changed
-		}
-		return out, nil
-
-	case KindMigrateCell:
-		out := make([]reply, n)
-		for i, req := range b.reqs {
-			changed, err := s.migrateCell(req)
+			changed, err := s.migrateCell(req.box, *req.snap, req.ops)
 			if err != nil {
 				return nil, err
 			}
@@ -410,12 +332,35 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 	return nil, fmt.Errorf("serve: unknown batch kind %v", b.key.kind)
 }
 
-// applyUnique filters a set-semantics write batch down to the items that
-// are genuinely new — not already stored (exact ID + coordinates match)
-// and not duplicated within the batch — and WAL-logs exactly that subset
-// (set-semantics batches skip admission-time logging: replaying an insert
-// that execution skipped would double-apply it after recovery).
-func (s *Service) applyUnique(items []core.Item) ([]core.Item, error) {
+// commit is the one way a write reaches the tree. The delete set, then the
+// insert set, is WAL-logged (each only when non-empty), and neither is
+// applied until both are logged; the apply then runs in the same order the
+// log replays. A refused append leaves the tree untouched, counts one
+// persist failure and returns ErrPersist.
+func (s *Service) commit(dels, inss []core.Item) error {
+	if st := s.cfg.Persist; st != nil {
+		var err error
+		if len(dels) > 0 {
+			_, err = st.LogBatch(persist.OpDelete, dels)
+		}
+		if err == nil && len(inss) > 0 {
+			_, err = st.LogBatch(persist.OpInsert, inss)
+		}
+		if err != nil {
+			s.metrics.persistFailed()
+			return fmt.Errorf("%w: %v", ErrPersist, err)
+		}
+	}
+	s.tree.BatchDelete(dels)
+	s.tree.BatchInsert(inss)
+	return nil
+}
+
+// filterUnique narrows a set-semantics write batch to the items that are
+// genuinely new: not already stored (exact ID + coordinates match) and not
+// duplicated within the batch. Only that subset is committed, so recovery
+// never replays an insert that execution skipped.
+func (s *Service) filterUnique(items []core.Item) []core.Item {
 	present := s.tree.Contains(items)
 	applied := make([]core.Item, 0, len(items))
 	for i, it := range items {
@@ -433,13 +378,7 @@ func (s *Service) applyUnique(items []core.Item) ([]core.Item, error) {
 			applied = append(applied, it)
 		}
 	}
-	if s.cfg.Persist != nil && len(applied) > 0 {
-		if _, perr := s.cfg.Persist.LogBatch(persist.OpInsert, applied); perr != nil {
-			s.metrics.persistFailed()
-			return nil, fmt.Errorf("%w: %v", ErrPersist, perr)
-		}
-	}
-	return applied, nil
+	return applied
 }
 
 // cellState reads one cell's full replicated state: the canonically sorted
@@ -447,29 +386,30 @@ func (s *Service) applyUnique(items []core.Item) ([]core.Item, error) {
 // entry), and the cell's orphaned expiry entries. Entries attribute to live
 // copies in canonical order; the leftovers are orphans. Both sides are
 // sorted, so one merge walk assigns deterministically.
-func (s *Service) cellState(cell geom.Box) (items []core.Item, deadlines []int64, orphans []core.Item, orphanAts []int64) {
-	items = s.cellItems(cell)
+func (s *Service) cellState(cell geom.Box) CellSnapshot {
+	snap := CellSnapshot{Items: s.cellItems(cell)}
 	entries := s.expiry.entriesIn(func(it core.Item) bool { return cell.ContainsHalfOpen(it.P) })
-	deadlines = make([]int64, len(items))
+	snap.Deadlines = make([]int64, len(snap.Items))
+	orphan := func(e expiryEntry) {
+		snap.Orphans = append(snap.Orphans, e.item)
+		snap.OrphanAts = append(snap.OrphanAts, e.at)
+	}
 	j := 0
-	for k := range items {
-		for j < len(entries) && core.ItemLess(entries[j].item, items[k]) {
-			orphans = append(orphans, entries[j].item)
-			orphanAts = append(orphanAts, entries[j].at)
-			j++
+	for k, it := range snap.Items {
+		for ; j < len(entries) && core.ItemLess(entries[j].item, it); j++ {
+			orphan(entries[j])
 		}
-		if j < len(entries) && core.ItemEq(entries[j].item, items[k]) {
-			deadlines[k] = entries[j].at
+		if j < len(entries) && core.ItemEq(entries[j].item, it) {
+			snap.Deadlines[k] = entries[j].at
 			j++
 		} else {
-			deadlines[k] = math.MinInt64
+			snap.Deadlines[k] = math.MinInt64
 		}
 	}
 	for ; j < len(entries); j++ {
-		orphans = append(orphans, entries[j].item)
-		orphanAts = append(orphanAts, entries[j].at)
+		orphan(entries[j])
 	}
-	return items, deadlines, orphans, orphanAts
+	return snap
 }
 
 // cellItems returns a fresh, canonically sorted copy of the live items the
@@ -486,135 +426,26 @@ func (s *Service) cellItems(cell geom.Box) []core.Item {
 	return items
 }
 
-// restoreCell replaces one cell's local state with a peer snapshot: the
-// tree multiset diff is WAL-logged (deletes then inserts) and applied, and
-// the cell's expiry entries are rebuilt from the snapshot. It reports
-// whether anything differed. A crash between the two WAL appends can
-// recover to an empty cell; that is safe because RestoreCell only runs on
-// a fenced (not in-sync) replica whose authoritative copy lives on its
-// peers — the next rebuild pass on boot re-pulls the cell.
-func (s *Service) restoreCell(req *request) (changed bool, err error) {
-	cur := s.cellItems(req.box)
-
-	// Canonicalize the desired state, keeping deadlines attached through
-	// the sort (ties order by deadline so the result is a pure function of
-	// the snapshot multiset).
-	type pair struct {
-		item core.Item
-		at   int64
-	}
-	desired := make([]pair, len(req.items))
-	for i := range req.items {
-		desired[i] = pair{req.items[i], req.deadlines[i]}
-	}
-	sort.Slice(desired, func(i, j int) bool {
-		if !core.ItemEq(desired[i].item, desired[j].item) {
-			return core.ItemLess(desired[i].item, desired[j].item)
-		}
-		return desired[i].at < desired[j].at
-	})
-	want := make([]core.Item, len(desired))
-	for i := range desired {
-		want[i] = desired[i].item
-	}
-
-	// Tree multiset diff (both sides sorted): what to delete, what to
-	// insert. Matching copies stay untouched, so a convergence re-pull of
-	// an already-synced cell does zero machine work and zero WAL traffic.
-	var dels, inss []core.Item
-	ci, di := 0, 0
-	for ci < len(cur) && di < len(want) {
-		switch {
-		case core.ItemEq(cur[ci], want[di]):
-			ci++
-			di++
-		case core.ItemLess(cur[ci], want[di]):
-			dels = append(dels, cur[ci])
-			ci++
-		default:
-			inss = append(inss, want[di])
-			di++
-		}
-	}
-	dels = append(dels, cur[ci:]...)
-	inss = append(inss, want[di:]...)
-
-	// Desired expiry entries: tracked live items plus the snapshot's
-	// orphans, in canonical (item, deadline) order.
-	var wantEntries []expiryEntry
-	for _, p := range desired {
-		if p.at != math.MinInt64 {
-			wantEntries = append(wantEntries, expiryEntry{at: p.at, item: p.item})
-		}
-	}
-	for i := range req.orphans {
-		wantEntries = append(wantEntries, expiryEntry{at: req.orphanAts[i], item: req.orphans[i]})
-	}
-	sort.Slice(wantEntries, func(i, j int) bool {
-		if !core.ItemEq(wantEntries[i].item, wantEntries[j].item) {
-			return core.ItemLess(wantEntries[i].item, wantEntries[j].item)
-		}
-		return wantEntries[i].at < wantEntries[j].at
-	})
-	curEntries := s.expiry.entriesIn(func(it core.Item) bool { return req.box.ContainsHalfOpen(it.P) })
-	entriesEqual := len(curEntries) == len(wantEntries)
-	for i := 0; entriesEqual && i < len(curEntries); i++ {
-		entriesEqual = curEntries[i].at == wantEntries[i].at && core.ItemEq(curEntries[i].item, wantEntries[i].item)
-	}
-
-	if len(dels) == 0 && len(inss) == 0 && entriesEqual {
-		return false, nil
-	}
-
-	// Log-before-commit for the diff. On failure nothing was applied; the
-	// cell is exactly its pre-restore self.
-	if s.cfg.Persist != nil {
-		if len(dels) > 0 {
-			if _, perr := s.cfg.Persist.LogBatch(persist.OpDelete, dels); perr != nil {
-				s.metrics.persistFailed()
-				return false, fmt.Errorf("%w: %v", ErrPersist, perr)
-			}
-		}
-		if len(inss) > 0 {
-			if _, perr := s.cfg.Persist.LogBatch(persist.OpInsert, inss); perr != nil {
-				s.metrics.persistFailed()
-				return false, fmt.Errorf("%w: %v", ErrPersist, perr)
-			}
-		}
-	}
-	if len(dels) > 0 {
-		s.tree.BatchDelete(dels)
-	}
-	if len(inss) > 0 {
-		s.tree.BatchInsert(inss)
-	}
-	if !entriesEqual {
-		s.expiry.dropUnless(func(it core.Item) bool { return !req.box.ContainsHalfOpen(it.P) })
-		s.expiry.pushAll(wantEntries)
-	}
-	return true, nil
-}
-
-// migrateCell adopts a migrating cell region: the write ledger (the
-// inserts/deletes that raced the migration cut, in router ack order) is
-// replayed on top of the staged snapshot to reconstruct the source's
-// post-cut state, and the result is exact-set into the region with
-// restoreCell's one-batch multiset-diff apply. Each replayed op mirrors
-// the cluster write path's semantics on the (items, entries) state pair —
+// migrateCell adopts a cell region: the write ledger ops (the inserts and
+// deletes that raced a migration cut, in router ack order) are replayed on
+// top of the staged snapshot to reconstruct the source's post-cut state,
+// and the result is exact-set into the region by restoreCell. A peer
+// rebuild's restore is the no-ops case. Each replayed op mirrors the
+// cluster write path's semantics on the (items, entries) state pair —
 // InsertUnique, IngestUnique, ignore-absent Delete with the TTL entry left
 // behind as an orphan — so the adopted region's replication checksum is
 // bit-identical to the source's.
-func (s *Service) migrateCell(req *request) (changed bool, err error) {
+func (s *Service) migrateCell(box geom.Box, snap CellSnapshot, ops []shard.MigrateOp) (changed bool, err error) {
 	type migPair struct {
 		item core.Item
 		at   int64
 		dead bool
 	}
-	staged := make([]migPair, len(req.items))
+	staged := make([]migPair, len(snap.Items))
 	byID := map[int32][]int{}
-	for i := range req.items {
-		staged[i] = migPair{item: req.items[i], at: req.deadlines[i]}
-		byID[req.items[i].ID] = append(byID[req.items[i].ID], i)
+	for i := range snap.Items {
+		staged[i] = migPair{item: snap.Items[i], at: snap.Deadlines[i]}
+		byID[snap.Items[i].ID] = append(byID[snap.Items[i].ID], i)
 	}
 	findLive := func(it core.Item) int {
 		for _, i := range byID[it.ID] {
@@ -628,8 +459,8 @@ func (s *Service) migrateCell(req *request) (changed bool, err error) {
 		byID[it.ID] = append(byID[it.ID], len(staged))
 		staged = append(staged, migPair{item: it, at: at})
 	}
-	orphans := append([]core.Item(nil), req.orphans...)
-	orphanAts := append([]int64(nil), req.orphanAts...)
+	orphans := append([]core.Item(nil), snap.Orphans...)
+	orphanAts := append([]int64(nil), snap.OrphanAts...)
 	hasOrphan := func(it core.Item, at int64) bool {
 		for i := range orphans {
 			if orphanAts[i] == at && core.ItemEq(orphans[i], it) {
@@ -639,8 +470,8 @@ func (s *Service) migrateCell(req *request) (changed bool, err error) {
 		return false
 	}
 
-	for _, op := range req.ops {
-		if !req.box.ContainsHalfOpen(op.Item.P) {
+	for _, op := range ops {
+		if !box.ContainsHalfOpen(op.Item.P) {
 			continue // ledger op outside the moving region: not ours
 		}
 		idx := findLive(op.Item)
@@ -681,16 +512,88 @@ func (s *Service) migrateCell(req *request) (changed bool, err error) {
 		}
 	}
 
-	items := make([]core.Item, 0, len(staged))
-	deadlines := make([]int64, 0, len(staged))
+	adopted := CellSnapshot{Orphans: orphans, OrphanAts: orphanAts}
 	for i := range staged {
 		if !staged[i].dead {
-			items = append(items, staged[i].item)
-			deadlines = append(deadlines, staged[i].at)
+			adopted.Items = append(adopted.Items, staged[i].item)
+			adopted.Deadlines = append(adopted.Deadlines, staged[i].at)
 		}
 	}
-	return s.restoreCell(&request{
-		box: req.box, items: items, deadlines: deadlines,
-		orphans: orphans, orphanAts: orphanAts,
-	})
+	return s.restoreCell(box, adopted)
+}
+
+// restoreCell exact-sets one cell to snap: the tree multiset diff goes
+// through commit as one delete set and one insert set, and the cell's
+// expiry entries are rebuilt from the snapshot. It reports whether anything
+// differed. A crash between the two WAL appends recovers with the deletes
+// applied and the inserts not; for a peer-rebuild restore that is safe
+// because it only runs on a fenced (not in-sync) replica whose
+// authoritative copy lives on its peers — the next rebuild pass on boot
+// re-pulls the cell.
+func (s *Service) restoreCell(box geom.Box, snap CellSnapshot) (changed bool, err error) {
+	cur := s.cellItems(box)
+
+	// Canonicalize the desired state, keeping deadlines attached through
+	// the sort (ties order by deadline so the result is a pure function of
+	// the snapshot multiset).
+	desired := make([]expiryEntry, len(snap.Items))
+	for i := range snap.Items {
+		desired[i] = expiryEntry{at: snap.Deadlines[i], item: snap.Items[i]}
+	}
+	sortEntries(desired)
+	want := make([]core.Item, len(desired))
+	for i := range desired {
+		want[i] = desired[i].item
+	}
+
+	// Tree multiset diff (both sides sorted): what to delete, what to
+	// insert. Matching copies stay untouched, so a convergence re-pull of
+	// an already-synced cell does zero machine work and zero WAL traffic.
+	var dels, inss []core.Item
+	ci, di := 0, 0
+	for ci < len(cur) && di < len(want) {
+		switch {
+		case core.ItemEq(cur[ci], want[di]):
+			ci++
+			di++
+		case core.ItemLess(cur[ci], want[di]):
+			dels = append(dels, cur[ci])
+			ci++
+		default:
+			inss = append(inss, want[di])
+			di++
+		}
+	}
+	dels = append(dels, cur[ci:]...)
+	inss = append(inss, want[di:]...)
+
+	// Desired expiry entries: tracked live items plus the snapshot's
+	// orphans, in canonical (item, deadline) order.
+	var wantEntries []expiryEntry
+	for _, e := range desired {
+		if e.at != math.MinInt64 {
+			wantEntries = append(wantEntries, e)
+		}
+	}
+	for i := range snap.Orphans {
+		wantEntries = append(wantEntries, expiryEntry{at: snap.OrphanAts[i], item: snap.Orphans[i]})
+	}
+	sortEntries(wantEntries)
+	curEntries := s.expiry.entriesIn(func(it core.Item) bool { return box.ContainsHalfOpen(it.P) })
+	entriesEqual := len(curEntries) == len(wantEntries)
+	for i := 0; entriesEqual && i < len(curEntries); i++ {
+		entriesEqual = curEntries[i].at == wantEntries[i].at && core.ItemEq(curEntries[i].item, wantEntries[i].item)
+	}
+
+	if len(dels) == 0 && len(inss) == 0 && entriesEqual {
+		return false, nil
+	}
+	if err := s.commit(dels, inss); err != nil {
+		return false, err
+	}
+	if !entriesEqual {
+		s.expiry.dropUnless(func(it core.Item) bool { return !box.ContainsHalfOpen(it.P) })
+		s.expiry.pushAll(wantEntries)
+	}
+	return true, nil
 }

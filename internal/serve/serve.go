@@ -37,10 +37,12 @@ var ErrFault = errors.New("serve: machine fault")
 var ErrBatchPanic = errors.New("serve: batch execution panicked")
 
 // ErrPersist wraps a write-ahead-log append failure in durable-write mode.
-// The affected write batch is NOT applied to the tree (log-before-commit:
-// what cannot be made durable is not acknowledged), and the log stays
-// poisoned until the operator intervenes — subsequent writes fail fast while
-// reads keep serving.
+// Every write kind — insert, delete, ingest, expire, restore-cell and
+// migrate-cell — reaches the tree through one log-then-apply commit, so the
+// refused batch is NOT applied (what cannot be made durable is not
+// acknowledged), yet is still recorded as an executed batch of its kind.
+// The log stays poisoned until the operator intervenes — subsequent writes
+// fail fast while reads keep serving.
 var ErrPersist = errors.New("serve: durable log append failed")
 
 // Service admits concurrent singleton requests, coalesces them into
@@ -151,16 +153,18 @@ func (s *Service) Lookup(ctx context.Context, p geom.Point) ([]core.Item, BatchI
 	return rep.items, rep.info, err
 }
 
-// KNN returns up to k nearest neighbors of p by ascending distance.
+// KNN returns up to k nearest neighbors of p by ascending distance: the
+// KNNCandidates answer with each squared distance square-rooted.
 func (s *Service) KNN(ctx context.Context, p geom.Point, k int) ([]Neighbor, BatchInfo, error) {
-	if err := s.checkPoint(p); err != nil {
-		return nil, BatchInfo{}, err
+	cands, info, err := s.KNNCandidates(ctx, p, k)
+	if err != nil {
+		return nil, info, err
 	}
-	if k < 1 {
-		return nil, BatchInfo{}, fmt.Errorf("serve: k must be >= 1, got %d", k)
+	ns := make([]Neighbor, len(cands))
+	for i, c := range cands {
+		ns[i] = Neighbor{ID: c.ID, Dist: math.Sqrt(c.Dist2)}
 	}
-	rep, err := s.submit(ctx, &request{kind: KindKNN, pt: p, k: k})
-	return rep.neighbors, rep.info, err
+	return ns, info, nil
 }
 
 // KNNCandidates is KNN in raw wire form: up to k nearest neighbors as
@@ -316,79 +320,63 @@ func (s *Service) SnapshotCell(ctx context.Context, cellID int, cell geom.Box) (
 		return CellSnapshot{}, BatchInfo{}, err
 	}
 	rep, err := s.submit(ctx, &request{kind: KindSnapshotCell, k: cellID, box: cell})
-	snap := CellSnapshot{Items: rep.items, Deadlines: rep.deadlines, Orphans: rep.orphans, OrphanAts: rep.orphanAts}
-	return snap, rep.info, err
+	if rep.snap == nil {
+		return CellSnapshot{}, rep.info, err
+	}
+	return *rep.snap, rep.info, err
 }
 
 // ChecksumCell summarizes the cell's replication state as a live-item
-// count plus an order-independent digest, computed on the executor as one
-// consistent read cut (a metered round, like any read batch). Two replicas
-// answering with equal checksums hold, up to a ~2⁻⁶⁴ digest collision,
-// cell states a RestoreCell between them would not change — the router's
-// anti-entropy sweep and the rebuilder's skip-if-identical fast path both
-// compare these.
+// count plus an order-independent digest: a SnapshotCell cut, hashed on the
+// caller's goroutine. Two replicas answering with equal checksums hold, up
+// to a ~2⁻⁶⁴ digest collision, cell states a RestoreCell between them would
+// not change — the router's anti-entropy sweep and the rebuilder's
+// skip-if-identical fast path both compare these.
 func (s *Service) ChecksumCell(ctx context.Context, cellID int, cell geom.Box) (shard.CellChecksum, BatchInfo, error) {
-	if err := s.checkCell(cellID, cell); err != nil {
-		return shard.CellChecksum{}, BatchInfo{}, err
+	snap, info, err := s.SnapshotCell(ctx, cellID, cell)
+	if err != nil {
+		return shard.CellChecksum{}, info, err
 	}
-	rep, err := s.submit(ctx, &request{kind: KindChecksumCell, k: cellID, box: cell})
-	return rep.csum, rep.info, err
+	return cellChecksum(snap), info, nil
 }
 
 // RestoreCell atomically replaces the cell's local contents with a peer
-// snapshot: every local item the half-open cell box owns is deleted and
-// the snapshot items inserted as one write batch, WAL-logged at execution
-// time before commit (so a torn rebuild stream that never reaches this
-// call leaves the cell untouched, and a crash mid-restore recovers to one
-// side or the other, never a mix). Expiry tracking for the cell — orphan
-// entries included — is rebuilt from the snapshot. The returned changed
-// flag is false when the local copy already matched, the rebuild
-// convergence signal. The snapshot need not be sorted; the executor
-// canonicalizes.
+// snapshot: the multiset diff between the local items the half-open cell
+// box owns and the snapshot's is committed as one write batch, WAL-logged
+// at execution time before it applies (so a torn rebuild stream that never
+// reaches this call leaves the cell untouched). Expiry tracking for the
+// cell — orphan entries included — is rebuilt from the snapshot. The
+// returned changed flag is false when the local copy already matched, the
+// rebuild convergence signal. The snapshot need not be sorted; the executor
+// canonicalizes. A restore is MigrateCell with no ledger ops, labeled as
+// rebuild cost instead of migration cost.
 func (s *Service) RestoreCell(ctx context.Context, cellID int, cell geom.Box, snap CellSnapshot) (bool, BatchInfo, error) {
-	if err := s.checkCell(cellID, cell); err != nil {
-		return false, BatchInfo{}, err
-	}
-	if len(snap.Items) != len(snap.Deadlines) || len(snap.Orphans) != len(snap.OrphanAts) {
-		return false, BatchInfo{}, fmt.Errorf("serve: restore of %d/%d items with %d/%d deadlines",
-			len(snap.Items), len(snap.Deadlines), len(snap.Orphans), len(snap.OrphanAts))
-	}
-	for _, set := range [][]core.Item{snap.Items, snap.Orphans} {
-		for i := range set {
-			if err := s.checkPoint(set[i].P); err != nil {
-				return false, BatchInfo{}, err
-			}
-			if !cell.ContainsHalfOpen(set[i].P) {
-				return false, BatchInfo{}, fmt.Errorf("serve: restore item %d outside cell %d", set[i].ID, cellID)
-			}
-		}
-	}
-	rep, err := s.submit(ctx, &request{
-		kind: KindRestoreCell, k: cellID, box: cell,
-		items: snap.Items, deadlines: snap.Deadlines,
-		orphans: snap.Orphans, orphanAts: snap.OrphanAts,
-	})
-	return rep.changed, rep.info, err
+	return s.applyCell(ctx, KindRestoreCell, cellID, cell, snap, nil)
 }
 
 // MigrateCell atomically adopts a migrating cell region: the executor
 // replays ops (the writes that raced the migration cut, in router ack
 // order) on top of snap, then exact-sets the half-open cell box to the
-// result with RestoreCell's one-batch multiset-diff apply — WAL-logged
-// before commit, so a torn migration stream that never reaches this call
-// leaves the region untouched. The returned changed flag is false when the
-// local copy already matched (the destination was already a replica of the
-// moving region — an overlap adopt is a no-op). snap items and orphans
+// result with RestoreCell's one-batch multiset-diff commit — WAL-logged
+// before it applies, so a torn migration stream that never reaches this
+// call leaves the region untouched. The returned changed flag is false when
+// the local copy already matched (the destination was already a replica of
+// the moving region — an overlap adopt is a no-op). snap items and orphans
 // must lie inside cell; replayed ops are filtered to the box by the
 // executor, so a ledger op straddling the cut needs no caller-side
 // geometry.
 func (s *Service) MigrateCell(ctx context.Context, cellID int, cell geom.Box, snap CellSnapshot, ops []shard.MigrateOp) (bool, BatchInfo, error) {
+	return s.applyCell(ctx, KindMigrateCell, cellID, cell, snap, ops)
+}
+
+// applyCell validates a restore or migrate payload and submits it.
+func (s *Service) applyCell(ctx context.Context, kind OpKind, cellID int, cell geom.Box, snap CellSnapshot, ops []shard.MigrateOp) (bool, BatchInfo, error) {
 	if err := s.checkCell(cellID, cell); err != nil {
 		return false, BatchInfo{}, err
 	}
 	if len(snap.Items) != len(snap.Deadlines) || len(snap.Orphans) != len(snap.OrphanAts) {
-		return false, BatchInfo{}, fmt.Errorf("serve: migrate of %d/%d items with %d/%d deadlines",
-			len(snap.Items), len(snap.Deadlines), len(snap.Orphans), len(snap.OrphanAts))
+		return false, BatchInfo{}, fmt.Errorf("serve: %v of %d/%d items with %d/%d deadlines",
+			kind, len(snap.Items), len(snap.Deadlines), len(snap.Orphans), len(snap.OrphanAts))
 	}
 	for _, set := range [][]core.Item{snap.Items, snap.Orphans} {
 		for i := range set {
@@ -396,7 +384,7 @@ func (s *Service) MigrateCell(ctx context.Context, cellID int, cell geom.Box, sn
 				return false, BatchInfo{}, err
 			}
 			if !cell.ContainsHalfOpen(set[i].P) {
-				return false, BatchInfo{}, fmt.Errorf("serve: migrate item %d outside cell %d", set[i].ID, cellID)
+				return false, BatchInfo{}, fmt.Errorf("serve: %v item %d outside cell %d", kind, set[i].ID, cellID)
 			}
 		}
 	}
@@ -405,12 +393,7 @@ func (s *Service) MigrateCell(ctx context.Context, cellID int, cell geom.Box, sn
 			return false, BatchInfo{}, err
 		}
 	}
-	rep, err := s.submit(ctx, &request{
-		kind: KindMigrateCell, k: cellID, box: cell,
-		items: snap.Items, deadlines: snap.Deadlines,
-		orphans: snap.Orphans, orphanAts: snap.OrphanAts,
-		ops: ops,
-	})
+	rep, err := s.submit(ctx, &request{kind: kind, k: cellID, box: cell, snap: &snap, ops: ops})
 	return rep.changed, rep.info, err
 }
 

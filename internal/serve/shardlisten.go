@@ -224,11 +224,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		return shard.Pong{Ready: ready, Size: sl.svc.TreeSize(), Synced: synced, SyncGen: gen}
 
 	case shard.KNNReq:
-		results := make([][]heapx.Candidate, len(req.Points))
-		err := sl.scatter(len(req.Points), func(i int) error {
-			cands, _, err := sl.svc.KNNCandidates(ctx, req.Points[i], req.K)
-			results[i] = cands
-			return err
+		results, err := scatter(len(req.Points), func(i int) ([]heapx.Candidate, error) {
+			return dropInfo(sl.svc.KNNCandidates(ctx, req.Points[i], req.K))
 		})
 		if err != nil {
 			return remoteError(err)
@@ -236,11 +233,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		return shard.KNNResp{Results: results}
 
 	case shard.RangeReq:
-		results := make([][]core.Item, len(req.Boxes))
-		err := sl.scatter(len(req.Boxes), func(i int) error {
-			items, _, err := sl.svc.Range(ctx, req.Boxes[i])
-			results[i] = items
-			return err
+		results, err := scatter(len(req.Boxes), func(i int) ([]core.Item, error) {
+			return dropInfo(sl.svc.Range(ctx, req.Boxes[i]))
 		})
 		if err != nil {
 			return remoteError(err)
@@ -253,13 +247,11 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		// may receive an item both from the live stream and from a restored
 		// peer snapshot. InsertUnique/ignore-absent-Delete make the second
 		// application a no-op, so the race cannot double-apply.
-		err := sl.scatter(len(req.Items), func(i int) error {
+		_, err := scatter(len(req.Items), func(i int) (BatchInfo, error) {
 			if req.Delete {
-				_, err := sl.svc.Delete(ctx, req.Items[i])
-				return err
+				return sl.svc.Delete(ctx, req.Items[i])
 			}
-			_, err := sl.svc.InsertUnique(ctx, req.Items[i])
-			return err
+			return sl.svc.InsertUnique(ctx, req.Items[i])
 		})
 		if err != nil {
 			// Refused in whole or in part: the error response means "not
@@ -269,11 +261,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		return shard.UpdateResp{Applied: len(req.Items)}
 
 	case shard.JoinReq:
-		results := make([][]core.Item, len(req.Points))
-		err := sl.scatter(len(req.Points), func(i int) error {
-			items, _, err := sl.svc.Join(ctx, req.Points[i], req.Radius)
-			results[i] = items
-			return err
+		results, err := scatter(len(req.Points), func(i int) ([]core.Item, error) {
+			return dropInfo(sl.svc.Join(ctx, req.Points[i], req.Radius))
 		})
 		if err != nil {
 			return remoteError(err)
@@ -281,11 +270,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		return shard.RangeResp{Results: results}
 
 	case shard.AggReq:
-		results := make([]core.BoxAggregate, len(req.Boxes))
-		err := sl.scatter(len(req.Boxes), func(i int) error {
-			agg, _, err := sl.svc.Aggregate(ctx, req.Boxes[i])
-			results[i] = agg
-			return err
+		results, err := scatter(len(req.Boxes), func(i int) (core.BoxAggregate, error) {
+			return dropInfo(sl.svc.Aggregate(ctx, req.Boxes[i]))
 		})
 		if err != nil {
 			return remoteError(err)
@@ -296,9 +282,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		if len(req.ExpireAts) != len(req.Items) {
 			return &shard.RemoteError{Code: shard.CodeBadRequest, Msg: "ingest deadline count mismatch"}
 		}
-		err := sl.scatter(len(req.Items), func(i int) error {
-			_, err := sl.svc.IngestUnique(ctx, req.Items[i], req.ExpireAts[i])
-			return err
+		_, err := scatter(len(req.Items), func(i int) (BatchInfo, error) {
+			return sl.svc.IngestUnique(ctx, req.Items[i], req.ExpireAts[i])
 		})
 		if err != nil {
 			return remoteError(err)
@@ -428,11 +413,8 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		// about the *complete* cell contents, which a recovering or
 		// rebuilding shard cannot make. The anti-entropy sweep and the
 		// rebuilder both only ask replicas whose pong is Ready and Synced.
-		sums := make([]shard.CellChecksum, len(req.Cells))
-		err := sl.scatter(len(req.Cells), func(i int) error {
-			csum, _, err := sl.svc.ChecksumCell(ctx, req.Cells[i], req.Boxes[i])
-			sums[i] = csum
-			return err
+		sums, err := scatter(len(req.Cells), func(i int) (shard.CellChecksum, error) {
+			return dropInfo(sl.svc.ChecksumCell(ctx, req.Cells[i], req.Boxes[i]))
 		})
 		if err != nil {
 			return remoteError(err)
@@ -483,23 +465,31 @@ func (sl *ShardListener) syncState() (bool, uint64) {
 }
 
 // scatter runs n sub-operations concurrently (so they coalesce in the
-// Service like independent requests) and returns the first error.
-func (sl *ShardListener) scatter(n int, op func(i int) error) error {
+// Service like independent requests) and returns their results in order,
+// with every error joined.
+func scatter[T any](n int, op func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
 	if n == 1 {
-		return op(0) // the router's common case: no goroutine overhead
+		var err error
+		out[0], err = op(0) // the router's common case: no goroutine overhead
+		return out, err
 	}
 	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			errs[i] = op(i)
-		}(i)
+			out[i], errs[i] = op(i)
+		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return out, errors.Join(errs...)
 }
+
+// dropInfo keeps a Service call's answer and error, dropping the batch
+// info the wire does not carry.
+func dropInfo[T any](v T, _ BatchInfo, err error) (T, error) { return v, err }
 
 // remoteError maps a Service error to the wire error taxonomy: transient
 // load/fault conditions are retryable CodeUnavailable, shard-side bugs are

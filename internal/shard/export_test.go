@@ -31,3 +31,7 @@ func (r *Router) SetLastCountsForTest(counts []CellCount, epoch uint64) {
 func encodePayload(reqID uint64, m any, dim int) []byte {
 	return EncodeFrame(reqID, m, dim)[frameHeader:]
 }
+
+// FailsForTest returns a shard's consecutive transport-failure count, the
+// counter FailThreshold judges health by.
+func (r *Router) FailsForTest(shard int) int32 { return r.shards[shard].fails.Load() }

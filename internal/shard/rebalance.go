@@ -192,56 +192,28 @@ func (r *Router) CellCounts(ctx context.Context) []CellCount {
 // refreshes rb.lastCounts on success.
 func (r *Router) sampleCellCounts(ctx context.Context, lay *layout) ([]CellCount, error) {
 	n := lay.pl.NumCells()
-	acting := make([]int, n)
 	perShard := map[int][]int{}
 	for cell := 0; cell < n; cell++ {
-		acting[cell] = -1
+		acting := -1
 		for _, rep := range lay.pl.Replicas(cell) {
 			if r.eligible(r.shards[rep]) {
-				acting[cell] = rep
+				acting = rep
 				break
 			}
 		}
-		if acting[cell] < 0 {
+		if acting < 0 {
 			return nil, fmt.Errorf("%w: cell %d has no eligible replica to sample", ErrDegraded, cell)
 		}
-		perShard[acting[cell]] = append(perShard[acting[cell]], cell)
+		perShard[acting] = append(perShard[acting], cell)
 	}
-
-	type probe struct {
-		shard int
-		cells []int
-		sums  []CellChecksum
-		err   error
+	sums, err := r.probeChecksums(ctx, lay, perShard)
+	if err != nil {
+		return nil, err
 	}
-	probes := make([]*probe, 0, len(perShard))
-	for shard, cells := range perShard {
-		probes = append(probes, &probe{shard: shard, cells: cells})
-	}
-	var wg sync.WaitGroup
-	for _, p := range probes {
-		wg.Add(1)
-		r.m.shardCalls.Add(1)
-		go func(p *probe) {
-			defer wg.Done()
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-			defer cancel()
-			boxes := make([]geom.Box, len(p.cells))
-			for i, c := range p.cells {
-				boxes[i] = lay.part.Cell(c)
-			}
-			p.sums, p.err = r.shards[p.shard].client.CellChecksums(cctx, p.cells, boxes)
-		}(p)
-	}
-	wg.Wait()
-
 	out := make([]CellCount, n)
-	for _, p := range probes {
-		if p.err != nil {
-			return nil, p.err
-		}
-		for i, c := range p.cells {
-			out[c] = CellCount{Cell: c, Shard: p.shard, Count: p.sums[i].Count}
+	for shard, cells := range perShard {
+		for i, c := range cells {
+			out[c] = CellCount{Cell: c, Shard: shard, Count: sums[shard][i].Count}
 		}
 	}
 	r.rb.mu.Lock()

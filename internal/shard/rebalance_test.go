@@ -653,3 +653,46 @@ func TestCellCountsStaleEpochDropped(t *testing.T) {
 		t.Fatalf("stale-epoch fallback: got %v, want the mismatched cache dropped", got)
 	}
 }
+
+// TestCellCountsProbeFailureCountsAgainstHealth: a per-cell count sample is
+// a shard call like any other, so a transport failure during it raises the
+// shard's failure count (the health signal) instead of vanishing.
+func TestCellCountsProbeFailureCountsAgainstHealth(t *testing.T) {
+	const dim = 2
+	part, err := shard.NewUniformPartition(dim, 2, unitBox())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster := []*testShard{
+		startShard(t, dim, 1, "", "127.0.0.1:0"),
+		startShard(t, dim, 2, "", "127.0.0.1:0"),
+	}
+	defer func() {
+		for _, s := range cluster {
+			s.stop()
+		}
+	}()
+	router, err := shard.NewRouter(part, []string{cluster[0].addr, cluster[1].addr}, shard.Config{
+		Timeout:       time.Second,
+		ProbeInterval: time.Hour,
+		FailThreshold: 100,
+		Replication:   1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer router.Close()
+	ctx := context.Background()
+	if got := router.CellCounts(ctx); len(got) != 2 {
+		t.Fatalf("healthy sample: got %v, want 2 cells", got)
+	}
+
+	_ = cluster[1].ln.Close()
+	router.CellCounts(ctx)
+	if got := router.FailsForTest(1); got != 1 {
+		t.Fatalf("shard 1 failure count %d after a failed count sample, want 1", got)
+	}
+	if got := router.FailsForTest(0); got != 0 {
+		t.Fatalf("shard 0 failure count %d, want 0 (its sample succeeded)", got)
+	}
+}

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -16,8 +15,8 @@ import (
 // torn tail on one copy — would serve wrong answers forever. The sweep
 // closes that hole: every SweepInterval the router asks every eligible
 // replica of every cell for a cell checksum (count + order-independent
-// digest over the cell's full replicated state, computed shard-side in one
-// metered read round) and compares the copies.
+// digest over the cell's full replicated state, hashed shard-side from one
+// metered snapshot-cell read) and compares the copies.
 //
 // A mismatch is never judged from one sample. Divergence observed in the
 // first sample is re-sampled after SweepSettle, and only replicas whose
@@ -142,42 +141,53 @@ func (r *Router) sampleChecksums(lay *layout, cells []int) map[int]map[int]CellC
 			}
 		}
 	}
+	sums, _ := r.probeChecksums(context.Background(), lay, byShard)
 	out := map[int]map[int]CellChecksum{}
+	for rep, shardSums := range sums {
+		for i, cell := range byShard[rep] {
+			if out[cell] == nil {
+				out[cell] = map[int]CellChecksum{}
+			}
+			out[cell][rep] = shardSums[i]
+		}
+	}
+	return out
+}
+
+// probeChecksums asks each shard in byShard for the checksums of its listed
+// cells: one CellChecksums call per shard, all in parallel, each through
+// callShard so a probe counts for or against the shard's health like any
+// other call. It returns the answering shards' sums (parallel to their
+// cells) and one of the failed calls' errors, if any failed.
+func (r *Router) probeChecksums(ctx context.Context, lay *layout, byShard map[int][]int) (map[int][]CellChecksum, error) {
+	out := map[int][]CellChecksum{}
+	var firstErr error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for rep, shardCells := range byShard {
+	for rep, cells := range byShard {
 		wg.Add(1)
-		go func(rep int, shardCells []int) {
+		go func() {
 			defer wg.Done()
-			sh := r.shards[rep]
-			boxes := make([]geom.Box, len(shardCells))
-			for i, cell := range shardCells {
+			boxes := make([]geom.Box, len(cells))
+			for i, cell := range cells {
 				boxes[i] = lay.part.Cell(cell)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
-			defer cancel()
-			r.m.shardCalls.Add(1)
-			sums, err := sh.client.CellChecksums(ctx, shardCells, boxes)
-			if err != nil {
-				var re *RemoteError
-				if !errors.As(err, &re) {
-					r.noteFailure(sh)
-				}
-				return
-			}
-			sh.fails.Store(0)
+			sh := r.shards[rep]
+			v, err := r.callShard(ctx, sh, func(cctx context.Context) (any, error) {
+				return sh.client.CellChecksums(cctx, cells, boxes)
+			})
 			mu.Lock()
 			defer mu.Unlock()
-			for i, cell := range shardCells {
-				if out[cell] == nil {
-					out[cell] = map[int]CellChecksum{}
-				}
-				out[cell][rep] = sums[i]
+			switch {
+			case err == nil:
+				out[rep] = v.([]CellChecksum)
+			case firstErr == nil:
+				firstErr = err
 			}
-		}(rep, shardCells)
+		}()
 	}
 	wg.Wait()
-	return out
+	return out, firstErr
 }
 
 // checksumsAgree reports whether all sampled replicas of a cell answered
