@@ -1,9 +1,10 @@
 // Command pimkd-server exposes a PIM-kd-tree over HTTP through the
 // batch-coalescing service layer (internal/serve): concurrent singleton
 // requests are admitted with backpressure, coalesced into homogeneous
-// batches of up to -max-batch requests (or after -linger), executed against
-// the cost-metered PIM machine with update batches serialized into their
-// own epochs, and answered with per-batch PIM-Model cost attribution.
+// batches of up to -max-batch requests (sealed as soon as the executor is
+// free, or after -linger while it is busy), executed against the
+// cost-metered PIM machine with update batches serialized into their own
+// epochs, and answered with per-batch PIM-Model cost attribution.
 //
 //	pimkd-server -addr :8080 -n 100000 -dim 2 -p 64 -seed 1
 //
@@ -104,7 +105,7 @@ func main() {
 		leaf     = flag.Int("leaf", 8, "leaf bucket capacity")
 		seed     = flag.Int64("seed", 1, "seed for dataset, tree, and service randomness")
 		maxBatch = flag.Int("max-batch", 256, "coalescing batch cap S")
-		linger   = flag.Duration("linger", 2*time.Millisecond, "max linger before a partial batch is sealed")
+		linger   = flag.Duration("linger", 2*time.Millisecond, "max linger of a partial batch while the executor is busy (an idle executor seals at once)")
 		pending  = flag.Int("max-pending", 0, "admission limit (0 = 4·max-batch)")
 		traceCap = flag.Int("trace-cap", 0, "round-trace ring capacity; > 0 enables /tracez")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

@@ -1,12 +1,15 @@
 package persist
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"pimkd/internal/core"
 	"pimkd/internal/pim"
@@ -384,6 +387,75 @@ func TestSnapshotWriteIsAtomic(t *testing.T) {
 	}
 	if _, err := ReadSnapshotFile(path); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSnapshotFileBytesMatchEncode(t *testing.T) {
+	// WriteSnapshotFile streams the encoding EncodeSnapshot returns whole;
+	// the two must produce the same bytes for every shape of point set.
+	tree, _ := buildTree(t, 700, 3, 8)
+	meta := SnapshotMeta{Kind: KindCore, Dim: 2, LeafSize: 8, Seed: 5, P: 8, CacheM: 1 << 20, AppliedLSN: 9, CreatedUnixNano: 77}
+	cases := []struct {
+		name string
+		snap Snapshot
+	}{
+		{"empty", Snapshot{Meta: meta}},
+		{"one", Snapshot{Meta: meta, Items: testItems(1, 2, 3)}},
+		{"thousand", Snapshot{Meta: meta, Items: testItems(1000, 2, 4)}},
+		{"core", CoreSnapshot(tree, 41, 1234)},
+	}
+	dir := t.TempDir()
+	for _, c := range cases {
+		want := EncodeSnapshot(c.snap)
+		if len(want) != snapshotSize(c.snap.Meta.Dim, len(c.snap.Items)) {
+			t.Fatalf("%s: encoded %d bytes, want %d", c.name, len(want), snapshotSize(c.snap.Meta.Dim, len(c.snap.Items)))
+		}
+		path := filepath.Join(dir, c.name+".pimkd")
+		n, err := WriteSnapshotFile(path, c.snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != int64(len(got)) || !bytes.Equal(got, want) {
+			t.Fatalf("%s: file holds %d bytes (reported %d) that differ from the %d encoded", c.name, len(got), n, len(want))
+		}
+		dec, err := DecodeSnapshot(got)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if len(dec.Items) != len(c.snap.Items) || (len(dec.Items) > 0 && !reflect.DeepEqual(dec.Items, c.snap.Items)) {
+			t.Fatalf("%s: items differ after a file round trip", c.name)
+		}
+	}
+}
+
+func TestCheckpointAllocsItemCopy(t *testing.T) {
+	// A checkpoint copies the tree's items once; the encoding streams to
+	// the file, so everything else it allocates is small beside that copy.
+	const n = 1 << 16
+	tree, _ := buildTree(t, n, 2, 8)
+	st, _, _, err := Open(t.TempDir(), Options{Machine: pim.NewMachine(8, 1<<20), Tree: core.Config{Dim: 2, Seed: 42, LeafSize: 8}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Checkpoint(tree); err != nil { // warm-up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := st.Checkpoint(tree); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc - before.TotalAlloc)
+	itemCopy := float64(n * unsafe.Sizeof(core.Item{}))
+	t.Logf("a %d-item checkpoint allocates %.0f B; its item copy is %.0f B", n, alloc, itemCopy)
+	if alloc > 1.2*itemCopy {
+		t.Fatalf("a %d-item checkpoint allocates %.0f B, more than 1.2× its %.0f B item copy", n, alloc, itemCopy)
 	}
 }
 

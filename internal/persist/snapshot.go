@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -110,11 +113,73 @@ func decodeItem(data []byte, dim int) core.Item {
 	return it
 }
 
-func appendSection(buf []byte, tag string, payload []byte) []byte {
-	buf = append(buf, tag...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+// snapWriter streams a snapshot's sections to w, keeping a running CRC of
+// the current section's payload and the first write error.
+type snapWriter struct {
+	w   io.Writer
+	n   int64
+	err error
+	crc uint32
+	buf []byte // section header/trailer and PNTS chunk scratch
+}
+
+// chunkBytes is how much of the PNTS payload is encoded before it is
+// written and folded into the CRC.
+const chunkBytes = 4 << 10
+
+func (sw *snapWriter) write(p []byte) {
+	if sw.err != nil {
+		return
+	}
+	k, err := sw.w.Write(p)
+	sw.n += int64(k)
+	sw.err = err
+}
+
+// payload writes part of the current section's payload.
+func (sw *snapWriter) payload(p []byte) {
+	sw.crc = crc32.Update(sw.crc, crc32.IEEETable, p)
+	sw.write(p)
+}
+
+// section writes one section: tag, payload length, the payload that body
+// streams through payload, and the payload's CRC.
+func (sw *snapWriter) section(tag string, length int, body func()) {
+	sw.buf = binary.LittleEndian.AppendUint64(append(sw.buf[:0], tag...), uint64(length))
+	sw.write(sw.buf)
+	sw.crc = 0
+	body()
+	sw.write(binary.LittleEndian.AppendUint32(sw.buf[:0], sw.crc))
+}
+
+// snapshotSize is the encoded size of a snapshot of n items in dimension
+// dim: magic, version, and the META, PNTS and DONE sections with their
+// 16 bytes of framing each.
+func snapshotSize(dim, n int) int {
+	return len(snapMagic) + 4 + 3*16 + metaPayloadSize + n*itemSize(dim)
+}
+
+// writeSnapshot streams snap to w in the version-1 format and returns the
+// bytes written. The point set is encoded a chunk at a time under a running
+// CRC, never as one payload.
+func writeSnapshot(w io.Writer, snap Snapshot) (int64, error) {
+	snap.Meta.N = len(snap.Items)
+	sw := &snapWriter{w: w, buf: make([]byte, 0, chunkBytes+itemSize(snap.Meta.Dim))}
+	sw.write(binary.LittleEndian.AppendUint32(append(sw.buf, snapMagic...), snapVersion))
+	meta := encodeMeta(snap.Meta)
+	sw.section("META", len(meta), func() { sw.payload(meta) })
+	sw.section("PNTS", len(snap.Items)*itemSize(snap.Meta.Dim), func() {
+		chunk := sw.buf[:0]
+		for _, it := range snap.Items {
+			if chunk = appendItem(chunk, it); len(chunk) >= chunkBytes {
+				sw.payload(chunk)
+				chunk = chunk[:0]
+			}
+		}
+		sw.payload(chunk)
+	})
+	sw.section("DONE", 0, func() {})
+	return sw.n, sw.err
 }
 
 func encodeMeta(m SnapshotMeta) []byte {
@@ -175,20 +240,13 @@ func decodeMeta(payload []byte) (SnapshotMeta, error) {
 	return m, nil
 }
 
-// EncodeSnapshot serializes snap to the version-1 binary format.
+// EncodeSnapshot serializes snap to the version-1 binary format: the bytes
+// WriteSnapshotFile writes.
 func EncodeSnapshot(snap Snapshot) []byte {
-	dim := snap.Meta.Dim
-	snap.Meta.N = len(snap.Items)
-	buf := make([]byte, 0, 8+4+16*3+metaPayloadSize+len(snap.Items)*itemSize(dim)+64)
-	buf = append(buf, snapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, snapVersion)
-	buf = appendSection(buf, "META", encodeMeta(snap.Meta))
-	pts := make([]byte, 0, len(snap.Items)*itemSize(dim))
-	for _, it := range snap.Items {
-		pts = appendItem(pts, it)
-	}
-	buf = appendSection(buf, "PNTS", pts)
-	return appendSection(buf, "DONE", nil)
+	var buf bytes.Buffer
+	buf.Grow(snapshotSize(snap.Meta.Dim, len(snap.Items)))
+	_, _ = writeSnapshot(&buf, snap) // a bytes.Buffer write never fails
+	return buf.Bytes()
 }
 
 // DecodeSnapshot parses a version-1 snapshot. Every structural violation —
@@ -263,15 +321,21 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 
 // WriteSnapshotFile atomically writes snap to path: the bytes go to a
 // temporary sibling first, are fsync'd, and are renamed into place, so a
-// crash mid-write can never destroy an existing valid snapshot.
+// crash mid-write can never destroy an existing valid snapshot. The
+// encoding streams through a small write buffer, so a checkpoint holds no
+// copy of the file in memory.
 func WriteSnapshotFile(path string, snap Snapshot) (int64, error) {
-	data := EncodeSnapshot(snap)
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return 0, err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
+	bw := bufio.NewWriterSize(tmp, 64<<10)
+	n, err := writeSnapshot(bw, snap)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		tmp.Close()
 		return 0, err
 	}
@@ -286,7 +350,7 @@ func WriteSnapshotFile(path string, snap Snapshot) (int64, error) {
 		return 0, err
 	}
 	syncDir(filepath.Dir(path))
-	return int64(len(data)), nil
+	return n, nil
 }
 
 // ReadSnapshotFile reads and decodes one snapshot file.

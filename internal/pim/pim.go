@@ -188,6 +188,9 @@ type Machine struct {
 	// mods is the identity module list 0..P-1 that every OnModules round
 	// runs.
 	mods []int
+	// buf is the round scratch the machine lends to one round at a time
+	// (see roundBuf); nil while a round holds it.
+	buf atomic.Pointer[roundBuf]
 
 	// obs is the round observer; nil (the default) keeps rounds unobserved
 	// at the cost of a single atomic load per BeginRound.
@@ -311,16 +314,29 @@ type Snapshot struct {
 
 // Sub returns s - o field by field, including the per-module vectors.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
-	d := Snapshot{
-		Stats:      s.Stats.Sub(o.Stats),
-		ModuleWork: make([]int64, len(s.ModuleWork)),
-		ModuleComm: make([]int64, len(s.ModuleComm)),
-	}
-	for i := range s.ModuleWork {
-		d.ModuleWork[i] = s.ModuleWork[i] - o.ModuleWork[i]
-		d.ModuleComm[i] = s.ModuleComm[i] - o.ModuleComm[i]
-	}
+	var d Snapshot
+	s.SubInto(o, &d)
 	return d
+}
+
+// SubInto stores s - o in dst, reusing dst's vectors when they are long
+// enough. dst may be s itself.
+func (s Snapshot) SubInto(o Snapshot, dst *Snapshot) {
+	dst.Stats = s.Stats.Sub(o.Stats)
+	dst.ModuleWork = resize(dst.ModuleWork, len(s.ModuleWork))
+	dst.ModuleComm = resize(dst.ModuleComm, len(s.ModuleComm))
+	for i := range s.ModuleWork {
+		dst.ModuleWork[i] = s.ModuleWork[i] - o.ModuleWork[i]
+		dst.ModuleComm[i] = s.ModuleComm[i] - o.ModuleComm[i]
+	}
+}
+
+// resize returns v with length n, reusing its backing array when it fits.
+func resize(v []int64, n int) []int64 {
+	if cap(v) < n {
+		return make([]int64, n)
+	}
+	return v[:n]
 }
 
 // SnapshotStats returns a copy of every meter — the scalar totals plus the
@@ -329,16 +345,22 @@ func (s Snapshot) Sub(o Snapshot) Snapshot {
 // in flight (between rounds), which is how the serving scheduler and the
 // experiment harness use it.
 func (m *Machine) SnapshotStats() Snapshot {
-	s := Snapshot{
-		Stats:      m.Stats(),
-		ModuleWork: make([]int64, m.p),
-		ModuleComm: make([]int64, m.p),
-	}
-	for i := 0; i < m.p; i++ {
-		s.ModuleWork[i] = m.moduleWork[i].Load()
-		s.ModuleComm[i] = m.moduleComm[i].Load()
-	}
+	var s Snapshot
+	m.SnapshotStatsInto(&s)
 	return s
+}
+
+// SnapshotStatsInto is SnapshotStats filling dst in place, reusing its
+// vectors when they are long enough, so a caller that brackets every
+// operation with two snapshots allocates nothing per operation.
+func (m *Machine) SnapshotStatsInto(dst *Snapshot) {
+	dst.Stats = m.Stats()
+	dst.ModuleWork = resize(dst.ModuleWork, m.p)
+	dst.ModuleComm = resize(dst.ModuleComm, m.p)
+	for i := 0; i < m.p; i++ {
+		dst.ModuleWork[i] = m.moduleWork[i].Load()
+		dst.ModuleComm[i] = m.moduleComm[i].Load()
+	}
 }
 
 // ResetStats zeroes all meters (global and per-module).
@@ -378,6 +400,15 @@ type Round struct {
 	modComm  []atomic.Int64
 	finished bool
 
+	// buf is the scratch this round took from its machine: modWork and
+	// modComm are its meters, and its module run serves runModules while
+	// runBusy is unset. abandoned marks a round whose module run missed its
+	// deadline: its programs may still be writing into buf, so Finish does
+	// not give buf back.
+	buf       *roundBuf
+	runBusy   atomic.Bool
+	abandoned bool
+
 	// seq is the round's machine-wide sequence number; inj is the fault
 	// injector captured at BeginRound (nil when injection is disabled or
 	// the round belongs to a recovery handler).
@@ -397,12 +428,38 @@ type Round struct {
 	metered Stats
 }
 
+// roundBuf is the scratch one round needs whatever its width: P work and
+// P communication meters and one module run with its slots. A machine lends
+// its buffer to one round at a time (BeginRound takes it, Finish gives it
+// back), so a round costs the same garbage however few operations share it;
+// a round that finds the buffer lent out — a round begun inside another's
+// recovery handler, say — gets a fresh one.
+type roundBuf struct {
+	modWork []atomic.Int64
+	modComm []atomic.Int64
+	run     moduleRun
+}
+
+func newRoundBuf(p int) *roundBuf {
+	b := &roundBuf{modWork: make([]atomic.Int64, p), modComm: make([]atomic.Int64, p)}
+	b.run.loop = b.run.work
+	return b
+}
+
 // BeginRound starts a BSP round.
 func (m *Machine) BeginRound() *Round {
+	buf := m.buf.Swap(nil)
+	if buf == nil {
+		buf = newRoundBuf(m.p)
+	} else {
+		clear(buf.modWork)
+		clear(buf.modComm)
+	}
 	r := &Round{
 		m:       m,
-		modWork: make([]atomic.Int64, m.p),
-		modComm: make([]atomic.Int64, m.p),
+		modWork: buf.modWork,
+		modComm: buf.modComm,
+		buf:     buf,
 		seq:     m.seq.Add(1),
 	}
 	if m.recDepth.Load() == 0 {
@@ -549,12 +606,38 @@ type moduleSlot struct {
 }
 
 // moduleRun is one runModules call: the slots its workers claim in order
-// through next.
+// through next. loop is the run's work method as one func value, made once,
+// so starting a worker allocates no closure.
 type moduleRun struct {
 	fn    func(ctx *ModuleCtx)
 	slots []moduleSlot
 	next  atomic.Int64
 	wg    sync.WaitGroup
+	loop  func()
+}
+
+// startRun readies a module run for mods: the round buffer's own run, or a
+// fresh one when another runModules of this round holds it — including a
+// run that missed its deadline and was left to its stragglers.
+func (r *Round) startRun(mods []int, fn func(ctx *ModuleCtx)) *moduleRun {
+	run := &r.buf.run
+	if !r.runBusy.CompareAndSwap(false, true) {
+		run = &moduleRun{}
+		run.loop = run.work
+	}
+	if cap(run.slots) < len(mods) {
+		run.slots = make([]moduleSlot, len(mods))
+	}
+	run.fn = fn
+	run.slots = run.slots[:len(mods)]
+	run.next.Store(0)
+	for i, mod := range mods {
+		s := &run.slots[i]
+		s.ctx = ModuleCtx{r: r, mod: mod}
+		s.fault = nil
+		s.state.Store(slotIdle)
+	}
+	return run
 }
 
 // runModules is the shared fault-containing executor behind OnModules and
@@ -563,15 +646,11 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 	if len(mods) == 0 {
 		return
 	}
-	run := &moduleRun{fn: fn, slots: make([]moduleSlot, len(mods))}
-	for i, mod := range mods {
-		run.slots[i].ctx = ModuleCtx{r: r, mod: mod}
-	}
+	run := r.startRun(mods, fn)
 	workers := min(runtime.GOMAXPROCS(0), len(mods))
 	run.wg.Add(workers)
-	work := run.work // one func value for all workers, not a closure each
 	for w := 0; w < workers; w++ {
-		go work()
+		go run.loop()
 	}
 
 	if d := time.Duration(r.m.deadline.Load()); d > 0 {
@@ -583,6 +662,9 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 		case <-done:
 		case <-timer.C:
 			if stragglers := run.cancel(); len(stragglers) > 0 {
+				// The stragglers keep running and writing into this round's
+				// buffer, so it is never lent again.
+				r.abandoned = true
 				r.m.containedFaults.Add(1)
 				panic(&RoundTimeout{Round: r.seq, Deadline: d, Stragglers: stragglers})
 			}
@@ -593,11 +675,19 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 		run.wg.Wait()
 	}
 
+	var fault *ModuleFault
 	for i := range run.slots {
-		if f := run.slots[i].fault; f != nil {
-			r.m.containedFaults.Add(1)
-			panic(f)
+		if fault = run.slots[i].fault; fault != nil {
+			break
 		}
+	}
+	run.fn = nil
+	if run == &r.buf.run {
+		r.runBusy.Store(false)
+	}
+	if fault != nil {
+		r.m.containedFaults.Add(1)
+		panic(fault)
 	}
 }
 
@@ -644,7 +734,7 @@ func (run *moduleRun) runSlot(s *moduleSlot) {
 func (run *moduleRun) spare() {
 	if run.next.Load() < int64(len(run.slots)) {
 		run.wg.Add(1) // the calling worker's count is still held
-		go run.work()
+		go run.loop()
 	}
 }
 
@@ -712,7 +802,9 @@ func (run *moduleRun) runModule(ctx *ModuleCtx) *ModuleFault {
 // counter advances. A logical round that moves more data than the CPU
 // cache holds costs extra bulk-synchronous rounds to flush the buffered
 // messages — the Ω(c/M + s) round law of the model (§7 of the paper).
-// Finish is idempotent.
+// Finish gives the round's scratch back to the machine for the next round,
+// unless a module run of this round missed its deadline. Finish is
+// idempotent; nothing may meter on the round after it.
 func (r *Round) Finish() {
 	if r.finished {
 		return
@@ -749,6 +841,9 @@ func (r *Round) Finish() {
 	}
 	if r.obs != nil {
 		r.emit(1 + extra)
+	}
+	if !r.abandoned {
+		r.m.buf.Store(r.buf)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,5 +176,108 @@ func TestSubDeadlineStallsOverlap(t *testing.T) {
 		if !ran[mod].Load() {
 			t.Fatalf("module %d's program never ran", mod)
 		}
+	}
+}
+
+func TestRoundBufferNotReusedAfterTimeout(t *testing.T) {
+	const k = 7
+	program := func(ctx *ModuleCtx) {
+		ctx.Work(int64(ctx.ID() + 1))
+		ctx.Transfer(int64(ctx.ID()%3 + 1))
+	}
+	fresh := NewMachine(runnerP, 1<<20)
+	want := fresh.BeginRound()
+	want.OnModules(program)
+	want.Finish()
+
+	// Round 1 misses its deadline with module k's program still running.
+	// The program outlives the round and meters into it during round 2: a
+	// machine that lent round 1's buffer again would count those words and
+	// that work in round 2.
+	m := NewMachine(runnerP, 1<<20)
+	m.SetRoundDeadline(20 * time.Millisecond)
+	release, wrote := make(chan struct{}), make(chan struct{})
+	r1 := m.BeginRound()
+	err := recoverFault(t, func() {
+		r1.OnModules(func(ctx *ModuleCtx) {
+			if ctx.ID() == k {
+				<-release
+				ctx.Work(1000)
+				ctx.Transfer(1000)
+				close(wrote)
+			}
+		})
+	})
+	var rt *RoundTimeout
+	if !errors.As(err, &rt) {
+		t.Fatalf("round 1: expected *RoundTimeout, got %v", err)
+	}
+	r1.Finish()
+
+	r2 := m.BeginRound()
+	r2.OnModules(func(ctx *ModuleCtx) {
+		if ctx.ID() == k {
+			close(release)
+			<-wrote
+		}
+		program(ctx)
+	})
+	r2.Finish()
+	if got := r2.Metered(); got != want.Metered() {
+		t.Fatalf("round after a timeout metered %+v, a fresh machine %+v", got, want.Metered())
+	}
+}
+
+func TestRoundBufferConcurrentRounds(t *testing.T) {
+	// Rounds driven from several goroutines at once each take their own
+	// buffer: no two rounds in flight ever share meters.
+	const (
+		drivers = 4
+		rounds  = 50
+	)
+	m := NewMachine(runnerP, 1<<20)
+	var wg sync.WaitGroup
+	for g := 0; g < drivers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				r := m.BeginRound()
+				r.OnModules(func(ctx *ModuleCtx) { ctx.Work(1); ctx.Transfer(int64(g + 1)) })
+				r.Finish()
+				if got := r.Metered(); got.PIMWork != runnerP || got.Communication != int64(runnerP*(g+1)) {
+					t.Errorf("driver %d round %d metered %+v, want %d work and %d words", g, i, got, runnerP, runnerP*(g+1))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestSnapshotIntoReusesVectors(t *testing.T) {
+	// Bracketing an operation with in-place snapshots gives the same delta
+	// as SnapshotStats and Sub, and allocates nothing once the vectors
+	// exist.
+	m := NewMachine(runnerP, 1<<20)
+	var pre, post Snapshot
+	m.SnapshotStatsInto(&pre)
+	before := m.SnapshotStats()
+	m.RunRound(func(r *Round) {
+		r.OnModules(func(ctx *ModuleCtx) { ctx.Work(int64(ctx.ID())); ctx.Transfer(2) })
+	})
+	m.SnapshotStatsInto(&post)
+	want := m.SnapshotStats().Sub(before)
+	post.SubInto(pre, &post)
+	if !reflect.DeepEqual(post, want) {
+		t.Fatalf("in-place delta %+v, want %+v", post, want)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		m.SnapshotStatsInto(&pre)
+		m.SnapshotStatsInto(&post)
+		post.SubInto(pre, &post)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-place snapshots allocate %.1f times, want 0", allocs)
 	}
 }

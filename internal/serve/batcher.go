@@ -3,13 +3,16 @@ package serve
 import (
 	"context"
 	"math"
+	"runtime"
+	"slices"
 	"time"
 )
 
 // submit is the single admission path: acquire a backpressure token, enqueue
-// the request into its forming batch (sealing on MaxBatch), and wait for the
-// reply. The token is released by the executor when the reply is delivered,
-// bounding admitted-but-unreplied requests at MaxPending.
+// the request into its forming batch (sealing it on MaxBatch, or at once when
+// the executor is idle), and wait for the reply. The token is released by the
+// executor when the reply is delivered, bounding admitted-but-unreplied
+// requests at MaxPending.
 func (s *Service) submit(ctx context.Context, req *request) (reply, error) {
 	// Load shedding: above the high-water mark, fail fast instead of
 	// queueing — a saturated service that keeps admitting work only grows
@@ -49,12 +52,18 @@ func (s *Service) submit(ctx context.Context, req *request) (reply, error) {
 	q.reqs = append(q.reqs, req)
 	if len(q.reqs) == 1 {
 		q.firstEnq = req.enq
+	}
+	switch {
+	case len(q.reqs) >= s.cfg.MaxBatch:
+		s.sealLocked(key, "full")
+	case s.idle:
+		// Nothing is executing, so lingering would only add latency: the
+		// executor's service time, not a timer, sets the batch width.
+		s.sealLocked(key, "idle")
+	case len(q.reqs) == 1:
 		q.gen++
 		gen := q.gen
 		q.timer = time.AfterFunc(s.cfg.MaxLinger, func() { s.sealOnLinger(key, gen) })
-	}
-	if len(q.reqs) >= s.cfg.MaxBatch {
-		s.sealLocked(key, "full")
 	}
 	s.mu.Unlock()
 
@@ -117,9 +126,52 @@ func (s *Service) sealOnLinger(key batchKey, gen uint64) {
 	s.sealLocked(key, "linger")
 }
 
-// sealLocked closes the forming batch for key and hands it to the executor.
-// Callers hold s.mu. The send cannot block: batchCh has capacity MaxPending
-// and every queued batch carries at least one admitted request.
+// sealIdle runs on the executor after each batch. When no sealed batch is
+// waiting it seals every forming batch, oldest first, rather than let them
+// linger behind an executor with nothing to do; it marks the executor idle
+// only when nothing was forming, so the next request seals on arrival.
+//
+// Before it concludes that nothing is forming it yields once: callers the
+// batch just answered, and others that are runnable but have not been
+// scheduled, submit first. Without the yield a host with one core
+// ping-pongs between one caller and the executor and every batch holds
+// one request.
+func (s *Service) sealIdle() {
+	for yielded := false; ; yielded = true {
+		s.mu.Lock()
+		if s.closed || len(s.batchCh) > 0 {
+			s.mu.Unlock()
+			return
+		}
+		if len(s.pending) > 0 {
+			break
+		}
+		if yielded {
+			s.idle = true
+			s.mu.Unlock()
+			return
+		}
+		s.mu.Unlock()
+		runtime.Gosched()
+	}
+	defer s.mu.Unlock()
+	keys := s.sealOrder[:0]
+	for key := range s.pending {
+		keys = append(keys, key)
+	}
+	slices.SortFunc(keys, func(a, b batchKey) int {
+		return s.pending[a].firstEnq.Compare(s.pending[b].firstEnq)
+	})
+	for _, key := range keys {
+		s.sealLocked(key, "idle")
+	}
+	s.sealOrder = keys
+}
+
+// sealLocked closes the forming batch for key and hands it to the executor,
+// which is then busy. Callers hold s.mu. The send cannot block: batchCh has
+// capacity MaxPending and every queued batch carries at least one admitted
+// request.
 func (s *Service) sealLocked(key batchKey, by string) {
 	q := s.pending[key]
 	if q == nil || len(q.reqs) == 0 {
@@ -129,6 +181,7 @@ func (s *Service) sealLocked(key batchKey, by string) {
 		q.timer.Stop()
 	}
 	delete(s.pending, key)
+	s.idle = false
 	s.batchCh <- &batch{
 		key:      key,
 		reqs:     q.reqs,

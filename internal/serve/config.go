@@ -10,9 +10,14 @@
 //
 //   - admission control with backpressure (a bounded number of requests may
 //     be in flight; further submitters block),
-//   - adaptive batch coalescing: requests of the same kind (and, for kNN,
-//     the same k) accumulate until the batch reaches MaxBatch = S or the
-//     oldest request has lingered MaxLinger, whichever comes first,
+//   - executor-driven batch coalescing: requests of the same kind (and,
+//     for kNN, the same k) accumulate while the executor is busy, and
+//     every forming batch is sealed, oldest first, the moment it finishes
+//     a batch with nothing else queued — so service time, not a timer,
+//     sets the batch width. A request that finds the executor idle seals
+//     its batch on arrival. MaxBatch = S caps a batch's size, and
+//     MaxLinger caps how long the oldest request of a batch may wait while
+//     the executor stays busy,
 //   - epoch-based read/write scheduling: batches execute in admission order
 //     on a single executor goroutine that owns the tree; consecutive read
 //     batches share an epoch, while every update batch is serialized into
@@ -40,7 +45,10 @@ type Config struct {
 	// immediately. Default 256.
 	MaxBatch int
 	// MaxLinger bounds how long the oldest request of a forming batch may
-	// wait before the batch is sealed regardless of size. Default 2ms.
+	// wait before the batch is sealed regardless of size. It only comes
+	// into play while the executor is busy: an idle executor seals a batch
+	// on arrival, and a finishing one seals every forming batch. Default
+	// 2ms.
 	MaxLinger time.Duration
 	// MaxPending is the admission limit: at most this many requests may be
 	// admitted and not yet replied to. Further submitters block (the

@@ -17,7 +17,8 @@ import (
 // a query whose batch execution panics must fail with ErrBatchPanic while
 // the executor, the service, and every other batch keep working.
 func TestBatchPanicFailsOnlyAffectedBatch(t *testing.T) {
-	svc, pts := newTestService(t, 512, Config{MaxBatch: 4, MaxLinger: time.Millisecond})
+	// The four kNN requests form one full batch behind the plug.
+	svc, pts := newTestService(t, 512, Config{MaxBatch: 4, MaxLinger: time.Hour})
 	defer svc.Close()
 
 	var once sync.Once
@@ -26,6 +27,7 @@ func TestBatchPanicFailsOnlyAffectedBatch(t *testing.T) {
 			once.Do(func() { panic("poisoned query") })
 		}
 	}
+	unplug := plugExecutor(t, svc)
 
 	// The poisoned batch: every rider fails with ErrBatchPanic.
 	var wg sync.WaitGroup
@@ -37,6 +39,7 @@ func TestBatchPanicFailsOnlyAffectedBatch(t *testing.T) {
 			_, _, errs[i] = svc.KNN(context.Background(), pts[i], 3)
 		}(i)
 	}
+	unplug(1)
 	wg.Wait()
 	for i, err := range errs {
 		if !errors.Is(err, ErrBatchPanic) {
@@ -61,14 +64,16 @@ func TestBatchPanicFailsOnlyAffectedBatch(t *testing.T) {
 // release its admission slot immediately, not hold it until the linger
 // deadline fires.
 func TestCanceledContextReleasesSlot(t *testing.T) {
-	// MaxPending 1: the canceled request's slot is the only slot, so the
-	// follow-up request can only be admitted if cancellation released it.
+	// MaxPending 2: the plug holds one slot and the canceled request's slot
+	// is the only other, so the follow-up request can only be admitted if
+	// cancellation released it.
 	svc, pts := newTestService(t, 512, Config{
 		MaxBatch:   64,
 		MaxLinger:  time.Hour, // batches seal only when full — or at Close
-		MaxPending: 1,
+		MaxPending: 2,
 	})
 	defer svc.Close()
+	plugExecutor(t, svc) // Close releases the plug
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -126,13 +131,14 @@ func TestShedAboveHighWater(t *testing.T) {
 		MaxBatch:       64,
 		MaxLinger:      time.Hour,
 		MaxPending:     8,
-		ShedHighWater:  2,
+		ShedHighWater:  3,
 		ShedRetryAfter: 3 * time.Second,
 	})
 	defer svc.Close()
+	plugExecutor(t, svc) // Close releases the plug
 
-	// Park two requests in a forming batch that will never seal; they hold
-	// two slots, reaching the high-water mark.
+	// Park two requests in a forming batch that will never seal; with the
+	// plug they hold three slots, reaching the high-water mark.
 	var wg sync.WaitGroup
 	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < 2; i++ {
@@ -143,7 +149,7 @@ func TestShedAboveHighWater(t *testing.T) {
 		}(i)
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	for len(svc.tokens) < 2 {
+	for len(svc.tokens) < 3 {
 		if time.Now().After(deadline) {
 			t.Fatal("parked requests never acquired their slots")
 		}
@@ -283,6 +289,7 @@ func TestWriteBatchFaultNotRetried(t *testing.T) {
 // every admitted request still gets a real reply (graceful drain).
 func TestDrainCompletesAdmittedRequests(t *testing.T) {
 	svc, pts := newTestService(t, 512, Config{MaxBatch: 64, MaxLinger: time.Hour})
+	plugExecutor(t, svc) // Close releases the plug
 
 	const inflight = 6
 	var wg sync.WaitGroup

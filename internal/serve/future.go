@@ -131,7 +131,8 @@ type BatchRecord struct {
 	// Linger is the wait of the batch's oldest request until sealing.
 	Linger time.Duration `json:"linger_ns"`
 	// SealedBy is what closed the batch: "full" (reached MaxBatch),
-	// "linger" (deadline), or "flush" (service shutdown).
+	// "idle" (the executor had nothing else to run), "linger" (MaxLinger
+	// passed while the executor was busy), or "flush" (service shutdown).
 	SealedBy string `json:"sealed_by"`
 	// Cost is the PIM-Model stats delta of the batch execution.
 	Cost pim.Stats `json:"cost"`

@@ -49,6 +49,7 @@ type kindAgg struct {
 	maxBatchSize int
 	sealedFull   int64
 	sealedLinger int64
+	sealedIdle   int64
 	sealedFlush  int64
 	sumLinger    time.Duration
 	maxLinger    time.Duration
@@ -130,6 +131,8 @@ func (m *metrics) record(rec BatchRecord) {
 		a.sealedFull++
 	case "linger":
 		a.sealedLinger++
+	case "idle":
+		a.sealedIdle++
 	default:
 		a.sealedFlush++
 	}
@@ -164,6 +167,7 @@ type KindStats struct {
 	MaxBatchSize  int       `json:"max_batch_size"`
 	SealedFull    int64     `json:"sealed_full"`
 	SealedLinger  int64     `json:"sealed_linger"`
+	SealedIdle    int64     `json:"sealed_idle"`
 	SealedFlush   int64     `json:"sealed_flush"`
 	MeanLinger    float64   `json:"mean_linger_us"`
 	MaxLinger     float64   `json:"max_linger_us"`
@@ -259,6 +263,7 @@ func (m *metrics) snapshot(mach pim.Snapshot, cfg Config) MetricsSnapshot {
 			MaxBatchSize: a.maxBatchSize,
 			SealedFull:   a.sealedFull,
 			SealedLinger: a.sealedLinger,
+			SealedIdle:   a.sealedIdle,
 			SealedFlush:  a.sealedFlush,
 			MaxLinger:    float64(a.maxLinger) / float64(time.Microsecond),
 			Cost:         a.cost,

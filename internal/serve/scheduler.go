@@ -23,6 +23,9 @@ import (
 // epoch number, while every write batch closes the current epoch and takes
 // a fresh one of its own, so two requests with the same epoch are
 // guaranteed to have seen the identical tree version.
+//
+// After each batch the executor seals whatever formed while it ran
+// (sealIdle), so the batch width follows its own service time.
 func (s *Service) runExecutor() {
 	defer close(s.done)
 	// Detach the tracer before done is signalled so a caller regaining
@@ -48,6 +51,7 @@ func (s *Service) runExecutor() {
 		}
 		lastWasWrite = write
 		s.execute(b, epoch)
+		s.sealIdle()
 	}
 }
 
@@ -82,7 +86,7 @@ func (s *Service) execute(b *batch, epoch int64) {
 	// caused it.
 	label := fmt.Sprintf(kinds[b.key.kind].label, b.key.k, s.batchSeq)
 	pop := mach.PushLabel(label)
-	pre := mach.SnapshotStats()
+	mach.SnapshotStatsInto(&s.pre)
 	results, err := s.runBatchSafe(b)
 	// Transient machine faults on read-only batches are retried with
 	// doubling backoff: reads have no side effects, so re-execution is
@@ -97,7 +101,9 @@ func (s *Service) execute(b *batch, epoch int64) {
 			results, err = s.runBatchSafe(b)
 		}
 	}
-	delta := mach.SnapshotStats().Sub(pre)
+	mach.SnapshotStatsInto(&s.post)
+	s.post.SubInto(s.pre, &s.post) // post now holds the batch's delta
+	delta := s.post
 	pop()
 
 	rec := BatchRecord{

@@ -14,6 +14,7 @@ import (
 	"pimkd/internal/heapx"
 	"pimkd/internal/hist"
 	"pimkd/internal/persist"
+	"pimkd/internal/pim"
 	"pimkd/internal/shard"
 	"pimkd/internal/trace"
 )
@@ -69,6 +70,11 @@ type Service struct {
 	mu      sync.Mutex
 	pending map[batchKey]*pendingQueue
 	closed  bool
+	// idle is set by the executor when it finished a batch with nothing
+	// sealed or forming; the next submit then seals its batch at once.
+	idle bool
+	// sealOrder is sealIdle's reusable key buffer.
+	sealOrder []batchKey
 
 	// size mirrors the tree's live item count so concurrent readers (the
 	// shard wire listener's pings) never touch the executor-owned tree.
@@ -81,6 +87,9 @@ type Service struct {
 	// batchSeq numbers executed batches for round-label attribution; only
 	// the executor goroutine touches it.
 	batchSeq int64
+	// pre and post are the executor's machine snapshots bracketing each
+	// batch, refilled in place so cost attribution allocates nothing.
+	pre, post pim.Snapshot
 
 	// expiry tracks streaming-ingest entries awaiting their TTL sweep;
 	// executor-only (see expiry.go).
@@ -121,6 +130,7 @@ func New(cfg Config, tree *core.Tree) *Service {
 		batchCh: make(chan *batch, cfg.MaxPending),
 		done:    make(chan struct{}),
 		pending: map[batchKey]*pendingQueue{},
+		idle:    true,
 		metrics: newMetrics(cfg.Seed),
 	}
 	s.size.Store(int64(tree.Size()))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -29,11 +30,72 @@ func newTestService(t testing.TB, n int, cfg Config) (*Service, []geom.Point) {
 	return New(cfg, tree), pts
 }
 
+// plugExecutor makes svc busy, so requests form batches as they do under
+// load instead of sealing on arrival at an idle executor. It submits one
+// aggregate request — a kind no test that plugs uses — and holds that batch
+// in testHookPreBatch until the returned unplug is called or svc closes. A
+// hook the test installed before keeps running for every other batch.
+// unplug(behind) first waits until behind sealed batches queue behind the
+// plug; it is idempotent.
+func plugExecutor(t testing.TB, svc *Service) (unplug func(behind int)) {
+	t.Helper()
+	parked, released := make(chan struct{}), make(chan struct{})
+	prev := svc.testHookPreBatch
+	plugged := false // executor-only
+	svc.testHookPreBatch = func(b *batch) {
+		if b.key.kind == KindAggregate && !plugged {
+			plugged = true
+			close(parked)
+			select {
+			case <-released:
+			case <-svc.closing:
+			}
+			return
+		}
+		if prev != nil {
+			prev(b)
+		}
+	}
+	lo, hi := make(geom.Point, svc.Dim()), make(geom.Point, svc.Dim())
+	for d := range hi {
+		hi[d] = 1
+	}
+	go svc.Aggregate(context.Background(), geom.NewBox(lo, hi))
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the plug batch never reached the executor")
+	}
+	var once sync.Once
+	t.Cleanup(func() { once.Do(func() { close(released) }) })
+	return func(behind int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); len(svc.batchCh) < behind; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%d of %d batches sealed behind the plug", len(svc.batchCh), behind)
+			}
+		}
+		once.Do(func() { close(released) })
+	}
+}
+
+// kindStats returns the per-kind aggregate named kind (zero if none ran).
+func kindStats(snap MetricsSnapshot, kind string) KindStats {
+	for _, ks := range snap.Kinds {
+		if ks.Kind == kind {
+			return ks
+		}
+	}
+	return KindStats{}
+}
+
 func TestFullSeal(t *testing.T) {
 	// With an effectively infinite linger, progress requires the MaxBatch
 	// seal path: 16 concurrent lookups must form two full batches of 8.
+	// The lookups form behind a plugged executor.
 	svc, pts := newTestService(t, 512, Config{MaxBatch: 8, MaxLinger: time.Hour})
 	defer svc.Close()
+	unplug := plugExecutor(t, svc)
 
 	var wg sync.WaitGroup
 	infos := make([]BatchInfo, 16)
@@ -48,29 +110,42 @@ func TestFullSeal(t *testing.T) {
 			infos[i] = info
 		}(i)
 	}
+	unplug(2)
 	wg.Wait()
 	for i, info := range infos {
 		if info.Size != 8 {
 			t.Fatalf("request %d rode a batch of size %d, want 8", i, info.Size)
 		}
 	}
-	snap := svc.Metrics()
-	if snap.TotalBatches != 2 || snap.TotalRequests != 16 {
-		t.Fatalf("batches=%d requests=%d, want 2/16", snap.TotalBatches, snap.TotalRequests)
+	ks := kindStats(svc.Metrics(), "lookup")
+	if ks.Batches != 2 || ks.Requests != 16 {
+		t.Fatalf("batches=%d requests=%d, want 2/16", ks.Batches, ks.Requests)
 	}
-	if snap.Kinds[0].SealedFull != 2 {
-		t.Fatalf("sealed_full=%d, want 2", snap.Kinds[0].SealedFull)
+	if ks.SealedFull != 2 {
+		t.Fatalf("sealed_full=%d, want 2", ks.SealedFull)
 	}
 }
 
 func TestLingerSeal(t *testing.T) {
-	// A lone request must not wait for MaxBatch company: the linger timer
-	// seals its singleton batch.
+	// A lone request behind a busy executor must not wait for MaxBatch
+	// company: the linger timer seals its singleton batch.
 	svc, pts := newTestService(t, 256, Config{MaxBatch: 1024, MaxLinger: 5 * time.Millisecond})
 	defer svc.Close()
+	unplug := plugExecutor(t, svc)
 
 	start := time.Now()
-	items, info, err := svc.Lookup(context.Background(), pts[3])
+	var (
+		items []core.Item
+		info  BatchInfo
+		err   error
+		done  = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		items, info, err = svc.Lookup(context.Background(), pts[3])
+	}()
+	unplug(1)
+	<-done
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +164,131 @@ func TestLingerSeal(t *testing.T) {
 	if !found {
 		t.Fatal("lookup did not return the stored item")
 	}
-	snap := svc.Metrics()
-	if snap.Kinds[0].SealedLinger != 1 {
-		t.Fatalf("sealed_linger=%d, want 1", snap.Kinds[0].SealedLinger)
+	if got := kindStats(svc.Metrics(), "lookup").SealedLinger; got != 1 {
+		t.Fatalf("sealed_linger=%d, want 1", got)
+	}
+}
+
+func TestIdleSeal(t *testing.T) {
+	// At an idle executor a lone request seals on arrival: it neither waits
+	// for MaxBatch company nor for the linger timer.
+	svc, pts := newTestService(t, 256, Config{MaxBatch: 1024, MaxLinger: time.Hour})
+	defer svc.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, info, err := svc.Lookup(ctx, pts[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size != 1 {
+		t.Fatalf("singleton batch size %d", info.Size)
+	}
+	if got := kindStats(svc.Metrics(), "lookup").SealedIdle; got != 1 {
+		t.Fatalf("sealed_idle=%d, want 1", got)
+	}
+}
+
+func TestIdleSealOldestFirst(t *testing.T) {
+	// Batches that formed while the executor was busy are all sealed when
+	// it finishes, and run in the order their first requests arrived.
+	var (
+		mu   sync.Mutex
+		recs []BatchRecord
+	)
+	svc, pts := newTestService(t, 256, Config{
+		MaxBatch: 1024, MaxLinger: time.Hour,
+		OnBatch: func(r BatchRecord) { mu.Lock(); recs = append(recs, r); mu.Unlock() },
+	})
+	defer svc.Close()
+	unplug := plugExecutor(t, svc)
+
+	box := geom.NewBox(geom.Point{0.2, 0.2}, geom.Point{0.4, 0.4})
+	submits := []struct {
+		kind string
+		k    int
+		call func() error
+	}{
+		{"knn", 2, func() error { _, _, err := svc.KNN(context.Background(), pts[0], 2); return err }},
+		{"lookup", 0, func() error { _, _, err := svc.Lookup(context.Background(), pts[1]); return err }},
+		{"knn", 5, func() error { _, _, err := svc.KNN(context.Background(), pts[2], 5); return err }},
+		{"range", 0, func() error { _, _, err := svc.Range(context.Background(), box); return err }},
+		{"join", 0, func() error { _, _, err := svc.Join(context.Background(), pts[3], 0.01); return err }},
+	}
+	var wg sync.WaitGroup
+	for i, sub := range submits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := sub.call(); err != nil {
+				t.Errorf("%s: %v", sub.kind, err)
+			}
+		}()
+		// Each batch starts forming before the next request is submitted.
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			svc.mu.Lock()
+			n := len(svc.pending)
+			svc.mu.Unlock()
+			if n == i+1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d batches forming, want %d", n, i+1)
+			}
+		}
+	}
+	unplug(0)
+	wg.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(recs) != 1+len(submits) {
+		t.Fatalf("%d batches ran, want the plug and %d", len(recs), len(submits))
+	}
+	for i, sub := range submits {
+		r := recs[1+i]
+		if r.Kind != sub.kind || r.K != sub.k || r.SealedBy != "idle" {
+			t.Fatalf("batch %d: %s k=%d sealed by %q, want %s k=%d sealed by idle", i, r.Kind, r.K, r.SealedBy, sub.kind, sub.k)
+		}
+	}
+}
+
+func TestServeBatchAllocs(t *testing.T) {
+	// A singleton kNN batch pays the per-batch and per-round fixed cost
+	// alone. Bracketing snapshots and round meters are reused, so that
+	// cost is a few KB, not one P-wide vector per round.
+	const (
+		n, p  = 1 << 16, 64
+		iters = 64
+	)
+	mach := pim.NewMachine(p, 1<<22)
+	tree := core.New(core.Config{Dim: 2, Seed: 11}, mach)
+	pts := workload.Uniform(n, 2, 13)
+	items := make([]core.Item, n)
+	for i, pt := range pts {
+		items[i] = core.Item{P: pt, ID: int32(i)}
+	}
+	tree.Build(items)
+	svc := New(Config{}, tree)
+	defer svc.Close()
+	qs := workload.Uniform(iters, 2, 14)
+	ctx := context.Background()
+	for i := 0; i < 8; i++ { // warm-up: the first batches size the scratch
+		if _, _, err := svc.KNN(ctx, qs[i], 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, q := range qs {
+		if _, info, err := svc.KNN(ctx, q, 8); err != nil || info.Size != 1 {
+			t.Fatalf("kNN: batch size %d, err %v", info.Size, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perBatch := float64(after.TotalAlloc-before.TotalAlloc) / iters
+	t.Logf("a singleton kNN batch allocates %.0f B", perBatch)
+	if perBatch > 6<<10 {
+		t.Fatalf("a singleton kNN batch allocates %.0f B, want ≤ 6 KB", perBatch)
 	}
 }
 
@@ -201,6 +398,7 @@ func TestKNNBatchesHomogeneousInK(t *testing.T) {
 
 func TestCloseFlushesPending(t *testing.T) {
 	svc, pts := newTestService(t, 256, Config{MaxBatch: 1024, MaxLinger: time.Hour})
+	plugExecutor(t, svc) // Close releases the plug
 
 	var wg sync.WaitGroup
 	infos := make([]BatchInfo, 3)
@@ -226,9 +424,8 @@ func TestCloseFlushesPending(t *testing.T) {
 			t.Fatalf("flushed batch size %d, want 3", infos[i].Size)
 		}
 	}
-	snap := svc.Metrics()
-	if snap.Kinds[0].SealedFlush != 1 {
-		t.Fatalf("sealed_flush=%d, want 1", snap.Kinds[0].SealedFlush)
+	if got := kindStats(svc.Metrics(), "lookup").SealedFlush; got != 1 {
+		t.Fatalf("sealed_flush=%d, want 1", got)
 	}
 	if _, _, err := svc.Lookup(context.Background(), pts[0]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("post-close lookup: %v, want ErrClosed", err)
@@ -236,10 +433,11 @@ func TestCloseFlushesPending(t *testing.T) {
 }
 
 func TestBackpressureBlocksAdmission(t *testing.T) {
-	// Two admitted requests exhaust MaxPending; a third submitter must
-	// block at admission and honor its context deadline.
-	svc, pts := newTestService(t, 256, Config{MaxBatch: 8, MaxLinger: 300 * time.Millisecond, MaxPending: 2})
+	// The plug and two admitted requests exhaust MaxPending; a third
+	// submitter must block at admission and honor its context deadline.
+	svc, pts := newTestService(t, 256, Config{MaxBatch: 8, MaxLinger: 300 * time.Millisecond, MaxPending: 3})
 	defer svc.Close()
+	unplug := plugExecutor(t, svc)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
@@ -258,6 +456,7 @@ func TestBackpressureBlocksAdmission(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("overloaded submit: %v, want DeadlineExceeded", err)
 	}
+	unplug(0)
 	wg.Wait()
 }
 
