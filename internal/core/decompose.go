@@ -141,9 +141,7 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 			t.chargeNodeSpace(int64(t.mach.P()))
 			wasGroup0 := prevCharged[i] == int32(t.mach.P())
 			if r != nil && !wasGroup0 {
-				for m := 0; m < t.mach.P(); m++ {
-					r.Transfer(m, nodeWords(t.cfg.Dim))
-				}
+				r.ChargeAll(nodeWords(t.cfg.Dim), 0)
 			}
 		}
 	case !t.cachedGroup(g):

@@ -376,3 +376,89 @@ func TestLeafSearchScratchAfterRoundTimeout(t *testing.T) {
 		}
 	}
 }
+
+// The golden update table pins what the update path meters: the pim.Stats
+// delta of each of four steps on n = 2^14 points at P = 64 and
+// GOMAXPROCS = 1, and an FNV-1a hash of the cumulative ModuleLoads vectors
+// after it. The narrow insert fires Group-0 counter writes, which charge
+// every module; the clustered insert forces one rebuild above the
+// distributed-construction threshold, which spreads its build work over
+// every module and broadcasts the new Group-0 nodes.
+var updateGoldenWant = []struct {
+	step, stats string
+	loads       uint64
+}{
+	{"build", "cpuWork=134411 cpuSpan=64 pimWork=104389 pimTime=2555 comm=613016 commTime=11446 rounds=2", 0xedc58c3217018184},
+	{"narrow-insert", "cpuWork=0 cpuSpan=50 pimWork=33196 pimTime=2220 comm=54006 commTime=1222 rounds=4", 0xba23022b9b6982ee},
+	{"delete", "cpuWork=0 cpuSpan=56 pimWork=132213 pimTime=2313 comm=145448 commTime=2895 rounds=4", 0x77495d25b9945d9},
+	{"rebuild", "cpuWork=100451 cpuSpan=49 pimWork=209924 pimTime=7644 comm=323606 commTime=21616 rounds=6", 0x6b27dec8d30d1db7},
+}
+
+func hashLoads(work, comm []int64) uint64 {
+	h := newFNV()
+	for i := range work {
+		h.mix(uint64(work[i]))
+		h.mix(uint64(comm[i]))
+	}
+	return uint64(h)
+}
+
+func TestUpdateGolden(t *testing.T) {
+	old := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(old)
+	mach := pim.NewMachine(goldenP, 1<<22)
+	tree := New(Config{Dim: 2, Seed: 37}, mach)
+	items := func(pts []geom.Point, base int) []Item {
+		out := make([]Item, len(pts))
+		for i, p := range pts {
+			out[i] = Item{P: p, ID: int32(base + i)}
+		}
+		return out
+	}
+	built := items(workload.Uniform(goldenN, 2, 371), 0)
+	// group0 reads every live Group-0 counter; one that changed fired a
+	// Group-0 counter write.
+	group0 := func() map[NodeID]float64 {
+		vals := map[NodeID]float64{}
+		for id := range tree.nodes {
+			if nd := &tree.nodes[id]; !nd.dead && nd.group == 0 {
+				vals[NodeID(id)] = nd.count.Value()
+			}
+		}
+		return vals
+	}
+	steps := []func(){
+		func() { tree.Build(built) },
+		func() {
+			pre := group0()
+			tree.BatchInsert(items(workload.Uniform(256, 2, 372), goldenN))
+			fired := 0
+			for id, v := range pre {
+				if nd := tree.nd(id); !nd.dead && nd.count.Value() != v {
+					fired++
+				}
+			}
+			if fired == 0 {
+				t.Errorf("narrow-insert: no Group-0 counter write fired")
+			}
+		},
+		func() { tree.BatchDelete(built[:1024]) },
+		func() {
+			pre := tree.OpStats
+			tree.BatchInsert(items(workload.Hotspot(4096, 2, 1e-3, 373), 2*goldenN))
+			threshold := int64(max(1024, 4*goldenP*tree.cfg.LeafSize))
+			if n, pts := tree.OpStats.Rebuilds-pre.Rebuilds, tree.OpStats.RebuiltPoints-pre.RebuiltPoints; n != 1 || pts <= threshold {
+				t.Errorf("rebuild: %d rebuilds of %d points, want one above %d", n, pts, threshold)
+			}
+		},
+	}
+	for i, run := range steps {
+		pre := mach.Stats()
+		run()
+		w := updateGoldenWant[i]
+		stats, loads := mach.Stats().Sub(pre).String(), hashLoads(mach.ModuleLoads())
+		if stats != w.stats || loads != w.loads {
+			t.Errorf("%s:\n  got  %s | loads %#x\n  want %s | loads %#x", w.step, stats, loads, w.stats, w.loads)
+		}
+	}
+}

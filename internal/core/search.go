@@ -465,10 +465,7 @@ func (t *Tree) applyBumps(bumps []bumpReq, delta int, r *pim.Round, firedSet map
 func (t *Tree) meterCounterWrite(id NodeID, r *pim.Round) {
 	nd := t.nd(id)
 	if nd.group == 0 {
-		for m := 0; m < t.mach.P(); m++ {
-			r.Transfer(m, 1)
-			r.ModuleWork(m, 1)
-		}
+		r.ChargeAll(1, 1)
 		return
 	}
 	r.Transfer(int(nd.module), 1)

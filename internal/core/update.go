@@ -314,10 +314,7 @@ func (t *Tree) rebuildSubtree(v NodeID, r *pim.Round, batchS int) {
 		// Large rebuild: distributed construction — the CPU routes points
 		// through a sketch and the modules build shares in parallel.
 		r.CPUWork(int64(len(items) * (mathx.CeilLog2(p) + 1)))
-		share := ops/int64(p) + 1
-		for m := 0; m < p; m++ {
-			r.ModuleWork(m, share)
-		}
+		r.ChargeAll(0, ops/int64(p)+1)
 	}
 	id := t.graft(b, parent, cell)
 	if parent == Nil {

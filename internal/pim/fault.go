@@ -98,9 +98,11 @@ func (f *ModuleFault) Error() string {
 // RoundTimeout is raised (as a panic on the round-driving goroutine) when a
 // round's module programs do not all finish within the machine's round
 // deadline. No program of the round starts after the deadline fires; the
-// stalled ones are abandoned: they may still complete in the background
-// and their metering lands on the machine totals, so a timed-out round's
-// accounting is best-effort (the recovery path re-meters what matters).
+// stalled ones are abandoned: they may still complete in the background,
+// but the round's meters are folded into the machine totals when the round
+// unwinds (or finishes), so what they meter afterwards reaches no total. A
+// timed-out round's accounting is best-effort (the recovery path re-meters
+// what matters).
 // Prefer injected stalls, which are resolved deterministically before the
 // program runs.
 type RoundTimeout struct {

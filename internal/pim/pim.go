@@ -17,6 +17,13 @@
 // The model restrictions are honored structurally: modules never touch each
 // other's state directly — all cross-module data movement flows through
 // Round.Transfer, which charges the off-chip channel of the module involved.
+//
+// Metering is per round. Every metering call writes only the meters of the
+// round in flight; Round.Finish folds them into the machine's totals once,
+// at the barrier, in the same pass that takes the per-module maxima. The
+// machine-wide totals therefore move only at round boundaries, and a
+// metering call costs one uncontended add however many workers share the
+// round. Round.ChargeAll charges all P modules with one call.
 package pim
 
 import (
@@ -169,7 +176,11 @@ func SetDefaultObserver(obs Observer) {
 
 // Machine is a PIM-Model machine with P modules and an M-word CPU cache.
 // A Machine is safe for use by a single logical algorithm at a time;
-// metering calls within a round may come from concurrent goroutines.
+// metering calls within a round may come from concurrent goroutines. Those
+// calls meter into their round, and the machine's totals gain the round's
+// cost when it finishes (Round.Finish), so Stats, SnapshotStats and
+// ModuleLoads move only at round boundaries. CPUPhase, which meters outside
+// any round, adds to the totals at once.
 type Machine struct {
 	p      int
 	cacheM int
@@ -341,9 +352,10 @@ func resize(v []int64, n int) []int64 {
 
 // SnapshotStats returns a copy of every meter — the scalar totals plus the
 // per-module work/communication vectors — in a single call. Each field is
-// loaded atomically; the snapshot is fully consistent whenever no round is
-// in flight (between rounds), which is how the serving scheduler and the
-// experiment harness use it.
+// loaded atomically. The totals move only at round boundaries: a round in
+// flight shows in none of them until its Finish, and the snapshot is fully
+// consistent whenever no round is finishing, which is how the serving
+// scheduler and the experiment harness use it.
 func (m *Machine) SnapshotStats() Snapshot {
 	var s Snapshot
 	m.SnapshotStatsInto(&s)
@@ -352,7 +364,8 @@ func (m *Machine) SnapshotStats() Snapshot {
 
 // SnapshotStatsInto is SnapshotStats filling dst in place, reusing its
 // vectors when they are long enough, so a caller that brackets every
-// operation with two snapshots allocates nothing per operation.
+// operation with two snapshots allocates nothing per operation. Like
+// SnapshotStats it reads the totals as of the last finished round.
 func (m *Machine) SnapshotStatsInto(dst *Snapshot) {
 	dst.Stats = m.Stats()
 	dst.ModuleWork = resize(dst.ModuleWork, m.p)
@@ -392,8 +405,9 @@ func (m *Machine) ModuleLoads() (work, comm []int64) {
 
 // Round is one BSP round in flight. The CPU side may log work/span and move
 // words to/from modules; OnModules runs a program concurrently on every
-// module. Calling Finish folds the round's per-module maxima into the
-// machine totals.
+// module. Every metering call writes only the round's own meters; calling
+// Finish folds them, with the round's per-module maxima, into the machine
+// totals.
 type Round struct {
 	m        *Machine
 	modWork  []atomic.Int64
@@ -429,7 +443,8 @@ type Round struct {
 }
 
 // roundBuf is the scratch one round needs whatever its width: P work and
-// P communication meters and one module run with its slots. A machine lends
+// P communication meters, the every-module meters and one module run with
+// its slots. A machine lends
 // its buffer to one round at a time (BeginRound takes it, Finish gives it
 // back), so a round costs the same garbage however few operations share it;
 // a round that finds the buffer lent out — a round begun inside another's
@@ -437,6 +452,10 @@ type Round struct {
 type roundBuf struct {
 	modWork []atomic.Int64
 	modComm []atomic.Int64
+	// allWork and allComm are what ChargeAll charged every module; fold
+	// and emit add them to each module's own meter.
+	allWork atomic.Int64
+	allComm atomic.Int64
 	run     moduleRun
 }
 
@@ -454,6 +473,8 @@ func (m *Machine) BeginRound() *Round {
 	} else {
 		clear(buf.modWork)
 		clear(buf.modComm)
+		buf.allWork.Store(0)
+		buf.allComm.Store(0)
 	}
 	r := &Round{
 		m:       m,
@@ -488,20 +509,15 @@ func (r *Round) Label(s string) {
 }
 
 // CPUWork logs n units of CPU computation in this round.
-func (r *Round) CPUWork(n int64) {
-	r.m.cpuWork.Add(n)
-	r.cpuW.Add(n)
-}
+func (r *Round) CPUWork(n int64) { r.cpuW.Add(n) }
 
 // CPUSpan logs n units of CPU critical-path length in this round.
-func (r *Round) CPUSpan(n int64) {
-	r.m.cpuSpan.Add(n)
-	r.cpuS.Add(n)
-}
+func (r *Round) CPUSpan(n int64) { r.cpuS.Add(n) }
 
 // Transfer logs the movement of words of data between the CPU and module
 // mod (either direction — the model charges the off-chip channel the same
-// way for reads and writes). It is safe to call concurrently.
+// way for reads and writes). It is safe to call concurrently. It meters
+// into the round only; the machine totals gain the words at Finish.
 //
 // Under fault injection a send may fail transiently: each failed try meters
 // its words again (the failed send occupied the off-chip channel) and the
@@ -513,28 +529,39 @@ func (r *Round) Transfer(mod int, words int64) {
 	}
 	if r.inj != nil {
 		for attempt := 0; !r.inj.SendOK(r.seq, mod, attempt); attempt++ {
-			r.m.comm.Add(words)
 			r.modComm[mod].Add(words)
-			r.m.moduleComm[mod].Add(words)
 			r.m.sendRetries.Add(1)
 			if attempt+1 >= maxSendAttempts {
 				panic(&ModuleFault{Kind: FaultSend, Module: mod, Round: r.seq, Attempt: attempt, Injected: true})
 			}
 		}
 	}
-	r.m.comm.Add(words)
 	r.modComm[mod].Add(words)
-	r.m.moduleComm[mod].Add(words)
 }
 
 // ModuleWork attributes n units of PIM-core work to module mod from outside
 // an OnModules program. Irregular computations (per-query walks that hop
 // between modules) use this to keep per-module attribution faithful while
-// executing on worker goroutines. Safe for concurrent use.
-func (r *Round) ModuleWork(mod int, n int64) {
-	r.m.pimWork.Add(n)
-	r.modWork[mod].Add(n)
-	r.m.moduleWork[mod].Add(n)
+// executing on worker goroutines. Safe for concurrent use. Like Transfer it
+// meters into the round only, until Finish.
+func (r *Round) ModuleWork(mod int, n int64) { r.modWork[mod].Add(n) }
+
+// ChargeAll charges every module words of off-chip communication and work
+// units of PIM work in O(1): a broadcast to all P modules, or a computation
+// spread evenly over them. It meters exactly what a loop of Transfer(m,
+// words) and ModuleWork(m, work) over every module would. Under fault
+// injection it runs that loop, so each module's send may fail and be
+// retried on its own. Safe for concurrent use.
+func (r *Round) ChargeAll(words, work int64) {
+	if r.inj != nil {
+		for mod := 0; mod < r.m.p; mod++ {
+			r.Transfer(mod, words)
+			r.ModuleWork(mod, work)
+		}
+		return
+	}
+	r.buf.allComm.Add(words)
+	r.buf.allWork.Add(work)
 }
 
 // ModuleCtx is the execution context handed to a module program for one
@@ -552,11 +579,7 @@ func (c *ModuleCtx) ID() int { return c.mod }
 func (c *ModuleCtx) Round() *Round { return c.r }
 
 // Work logs n units of local PIM-core computation.
-func (c *ModuleCtx) Work(n int64) {
-	c.r.m.pimWork.Add(n)
-	c.r.modWork[c.mod].Add(n)
-	c.r.m.moduleWork[c.mod].Add(n)
-}
+func (c *ModuleCtx) Work(n int64) { c.r.modWork[c.mod].Add(n) }
 
 // Transfer logs words moved between this module and the CPU (e.g. the module
 // writing results into a staging buffer the CPU reads).
@@ -797,32 +820,21 @@ func (run *moduleRun) runModule(ctx *ModuleCtx) *ModuleFault {
 	}
 }
 
-// Finish closes the round: PIM time gains the max per-module work of the
-// round, communication time gains the max per-module words, and the round
-// counter advances. A logical round that moves more data than the CPU
-// cache holds costs extra bulk-synchronous rounds to flush the buffered
-// messages — the Ω(c/M + s) round law of the model (§7 of the paper).
-// Finish gives the round's scratch back to the machine for the next round,
-// unless a module run of this round missed its deadline. Finish is
-// idempotent; nothing may meter on the round after it.
+// Finish closes the round: the machine totals gain everything the round
+// metered, PIM time gains the max per-module work of the round,
+// communication time gains the max per-module words, and the round counter
+// advances. A logical round that moves more data than the CPU cache holds
+// costs extra bulk-synchronous rounds to flush the buffered messages — the
+// Ω(c/M + s) round law of the model (§7 of the paper). Finish gives the
+// round's scratch back to the machine for the next round, unless a module
+// run of this round missed its deadline. Finish is idempotent; what a
+// straggler of a timed-out module run meters after it reaches no total.
 func (r *Round) Finish() {
 	if r.finished {
 		return
 	}
 	r.finished = true
-	var maxW, maxC, totalW, totalC int64
-	for i := 0; i < r.m.p; i++ {
-		w := r.modWork[i].Load()
-		totalW += w
-		if w > maxW {
-			maxW = w
-		}
-		c := r.modComm[i].Load()
-		totalC += c
-		if c > maxC {
-			maxC = c
-		}
-	}
+	maxW, maxC, totalW, totalC := r.fold()
 	r.m.pimTime.Add(maxW)
 	r.m.commT.Add(maxC)
 	extra := int64(0)
@@ -847,6 +859,34 @@ func (r *Round) Finish() {
 	}
 }
 
+// fold adds the round's additive meters — work, communication, CPU and the
+// per-module loads — to the machine totals, and returns the round's
+// per-module maxima and totals. It runs once per round: in Finish, or in
+// RunRound when the round ends by panic.
+func (r *Round) fold() (maxW, maxC, totalW, totalC int64) {
+	m := r.m
+	allW, allC := r.buf.allWork.Load(), r.buf.allComm.Load()
+	for i := 0; i < m.p; i++ {
+		w := r.modWork[i].Load() + allW
+		c := r.modComm[i].Load() + allC
+		if w != 0 {
+			m.moduleWork[i].Add(w)
+			totalW += w
+			maxW = max(maxW, w)
+		}
+		if c != 0 {
+			m.moduleComm[i].Add(c)
+			totalC += c
+			maxC = max(maxC, c)
+		}
+	}
+	m.pimWork.Add(totalW)
+	m.comm.Add(totalC)
+	m.cpuWork.Add(r.cpuW.Load())
+	m.cpuSpan.Add(r.cpuS.Load())
+	return maxW, maxC, totalW, totalC
+}
+
 // Metered returns exactly what this round contributed to the machine's
 // meters, valid after Finish. Unlike bracketing Machine.Stats() around the
 // round, it is immune to concurrent metering by other rounds — the recovery
@@ -857,6 +897,7 @@ func (r *Round) Metered() Stats { return r.metered }
 // called on observed rounds, after the meters are folded into the machine.
 func (r *Round) emit(rounds int64) {
 	p := r.m.p
+	allW, allC := r.buf.allWork.Load(), r.buf.allComm.Load()
 	rec := RoundRecord{
 		Label:         r.label,
 		Start:         r.start,
@@ -870,8 +911,8 @@ func (r *Round) emit(rounds int64) {
 		Rounds:        rounds,
 	}
 	for i := 0; i < p; i++ {
-		w := r.modWork[i].Load()
-		c := r.modComm[i].Load()
+		w := r.modWork[i].Load() + allW
+		c := r.modComm[i].Load() + allC
 		rec.ModWork[i] = w
 		rec.ModComm[i] = c
 		rec.TotalWork += w
@@ -894,8 +935,18 @@ func (r *Round) emit(rounds int64) {
 }
 
 // RunRound is a convenience wrapper: begin a round, hand it to fn, finish.
+// A round that fn ends by panicking — a contained *ModuleFault or a
+// *RoundTimeout, say — still adds what it metered to the machine's work,
+// communication, CPU and per-module totals before the panic goes on. It
+// counts no round, adds no PIM or communication time and emits no record.
 func (m *Machine) RunRound(fn func(r *Round)) {
 	r := m.BeginRound()
+	defer func() {
+		if !r.finished {
+			r.finished = true
+			r.fold()
+		}
+	}()
 	fn(r)
 	r.Finish()
 }
