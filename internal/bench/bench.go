@@ -1,7 +1,10 @@
 // Package bench is the experiment harness that regenerates every table,
 // figure, and theorem-shaped claim of the paper (see DESIGN.md §4 for the
-// experiment index E1–E17). Each experiment prints the measured series next
+// experiment index E1–E23). Each experiment prints the measured series next
 // to the paper's predicted shape; EXPERIMENTS.md records a captured run.
+// The systems layers beyond the paper (fault recovery, durability, the
+// cluster, the load generator) are pinned by their own packages' tests and
+// measured end to end by `go run ./benchmark`, not here.
 //
 // The harness is deliberately shape-oriented: the paper is a theory paper,
 // so an experiment passes when the metered quantity grows (or stays flat)
@@ -51,19 +54,30 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// RunAll executes the selected experiments (all when ids is empty).
-func RunAll(w io.Writer, ids []string, quick bool) error {
+// Select returns the experiments named by ids, in the order given, or all
+// of them sorted by ID when ids is empty. An unknown ID is an error.
+func Select(ids []string) ([]Experiment, error) {
 	if len(ids) == 0 {
-		for _, e := range All() {
-			runOne(w, e, quick)
-		}
-		return nil
+		return All(), nil
 	}
+	out := make([]Experiment, 0, len(ids))
 	for _, id := range ids {
 		e, ok := Find(id)
 		if !ok {
-			return fmt.Errorf("unknown experiment %q (see -list)", id)
+			return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
 		}
+		out = append(out, e)
+	}
+	return out, nil
+}
+
+// RunAll executes the selected experiments (all when ids is empty).
+func RunAll(w io.Writer, ids []string, quick bool) error {
+	selected, err := Select(ids)
+	if err != nil {
+		return err
+	}
+	for _, e := range selected {
 		runOne(w, e, quick)
 	}
 	return nil

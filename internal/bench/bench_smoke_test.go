@@ -6,16 +6,29 @@ import (
 	"testing"
 )
 
+// experimentIDs is every registered experiment, sorted: the rows of
+// DESIGN.md §4 that a `pimkd-bench -exp` reproduces.
+var experimentIDs = []string{
+	"ann", "batchsize", "caching", "construction", "counter", "dbscan",
+	"decomposition", "delayed", "dpc", "friendly", "height", "index",
+	"knn", "leafsearch", "pscale", "range", "rounds", "skew", "sort",
+	"trace", "tradeoff", "update",
+}
+
 // TestAllExperimentsRunQuick executes every registered experiment in quick
 // mode and sanity-checks the output: every experiment must print at least
-// one table and never emit NaN/Inf cells.
+// one table, never emit NaN/Inf cells, and never print a FAILED check.
 func TestAllExperimentsRunQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test skipped in -short mode")
 	}
 	exps := All()
-	if len(exps) < 17 {
-		t.Fatalf("only %d experiments registered; DESIGN.md lists 17", len(exps))
+	var ids []string
+	for _, e := range exps {
+		ids = append(ids, e.ID)
+	}
+	if strings.Join(ids, ",") != strings.Join(experimentIDs, ",") {
+		t.Fatalf("registered experiments %v, want %v", ids, experimentIDs)
 	}
 	for _, e := range exps {
 		e := e
@@ -26,7 +39,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(out, "---") {
 				t.Fatalf("experiment %s printed no table:\n%s", e.ID, out)
 			}
-			for _, bad := range []string{"NaN", "+Inf", "-Inf"} {
+			for _, bad := range []string{"NaN", "+Inf", "-Inf", "FAILED"} {
 				if strings.Contains(out, bad) {
 					t.Fatalf("experiment %s printed %s:\n%s", e.ID, bad, out)
 				}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -37,8 +36,8 @@ type Result struct {
 	// Metered sums the simulator's per-round costs — the determinism
 	// oracle: these totals must be identical at every GOMAXPROCS.
 	Metered MeteredTotals `json:"metered"`
-	// Metrics carries experiment-specific scalars published through
-	// RecordMetric (ns/op figures, speedups, series endpoints).
+	// Metrics carries named scalars outside the metered totals; the
+	// pimkd-load record fills it with its latency and outcome summary.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -85,46 +84,15 @@ func (s *roundSummer) snapshot() MeteredTotals {
 	return s.totals
 }
 
-// metricsMu guards curMetrics, the metric sink of the experiment currently
-// running under RunAllCollect (nil outside a collected run).
-var (
-	metricsMu  sync.Mutex
-	curMetrics map[string]float64
-)
-
-// RecordMetric publishes a named scalar from inside a running experiment
-// into the current JSON capture. Outside a -bench-json run it is a no-op,
-// so experiments can call it unconditionally.
-func RecordMetric(name string, v float64) {
-	metricsMu.Lock()
-	defer metricsMu.Unlock()
-	if curMetrics != nil {
-		curMetrics[name] = v
-	}
-}
-
-func setMetricSink(m map[string]float64) {
-	metricsMu.Lock()
-	curMetrics = m
-	metricsMu.Unlock()
-}
-
 // RunAllCollect executes the selected experiments (all when ids is empty)
 // like RunAll, additionally collecting per-experiment wall time, allocation
-// deltas, metered round totals, and RecordMetric scalars into a RunRecord.
+// deltas, and metered round totals into a RunRecord.
 // base, when non-nil, keeps receiving every round record (pass the -trace
 // tracer); the process-default observer is restored to base on return.
 func RunAllCollect(w io.Writer, ids []string, quick bool, base pim.Observer) (*RunRecord, error) {
-	selected := All()
-	if len(ids) > 0 {
-		selected = selected[:0]
-		for _, id := range ids {
-			e, ok := Find(id)
-			if !ok {
-				return nil, fmt.Errorf("unknown experiment %q (see -list)", id)
-			}
-			selected = append(selected, e)
-		}
+	selected, err := Select(ids)
+	if err != nil {
+		return nil, err
 	}
 	rec := &RunRecord{
 		Schema:     "pimkd-bench/v1",
@@ -137,12 +105,9 @@ func RunAllCollect(w io.Writer, ids []string, quick bool, base pim.Observer) (*R
 		Quick:      quick,
 	}
 	defer pim.SetDefaultObserver(base)
-	defer setMetricSink(nil)
 	for _, e := range selected {
 		summer := &roundSummer{next: base}
 		pim.SetDefaultObserver(summer)
-		metrics := map[string]float64{}
-		setMetricSink(metrics)
 
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -152,18 +117,14 @@ func RunAllCollect(w io.Writer, ids []string, quick bool, base pim.Observer) (*R
 		wall := time.Since(start)
 		runtime.ReadMemStats(&after)
 
-		res := Result{
+		rec.Experiments = append(rec.Experiments, Result{
 			ID:         e.ID,
 			Artifact:   e.Artifact,
 			WallNs:     wall.Nanoseconds(),
 			AllocBytes: int64(after.TotalAlloc - before.TotalAlloc),
 			Mallocs:    int64(after.Mallocs - before.Mallocs),
 			Metered:    summer.snapshot(),
-		}
-		if len(metrics) > 0 {
-			res.Metrics = metrics
-		}
-		rec.Experiments = append(rec.Experiments, res)
+		})
 	}
 	return rec, nil
 }

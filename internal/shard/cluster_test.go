@@ -174,6 +174,27 @@ func TestClusterMatchesOracle(t *testing.T) {
 			queries := oracleQueries(rng)
 			checkAgainstOracle(t, ctx, router, oracle, queries)
 
+			// Pruning keeps a kNN's fanout near one shard: the nearest
+			// cell's answer bounds the search, and a farther cell is asked
+			// only when it could still hold a closer point, so all cells
+			// but the nearest and at most one neighbour are pruned.
+			const fanQueries = 200
+			frng := rand.New(rand.NewSource(23))
+			var queried, pruned int
+			for i := 0; i < fanQueries; i++ {
+				_, fo, err := router.KNN(ctx, geom.Point{frng.Float64(), frng.Float64()}, 1)
+				if err != nil {
+					t.Fatalf("fanout query %d: %v", i, err)
+				}
+				queried += fo.Queried
+				pruned += fo.Pruned
+			}
+			meanQueried, meanPruned := float64(queried)/fanQueries, float64(pruned)/fanQueries
+			if meanQueried > 1.25 || meanPruned < float64(shards-2) {
+				t.Fatalf("mean kNN fanout: %.2f shards queried, %.2f cells pruned; want <= 1.25 queried and >= %d pruned",
+					meanQueried, meanPruned, shards-2)
+			}
+
 			// Delete a third of the items through the router and re-verify:
 			// the distributed answer tracks the mutated multiset exactly.
 			var dels []core.Item

@@ -351,6 +351,42 @@ func TestClusterMigrationOracle(t *testing.T) {
 	if m.Rebalances != 1 || m.MigratedPoints != moved {
 		t.Fatalf("metrics: rebalances=%d migrated=%d, want 1/%d", m.Rebalances, m.MigratedPoints, moved)
 	}
+
+	// With the writers stopped, a second hot spot forces one more split,
+	// and its migration is the only traffic on the wire. Each moved point
+	// crosses the wire once per hop — the cut pull plus one staging per
+	// replica — and the split plane comes from a fixed-size sample (8 pages
+	// of 256 points), so the bytes track the moved points, not the dataset.
+	var hot []core.Item
+	for i := 0; i < 3000; i++ {
+		hot = append(hot, core.Item{ID: idGen.Add(1), P: geom.Point{0.8 + rng.Float64()*0.2, 0.8 + rng.Float64()*0.2}})
+	}
+	if n, err := router.BatchUpdate(ctx, false, hot); err != nil || n != len(hot) {
+		t.Fatalf("second hot spot: acked %d/%d, err %v", n, len(hot), err)
+	}
+	m0 := router.Metrics()
+	moved2, committed2, err := router.RebalanceOnce(ctx)
+	if err != nil || !committed2 {
+		t.Fatalf("second split: committed %v, err %v (counts %v)", committed2, err, router.CellCounts(ctx))
+	}
+	m1 := router.Metrics()
+	wire := m1.WireBytesOut + m1.WireBytesIn - m0.WireBytesOut - m0.WireBytesIn
+	pageBytes := func(n int) int64 {
+		items := make([]core.Item, n)
+		ats := make([]int64, n)
+		for i := range items {
+			items[i] = core.Item{ID: int32(i), P: geom.Point{0.9, 0.9}}
+			ats[i] = shard.UntrackedDeadline
+		}
+		return int64(len(shard.EncodeFrame(1, shard.MigratePage{Items: items, ExpireAts: ats}, dim)))
+	}
+	itemBytes := (pageBytes(100) - pageBytes(0)) / 100
+	const splitSample = 8 * 256
+	budget := itemBytes * (int64(1+router.Replication())*moved2 + splitSample) * 115 / 100
+	if wire > budget {
+		t.Fatalf("second split moved %d points in %d wire bytes, over the %d-byte budget of %d B per point crossing",
+			moved2, wire, budget, itemBytes)
+	}
 }
 
 // TestTornMigrationAppliesNothing: a migration stage that never reaches a

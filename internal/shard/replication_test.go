@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -226,6 +227,7 @@ func TestClusterPeerRebuild(t *testing.T) {
 	for i, c := range cells {
 		boxes[i] = part.Cell(c)
 	}
+	var pulled atomic.Int64
 	rebuilt, rb := startRebuildingShard(t, dim, int64(victim+1), t.TempDir(), addrs[victim], serve.RebuildConfig{
 		Self:         victim,
 		Peers:        addrs,
@@ -237,6 +239,7 @@ func TestClusterPeerRebuild(t *testing.T) {
 		Timeout:      2 * time.Second,
 		Patience:     5 * time.Second,
 		PassInterval: 10 * time.Millisecond,
+		OnRebuilt:    func(_, items int64, _ pim.Stats, _ time.Duration) { pulled.Add(items) },
 		Logf:         t.Logf,
 	})
 	cluster[victim] = rebuilt
@@ -276,6 +279,13 @@ func TestClusterPeerRebuild(t *testing.T) {
 		if pl.Hosts(part.Owner(it.P), victim) {
 			wantLocal++
 		}
+	}
+	// Every run's clean verification pass confirms the cells by checksum
+	// instead of re-streaming them, so the items pulled over the wire come
+	// to about one cell share, however many convergence runs the fence
+	// and its nudges took.
+	if got := pulled.Load(); got < int64(wantLocal) || 2*got >= 3*int64(wantLocal) {
+		t.Fatalf("rebuild pulled %d items over the wire, want about the cell share %d (at most 1.5x)", got, wantLocal)
 	}
 	local, _, err := rebuilt.svc.Range(ctx, unitBox())
 	if err != nil {
