@@ -16,7 +16,7 @@ import (
 // module is charged the unpacking work. The round is labeled
 // "fault/recover/module=N" so tracing attributes recovery cost like any
 // other round; the transfer volume is Θ(shard size) ≈ n/P words, the
-// quantity experiment E24 verifies.
+// quantity TestRecoverModuleDeterministicAndShardSized verifies.
 //
 // RecoverModule is safe to call from a round's worker mid-round (the
 // fault.Supervisor does exactly that): it reads only structural placement

@@ -2,18 +2,17 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"pimkd/internal/core"
 	"pimkd/internal/pim"
-	"pimkd/internal/pkdtree"
 	"pimkd/internal/workload"
 )
 
@@ -109,6 +108,17 @@ func TestSnapshotDecodeCorruption(t *testing.T) {
 		if _, err := DecodeSnapshot(mut); err == nil {
 			t.Fatalf("flip at offset %d decoded successfully", off)
 		}
+	}
+}
+
+// TestSnapshotRejectsRetiredKind: kind 2 (a retired second tree class) is
+// no longer a snapshot kind, so a well-framed file declaring it is corrupt.
+func TestSnapshotRejectsRetiredKind(t *testing.T) {
+	tree, _ := buildTree(t, 64, 2, 8)
+	snap := CoreSnapshot(tree, 5, 0)
+	snap.Meta.Kind = 2
+	if _, err := DecodeSnapshot(EncodeSnapshot(snap)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("kind 2 snapshot: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -457,36 +467,6 @@ func TestCheckpointAllocsItemCopy(t *testing.T) {
 	if alloc > 1.2*itemCopy {
 		t.Fatalf("a %d-item checkpoint allocates %.0f B, more than 1.2× its %.0f B item copy", n, alloc, itemCopy)
 	}
-}
-
-func TestPKDSnapshotRoundTrip(t *testing.T) {
-	items := testItems(300, 2, 5)
-	pitems := make([]pkdtree.Item, len(items))
-	for i, it := range items {
-		pitems[i] = pkdtree.Item{P: it.P, ID: it.ID}
-	}
-	t2 := pkdtree.New(pkdtree.Config{Dim: 2, Seed: 9}, pitems)
-	snap := PKDSnapshot(t2, 0, 0)
-	got, err := DecodeSnapshot(EncodeSnapshot(snap))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t3, err := got.RestorePKD()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t3.Size() != 300 {
-		t.Fatalf("restored pkd size %d", t3.Size())
-	}
-	if !reflect.DeepEqual(sortedPKD(t3.Items()), sortedPKD(t2.Items())) {
-		t.Fatal("restored pkd point set differs")
-	}
-}
-
-func sortedPKD(items []pkdtree.Item) []pkdtree.Item {
-	out := append([]pkdtree.Item(nil), items...)
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 func fileSize(t *testing.T, path string) int64 {

@@ -14,7 +14,6 @@ import (
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/pim"
-	"pimkd/internal/pkdtree"
 )
 
 // Snapshot file format (version 1), little-endian throughout:
@@ -43,13 +42,9 @@ const (
 // TreeKind identifies which index class a snapshot captures.
 type TreeKind uint8
 
-const (
-	// KindCore is the PIM-kd-tree (core.Tree) — the serving stack's index.
-	KindCore TreeKind = 1
-	// KindPKD is the shared-memory PKD-tree baseline (pkdtree.Tree); its
-	// leaf buckets round-trip through the same snapshot format.
-	KindPKD TreeKind = 2
-)
+// KindCore is the PIM-kd-tree (core.Tree) — the serving stack's index and
+// the only kind a snapshot holds.
+const KindCore TreeKind = 1
 
 // SnapshotMeta is the self-describing header of a snapshot: the full
 // structural configuration (so recovery reconstructs a deterministic tree
@@ -60,17 +55,15 @@ type SnapshotMeta struct {
 	Dim      int
 	LeafSize int
 	// Groups/ChunkSize/PushPullFactor/NoDelayedGroup1/Alpha/Beta/Seed
-	// mirror core.Config; Oversample is pkdtree-only (zero for core).
+	// mirror core.Config.
 	Groups          int
 	ChunkSize       int
 	PushPullFactor  int
 	NoDelayedGroup1 bool
-	Oversample      int
 	Alpha           float64
 	Beta            float64
 	Seed            int64
-	// P and CacheM describe the PIM machine the tree was bound to. A
-	// KindPKD snapshot stores the modeled cache in CacheM and P = 0.
+	// P and CacheM describe the PIM machine the tree was bound to.
 	P      int
 	CacheM int
 	// N is the number of stored items (must match the PNTS section).
@@ -195,7 +188,7 @@ func encodeMeta(m SnapshotMeta) []byte {
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Oversample))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // a retired field's slot, always 0
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Alpha))
 	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Beta))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Seed))
@@ -219,7 +212,6 @@ func decodeMeta(payload []byte) (SnapshotMeta, error) {
 	m.ChunkSize = int(int32(binary.LittleEndian.Uint32(payload[13:])))
 	m.PushPullFactor = int(int64(binary.LittleEndian.Uint64(payload[17:])))
 	m.NoDelayedGroup1 = payload[25] != 0
-	m.Oversample = int(int32(binary.LittleEndian.Uint32(payload[26:])))
 	m.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(payload[30:]))
 	m.Beta = math.Float64frombits(binary.LittleEndian.Uint64(payload[38:]))
 	m.Seed = int64(binary.LittleEndian.Uint64(payload[46:]))
@@ -228,7 +220,7 @@ func decodeMeta(payload []byte) (SnapshotMeta, error) {
 	m.N = int(int64(binary.LittleEndian.Uint64(payload[66:])))
 	m.AppliedLSN = binary.LittleEndian.Uint64(payload[74:])
 	m.CreatedUnixNano = int64(binary.LittleEndian.Uint64(payload[82:]))
-	if m.Kind != KindCore && m.Kind != KindPKD {
+	if m.Kind != KindCore {
 		return m, fmt.Errorf("%w: unknown tree kind %d", ErrCorrupt, m.Kind)
 	}
 	if m.Dim < 1 || m.Dim > 1<<16 {
@@ -428,50 +420,4 @@ func (s Snapshot) RestoreCore(mach *pim.Machine) (*core.Tree, error) {
 		pop()
 	}
 	return tree, nil
-}
-
-// PKDSnapshot captures a pkdtree.Tree (leaf buckets + configuration) in the
-// same snapshot format, kind KindPKD.
-func PKDSnapshot(t *pkdtree.Tree, appliedLSN uint64, now int64) Snapshot {
-	cfg := t.ConfigSnapshot()
-	pts := t.Items()
-	items := make([]core.Item, len(pts))
-	for i, it := range pts {
-		items[i] = core.Item{P: it.P, ID: it.ID}
-	}
-	return Snapshot{
-		Meta: SnapshotMeta{
-			Kind:            KindPKD,
-			Dim:             cfg.Dim,
-			LeafSize:        cfg.LeafSize,
-			Oversample:      cfg.Oversample,
-			Alpha:           cfg.Alpha,
-			Seed:            cfg.Seed,
-			CacheM:          cfg.CacheM,
-			N:               len(items),
-			AppliedLSN:      appliedLSN,
-			CreatedUnixNano: now,
-		},
-		Items: items,
-	}
-}
-
-// RestorePKD reconstructs a pkdtree.Tree from a KindPKD snapshot.
-func (s Snapshot) RestorePKD() (*pkdtree.Tree, error) {
-	if s.Meta.Kind != KindPKD {
-		return nil, fmt.Errorf("%w: snapshot kind %d is not a pkd tree", ErrMismatch, s.Meta.Kind)
-	}
-	cfg := pkdtree.Config{
-		Dim:        s.Meta.Dim,
-		Alpha:      s.Meta.Alpha,
-		LeafSize:   s.Meta.LeafSize,
-		CacheM:     s.Meta.CacheM,
-		Oversample: s.Meta.Oversample,
-		Seed:       s.Meta.Seed,
-	}
-	items := make([]pkdtree.Item, len(s.Items))
-	for i, it := range s.Items {
-		items[i] = pkdtree.Item{P: it.P, ID: it.ID}
-	}
-	return pkdtree.New(cfg, items), nil
 }

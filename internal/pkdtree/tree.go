@@ -142,10 +142,6 @@ func (t *Tree) Dim() int { return t.cfg.Dim }
 // Alpha returns the configured balance slack.
 func (t *Tree) Alpha() float64 { return t.cfg.Alpha }
 
-// ConfigSnapshot returns the tree's effective configuration (defaults
-// applied), for persistence-layer snapshot headers.
-func (t *Tree) ConfigSnapshot() Config { return t.cfg }
-
 // Height returns the height of the tree (0 for empty, 1 for a single leaf).
 func (t *Tree) Height() int { return height(t.root) }
 

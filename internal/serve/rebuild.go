@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,7 +85,7 @@ type RebuildConfig struct {
 	Dim int
 	// PageSize is the per-CellSnapshot page size in items (default 2048).
 	PageSize int
-	// Timeout bounds each wire call (default 5s).
+	// Timeout bounds each wire call (default pullTimeout).
 	Timeout time.Duration
 	// Patience is how long a convergence run keeps hunting for an eligible
 	// peer before giving up the run (default 5s). The initial boot run and
@@ -114,7 +113,7 @@ func NewRebuilder(svc *Service, cfg RebuildConfig) *Rebuilder {
 		cfg.PageSize = 2048
 	}
 	if cfg.Timeout <= 0 {
-		cfg.Timeout = 5 * time.Second
+		cfg.Timeout = pullTimeout
 	}
 	if cfg.Patience <= 0 {
 		cfg.Patience = 5 * time.Second
@@ -380,42 +379,25 @@ func (r *Rebuilder) pullCell(cell int, box geom.Box) (snap CellSnapshot, ok, ide
 				return CellSnapshot{}, true, true
 			}
 		}
-		if snap, ok := r.pullFrom(c, cell, box); ok {
+		snap, err := pullCut(c, cell, box, r.cfg.PageSize, r.cfg.Timeout)
+		if err == nil {
 			return snap, true, false
 		}
+		r.logf("rebuild: snapshot cell %d from %s: %v", cell, c.Addr(), err)
 	}
 	return CellSnapshot{}, false, false
 }
 
-// pullFrom pulls one cell off one peer over a pinned session, so every page
-// slices the same shard-side cut. A cut that moves between pages restarts
-// the pull on a fresh session (bounded retries) rather than stitching
-// inconsistent pages; any other failure abandons the peer.
-func (r *Rebuilder) pullFrom(c *shard.Client, cell int, box geom.Box) (CellSnapshot, bool) {
-	for attempt := 0; attempt < 3; attempt++ {
-		cut, err := r.pullOnce(c, cell, box)
-		if err == nil {
-			return CellSnapshot{Items: cut.Items, Deadlines: cut.ExpireAts, Orphans: cut.Orphans, OrphanAts: cut.OrphanAts}, true
-		}
-		if !errors.Is(err, shard.ErrCutMoved) {
-			r.logf("rebuild: snapshot cell %d from %s: %v", cell, c.Addr(), err)
-			return CellSnapshot{}, false
-		}
-	}
-	r.logf("rebuild: cell %d kept changing under the stream, retrying later", cell)
-	return CellSnapshot{}, false
-}
+// pullTimeout bounds each wire call of a cell pull: the rebuilder's
+// default, and the per-page bound of a migration destination's pull.
+const pullTimeout = 5 * time.Second
 
-func (r *Rebuilder) pullOnce(c *shard.Client, cell int, box geom.Box) (shard.CellSnapshotResp, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), r.cfg.Timeout)
-	sess, err := c.NewSession(ctx)
-	cancel()
-	if err != nil {
-		return shard.CellSnapshotResp{}, err
-	}
-	defer sess.Close()
-	cut, _, err := sess.PullCell(context.Background(), r.cfg.Timeout, cell, box, r.cfg.PageSize)
-	return cut, err
+// pullCut pulls one cell's box off the shard behind c over one consistent
+// cut (shard.Client.PullCell); a torn pull returns nothing. Peer rebuild
+// and migration staging both move a cell this way.
+func pullCut(c *shard.Client, cell int, box geom.Box, pageSize int, timeout time.Duration) (CellSnapshot, error) {
+	cut, err := c.PullCell(context.Background(), timeout, cell, box, pageSize)
+	return CellSnapshot{Items: cut.Items, Deadlines: cut.ExpireAts, Orphans: cut.Orphans, OrphanAts: cut.OrphanAts}, err
 }
 
 func (r *Rebuilder) client(p int) *shard.Client {

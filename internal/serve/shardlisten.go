@@ -136,19 +136,17 @@ type snapStash struct {
 	snap  CellSnapshot
 }
 
-// migStash is one connection's in-progress migration stage: the pages
-// streamed between MigrateBegin and MigrateCommit. Like snapStash it lives
-// on the conn's handler goroutine only, so a dropped conn discards the
-// stage and a torn migration stream applies nothing — commit is the only
-// frame that touches the service.
+// migStash is one connection's staged migration: the cut MigrateBegin
+// pulled, held until MigrateCommit. Like snapStash it lives on the conn's
+// handler goroutine only, so a dropped conn discards the stage and a torn
+// migration applies nothing — commit is the only frame that touches the
+// service.
 type migStash struct {
 	valid bool
 	epoch uint64
 	cell  int
 	box   geom.Box
-	total uint64
-	items []core.Item
-	ats   []int64
+	snap  CellSnapshot
 }
 
 func (sl *ShardListener) handleConn(nc net.Conn) {
@@ -186,8 +184,15 @@ func (sl *ShardListener) handleConn(nc net.Conn) {
 // dispatch executes one decoded request and returns the response message
 // (possibly a *shard.RemoteError). stash carries the connection's cached
 // cell-snapshot cut across sequential CellSnapshot pages; mig carries its
-// in-progress migration stage.
+// staged migration.
 func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
+	// Any frame but the next page of the stashed pull ends that pull: a
+	// puller that stops early (the rebalancer's strided split sample) and
+	// hands the conn back to its pool must not leave a whole-cell cut
+	// pinned on it.
+	if req, ok := m.(shard.CellSnapshotReq); stash.valid && (!ok || req.Offset == 0 || req.Cell != stash.cell) {
+		*stash = snapStash{}
+	}
 	ready := sl.isReady()
 	// Ping, cell snapshots, and resync nudges are exempt from the ready
 	// gate: a recovering shard must still report status and serve rebuild
@@ -211,7 +216,7 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 	// rebuilding replica, just like the fanned write stream.
 	switch m.(type) {
 	case shard.Ping, shard.ResyncReq, shard.UpdateReq, shard.IngestReq, shard.StatsReq,
-		shard.MigrateBegin, shard.MigratePage, shard.MigrateCommit:
+		shard.MigrateBegin, shard.MigrateCommit:
 	default:
 		if synced, _ := sl.syncState(); !synced {
 			return &shard.RemoteError{Code: shard.CodeNotReady, Msg: "replica rebuilding, not in sync"}
@@ -317,14 +322,15 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 
 	case shard.CellSnapshotReq:
 		// Offset 0 starts a pull: cut the cell fresh and stash the cut.
-		// Later offsets of the same cell serve from the stash, so every
-		// page of one pull slices one consistent cut and the executor
-		// walks the cell once per pull, not once per page. A continuation
-		// with no matching stash (client reconnected mid-pull, or an
-		// out-of-order prober) falls back to a fresh cut; the puller's
-		// Total-equality check handles the ensuing inconsistency.
+		// Later offsets of the same cell serve from the stash (the check
+		// above dropped any other), so every page of one pull slices one
+		// consistent cut and the executor walks the cell once per pull,
+		// not once per page. A continuation with no stash (client
+		// reconnected mid-pull, or an out-of-order prober) falls back to a
+		// fresh cut; the puller's Total-equality check handles the ensuing
+		// inconsistency.
 		var snap CellSnapshot
-		if req.Offset > 0 && stash.valid && stash.cell == req.Cell {
+		if stash.valid {
 			snap = stash.snap
 		} else {
 			var err error
@@ -342,69 +348,55 @@ func (sl *ShardListener) dispatch(m any, stash *snapStash, mig *migStash) any {
 		if req.Limit > 0 && lo+uint64(req.Limit) < hi {
 			hi = lo + uint64(req.Limit)
 		}
-		if hi == total {
-			stash.valid = false
-			stash.snap = CellSnapshot{}
-		} else {
-			*stash = snapStash{valid: true, cell: req.Cell, snap: snap}
-		}
 		resp := shard.CellSnapshotResp{
 			Total:     total,
 			Items:     snap.Items[lo:hi],
 			ExpireAts: snap.Deadlines[lo:hi],
 		}
-		if hi == total {
-			// Final page: orphaned expiry entries ride along so the puller
-			// can reproduce the expiry heap exactly.
-			resp.Orphans = snap.Orphans
-			resp.OrphanAts = snap.OrphanAts
+		if hi < total {
+			*stash = snapStash{valid: true, cell: req.Cell, snap: snap}
+		} else {
+			// Final page: the pull is over, and orphaned expiry entries ride
+			// along so the puller can reproduce the expiry heap exactly.
+			*stash = snapStash{}
+			resp.Orphans, resp.OrphanAts = snap.Orphans, snap.OrphanAts
 		}
 		return resp
 
 	case shard.MigrateBegin:
 		// A fresh Begin replaces any stage this conn had: the rebalancer
 		// pins one conn per destination per migration, so an abandoned
-		// stage has no owner to resume it.
-		*mig = migStash{valid: true, epoch: req.Epoch, cell: req.Cell, box: req.Box, total: req.Total}
-		return shard.MigrateResp{}
-
-	case shard.MigratePage:
-		if !mig.valid || mig.epoch != req.Epoch || mig.cell != req.Cell {
-			*mig = migStash{}
-			return &shard.RemoteError{Code: shard.CodeBadRequest, Msg: "migration page without matching begin"}
+		// stage has no owner to resume it. The destination pulls the cut
+		// itself, as a peer rebuild does; an empty source stages the empty
+		// set (a stray purge).
+		*mig = migStash{}
+		stage := migStash{valid: true, epoch: req.Epoch, cell: req.Cell, box: req.Box}
+		if req.Source != "" {
+			src := shard.NewClient(req.Source, sl.svc.Dim())
+			var err error
+			stage.snap, err = pullCut(src, req.Cell, req.Box, req.PageSize, pullTimeout)
+			src.Close()
+			if err != nil {
+				return &shard.RemoteError{Code: shard.CodeUnavailable, Msg: fmt.Sprintf("migration stage: pull from %s: %v", req.Source, err)}
+			}
 		}
-		if req.Offset != uint64(len(mig.items)) || uint64(len(mig.items))+uint64(len(req.Items)) > mig.total {
-			// Out-of-sequence page: the stream is torn. Drop the stage so a
-			// later commit cannot apply a gap-riddled cut.
-			*mig = migStash{}
-			return &shard.RemoteError{Code: shard.CodeBadRequest, Msg: "migration page out of sequence"}
-		}
-		mig.items = append(mig.items, req.Items...)
-		mig.ats = append(mig.ats, req.ExpireAts...)
-		return shard.MigrateResp{}
+		*mig = stage
+		return shard.MigrateResp{Staged: uint64(len(stage.snap.Items))}
 
 	case shard.MigrateCommit:
 		if !mig.valid || mig.epoch != req.Epoch || mig.cell != req.Cell {
 			*mig = migStash{}
 			return &shard.RemoteError{Code: shard.CodeBadRequest, Msg: "migration commit without matching begin"}
 		}
-		if uint64(len(mig.items)) != mig.total {
-			staged, total := len(mig.items), mig.total
-			*mig = migStash{}
-			return &shard.RemoteError{Code: shard.CodeBadRequest,
-				Msg: fmt.Sprintf("torn migration stage: %d of %d items staged", staged, total)}
-		}
-		snap := CellSnapshot{Items: mig.items, Deadlines: mig.ats, Orphans: req.Orphans, OrphanAts: req.OrphanAts}
-		box := mig.box
-		staged := len(mig.items)
+		stage := *mig
 		*mig = migStash{} // single-shot: the stage is consumed either way
 		start := time.Now()
-		changed, info, err := sl.svc.MigrateCell(ctx, req.Cell, box, snap, req.Ops)
+		changed, info, err := sl.svc.MigrateCell(ctx, req.Cell, stage.box, stage.snap, req.Ops)
 		if err != nil {
 			return remoteError(err)
 		}
 		if sl.onMigrate != nil {
-			sl.onMigrate(int64(staged), info.Cost, time.Since(start))
+			sl.onMigrate(int64(len(stage.snap.Items)), info.Cost, time.Since(start))
 		}
 		return shard.MigrateResp{Changed: changed}
 

@@ -34,7 +34,8 @@ type Client struct {
 
 	reqID atomic.Uint64
 	// bytesOut/bytesIn meter the wire traffic (frames, both directions) —
-	// the E27 experiment and /statsz surface them.
+	// /statsz surfaces them, and TestClusterMigrationOracle budgets a
+	// migration's share.
 	bytesOut atomic.Int64
 	bytesIn  atomic.Int64
 }
@@ -299,8 +300,9 @@ func (c *Client) Stats(ctx context.Context) (StatsResp, error) {
 // Session is a pinned-connection view of the client, for the two wire
 // exchanges whose state lives on one connection: the one-consistent-cut
 // cell-snapshot stash (every page of one pull must slice one cut) and the
-// migration stage (Begin/Pages/Commit accumulate on the serving conn, so a
-// dropped conn discards the stage and a torn stream applies nothing).
+// migration stage (Begin pulls the cut onto the serving conn and Commit
+// applies it, so a dropped conn discards the stage and a torn migration
+// applies nothing).
 // Unlike the pooled client, a Session is for one goroutine; any error
 // poisons it — the conn is closed, the shard discards conn-local state,
 // and every later call fails.
@@ -369,65 +371,70 @@ func (s *Session) CellSnapshot(ctx context.Context, cell int, box geom.Box, offs
 }
 
 // ErrCutMoved reports that a cell's contents changed between the pages of
-// one PullCell, so the pages cannot be stitched into one consistent cut.
+// one pull, so the pages cannot be stitched into one consistent cut.
 var ErrCutMoved = errors.New("shard: cell cut moved during the pull")
 
-// PullCell pages a cell's full contents over the pinned conn: the first
-// page pins the shard-side cut and its Total, and every later page must
-// slice that same cut. A Total that changes means the cut moved under the
-// stream; a page with no items while items are still owed means it tore.
-// Either way nothing usable was pulled and the caller restarts on a fresh
-// session. Each page gets its own timeout; pages is the number of wire calls
-// made.
-func (s *Session) PullCell(ctx context.Context, timeout time.Duration, cell int, box geom.Box, pageSize int) (cut CellSnapshotResp, pages int, err error) {
-	for {
+// PullCell pages a cell box's full contents off the shard over a pinned
+// session: the first page pins the shard-side cut and its Total, and every
+// later page must slice that same cut. A Total that changes means the cut
+// moved under the stream (ErrCutMoved), and the pull restarts on a fresh
+// session, at most three times; any other failure — a page with no items
+// while items are still owed means the stream tore — returns at once with
+// nothing pulled. Each wire call gets its own timeout within ctx.
+func (c *Client) PullCell(ctx context.Context, timeout time.Duration, cell int, box geom.Box, pageSize int) (CellSnapshotResp, error) {
+	for attempt := 1; ; attempt++ {
+		cut, err := c.pullOnce(ctx, timeout, cell, box, pageSize)
+		if !errors.Is(err, ErrCutMoved) || attempt == 3 {
+			return cut, err
+		}
+	}
+}
+
+func (c *Client) pullOnce(ctx context.Context, timeout time.Duration, cell int, box geom.Box, pageSize int) (cut CellSnapshotResp, err error) {
+	cctx, cancel := context.WithTimeout(ctx, timeout)
+	s, err := c.NewSession(cctx)
+	cancel()
+	if err != nil {
+		return cut, err
+	}
+	defer s.Close()
+	for first := true; ; first = false {
 		cctx, cancel := context.WithTimeout(ctx, timeout)
 		page, err := s.CellSnapshot(cctx, cell, box, uint64(len(cut.Items)), pageSize)
 		cancel()
-		pages++
 		if err != nil {
-			return CellSnapshotResp{}, pages, err
+			return CellSnapshotResp{}, err
 		}
-		if pages == 1 {
+		if first {
 			cut.Total = page.Total
 		} else if page.Total != cut.Total {
-			return CellSnapshotResp{}, pages, fmt.Errorf("%w (%d != %d items)", ErrCutMoved, page.Total, cut.Total)
+			return CellSnapshotResp{}, fmt.Errorf("%w (%d != %d items)", ErrCutMoved, page.Total, cut.Total)
 		}
 		cut.Items = append(cut.Items, page.Items...)
 		cut.ExpireAts = append(cut.ExpireAts, page.ExpireAts...)
 		if uint64(len(cut.Items)) >= cut.Total {
 			cut.Orphans, cut.OrphanAts = page.Orphans, page.OrphanAts
-			return cut, pages, nil
+			return cut, nil
 		}
 		if len(page.Items) == 0 {
-			return CellSnapshotResp{}, pages, fmt.Errorf("shard %s: cell %d pull stalled at %d of %d items", s.c.addr, cell, len(cut.Items), cut.Total)
+			return CellSnapshotResp{}, fmt.Errorf("shard %s: cell %d pull stalled at %d of %d items", c.addr, cell, len(cut.Items), cut.Total)
 		}
 	}
 }
 
-// MigrateBegin opens a migration stage for cell's half-open box on this
-// conn: the destination will hold total staged items before commit.
-func (s *Session) MigrateBegin(ctx context.Context, epoch uint64, cell int, box geom.Box, total uint64) error {
-	_, err := call[MigrateResp](ctx, s, "migrate begin", MigrateBegin{Epoch: epoch, Cell: cell, Box: box, Total: total})
-	return err
+// MigrateBegin stages a migration of cell's half-open box on this conn:
+// the shard pulls the box from the shard at source, pageSize items per
+// page, and returns how many items it staged. An empty source stages the
+// empty set. The call lasts the whole pull, so ctx must allow for every
+// page of it.
+func (s *Session) MigrateBegin(ctx context.Context, epoch uint64, cell int, box geom.Box, source string, pageSize int) (uint64, error) {
+	r, err := call[MigrateResp](ctx, s, "migrate begin", MigrateBegin{Epoch: epoch, Cell: cell, Box: box, Source: source, PageSize: pageSize})
+	return r.Staged, err
 }
 
-// MigratePage streams one page of the staged exact set.
-func (s *Session) MigratePage(ctx context.Context, epoch uint64, cell int, offset uint64, items []core.Item, expireAts []int64) error {
-	if len(items) != len(expireAts) {
-		return fmt.Errorf("shard: migrate page of %d items with %d deadlines", len(items), len(expireAts))
-	}
-	_, err := call[MigrateResp](ctx, s, "migrate page", MigratePage{Epoch: epoch, Cell: cell, Offset: offset, Items: items, ExpireAts: expireAts})
-	return err
-}
-
-// MigrateCommit atomically applies the staged pages plus the replayed
-// write ledger as cell's exact contents, reporting whether local state
-// changed.
-func (s *Session) MigrateCommit(ctx context.Context, epoch uint64, cell int, orphans []core.Item, orphanAts []int64, ops []MigrateOp) (bool, error) {
-	if len(orphans) != len(orphanAts) {
-		return false, fmt.Errorf("shard: migrate commit of %d orphans with %d deadlines", len(orphans), len(orphanAts))
-	}
-	r, err := call[MigrateResp](ctx, s, "migrate commit", MigrateCommit{Epoch: epoch, Cell: cell, Orphans: orphans, OrphanAts: orphanAts, Ops: ops})
+// MigrateCommit atomically applies the staged cut plus the replayed write
+// ledger as cell's exact contents, reporting whether local state changed.
+func (s *Session) MigrateCommit(ctx context.Context, epoch uint64, cell int, ops []MigrateOp) (bool, error) {
+	r, err := call[MigrateResp](ctx, s, "migrate commit", MigrateCommit{Epoch: epoch, Cell: cell, Ops: ops})
 	return r.Changed, err
 }

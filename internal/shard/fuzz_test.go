@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"testing"
 
-	"pimkd/internal/core"
 	"pimkd/internal/geom"
 )
 
@@ -21,21 +20,28 @@ func fuzzSeedPayloads() [][]byte {
 		seeds = append(seeds, encodePayload(uint64(i), m, 2))
 	}
 	valid := encodePayload(9, wireMessages(2)[3], 2) // a kNN request
-	page := encodePayload(10, MigratePage{
-		Epoch:     2,
-		Cell:      1,
-		Items:     []core.Item{{ID: 7, P: geom.Point{0.5, 0.5}}},
-		ExpireAts: []int64{UntrackedDeadline},
+	begin := encodePayload(10, MigrateBegin{
+		Epoch:    2,
+		Cell:     1,
+		Box:      geom.NewBox(geom.Point{0.5, 0}, geom.Point{1, 1}),
+		Source:   "127.0.0.1:9291",
+		PageSize: 64,
 	}, 2)
-	badEpoch := encodePayload(11, MigratePage{Epoch: 1, Cell: 1}, 2)
+	badEpoch := encodePayload(11, MigrateCommit{Epoch: 1, Cell: 1}, 2)
 	badEpoch[9] = 0 // epoch 0 is the malformed sentinel — epochs start at 1
+	longSource := append([]byte(nil), begin...)
+	longSource[1+8+8+4+32] = 0xff // source length past the body's end
+	badFlag := encodePayload(12, MigrateResp{Staged: 3, Changed: true}, 2)
+	badFlag[len(badFlag)-1] = 2 // a flag byte is 0 or 1
 	seeds = append(seeds,
 		valid[:len(valid)/2],                 // truncated body
 		append(valid, 0xaa),                  // trailing byte
 		valid[:9],                            // header only
 		[]byte{0x7e, 0, 0, 0, 0, 0, 0, 0, 0}, // unknown type
-		page[:len(page)-7],                   // torn migration page stream
+		begin[:len(begin)-7],                 // migration source cut short
 		badEpoch,                             // malformed migration epoch
+		longSource,                           // migration source overruns the body
+		badFlag,                              // malformed migration response flag
 		nil,
 	)
 	return seeds

@@ -51,12 +51,8 @@ func NewHandler(r *Router) http.Handler {
 	// Every 503 hint derives from the cadence at which the blocking state
 	// actually changes: degradation heals when the next probe revives a
 	// shard (or lifts a fence), so that interval — not a hardcoded second —
-	// is when a retry can first succeed. A write bounced during a migration
-	// commit window instead hints the migration page interval, the cadence
-	// at which migration state advances (the commit window lasts on the
-	// order of one ledger replay, far less than a probe interval).
+	// is when a retry can first succeed.
 	hint := httpapi.RetryAfterSecs(r.cfg.ProbeInterval)
-	migHint := httpapi.RetryAfterSecs(r.cfg.MigratePageInterval)
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, req *http.Request) {
 		fmt.Fprintln(w, "ok")
@@ -131,7 +127,7 @@ func NewHandler(r *Router) http.Handler {
 			perShard, cluster, r.SweepStatus()})
 	})
 
-	ok := func(w http.ResponseWriter, err error) bool { return okReply(w, err, hint, migHint) }
+	ok := func(w http.ResponseWriter, err error) bool { return okReply(w, err, hint) }
 
 	httpapi.Handle(mux, "/knn", httpapi.KNN, ok, func(ctx context.Context, q httpapi.KNNQuery) (any, error) {
 		cands, fan, err := r.KNN(ctx, q.P, q.K)
@@ -212,10 +208,10 @@ func NewHandler(r *Router) http.Handler {
 // interval, the cadence at which a probe revives a shard or a resynced
 // replica is readmitted), so clients come back when a retry can actually
 // succeed rather than hammering a fixed second. A write bounced off a
-// migration commit window (ErrMigrating) hints migrateRetryAfter — the
-// migration page interval — because that window closes on migration
-// cadence, not probe cadence. A request whose own deadline expired is 504.
-func okReply(w http.ResponseWriter, err error, retryAfter, migrateRetryAfter string) bool {
+// migration commit window (ErrMigrating) hints the header's floor of one
+// second instead: the window lasts one ledger replay, far less than a
+// probe interval. A request whose own deadline expired is 504.
+func okReply(w http.ResponseWriter, err error, retryAfter string) bool {
 	var re *RemoteError
 	var ne net.Error
 	retryable := func() {
@@ -226,7 +222,7 @@ func okReply(w http.ResponseWriter, err error, retryAfter, migrateRetryAfter str
 	case err == nil:
 		return true
 	case errors.Is(err, ErrMigrating):
-		w.Header().Set("Retry-After", migrateRetryAfter)
+		w.Header().Set("Retry-After", "1")
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrDegraded):
 		retryable()

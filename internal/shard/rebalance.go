@@ -25,11 +25,15 @@ import (
 //  2. Plan: split the worst shard's largest cell at a sampled quantile
 //     (strided CellSnapshot pages over one consistent cut → ChooseSplit),
 //     and place the moving half on the R least-loaded shards.
-//  3. Open the write ledger under the write barrier (migMu), THEN pull the
-//     moving region's cut — so every write acked after this point is in
-//     cut ∪ ledger, none can fall between them.
-//  4. Stage the cut to each destination over a pinned Session (MigrateBegin
-//     + paced MigratePage frames); a torn stream applies nothing.
+//  3. Open the write ledger under the write barrier (migMu). From here every
+//     acked write in the moving region is ledgered, so any cut of the
+//     region pinned later, with the ledger replayed on top, is exactly the
+//     acked state — none can fall between them.
+//  4. Stage: over a pinned Session, send each destination one MigrateBegin
+//     naming the source. The destination pulls the moving region's cut from
+//     the source itself — the same paged, total-checked pull a peer rebuild
+//     uses — and holds it on the conn; a torn pull applies nothing. The
+//     router never holds the cut.
 //  5. Commit window: close the gate (writes bounce with ErrMigrating
 //     instead of queueing), take the barrier, replay the ledger into each
 //     destination's MigrateCommit (server-side ordered replay + exact-set),
@@ -55,9 +59,9 @@ const minSplitPoints = 16
 const migLedgerCap = 1 << 16
 
 // migLedger captures writes racing a migration: every acked op landing in
-// the moving region between the cut and the commit, in ack order. fanWrite
-// appends under migMu.RLock; the committer takes the ops under migMu.Lock,
-// so the snapshot is quiescent.
+// the moving region between the ledger's opening and the commit, in ack
+// order. fanWrite appends under migMu.RLock; the committer takes the ops
+// under migMu.Lock, so the snapshot is quiescent.
 type migLedger struct {
 	cell int      // source cell being split
 	box  geom.Box // moving half (the new cell's half-open box)
@@ -115,7 +119,7 @@ type rebalState struct {
 	lastEpoch  uint64
 }
 
-// migrating reports whether a migration ledger is open (cut pull through
+// migrating reports whether a migration ledger is open (stage through
 // commit). The anti-entropy sweep pauses while true: a mid-migration flip
 // would let a sweep round mix epochs and evidence-fence healthy replicas.
 func (r *Router) migrating() bool {
@@ -387,11 +391,12 @@ func (r *Router) RebalanceOnce(ctx context.Context) (int64, bool, error) {
 
 // sampleSplitPoints pulls a strided sample of the cell over one consistent
 // cut (8 chunks of 256 spread across the cell's snapshot order) — enough
-// for ChooseSplit's median without paging the whole cell.
-func (r *Router) sampleSplitPoints(ctx context.Context, src *shardHandle, cell int, box geom.Box) ([]geom.Point, error) {
+// for ChooseSplit's median without paging the whole cell — and returns it
+// with the cell's total item count.
+func (r *Router) sampleSplitPoints(ctx context.Context, src *shardHandle, cell int, box geom.Box) ([]geom.Point, uint64, error) {
 	sess, err := src.client.NewSession(ctx)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer sess.Close()
 	const chunks, chunk = 8, 256
@@ -407,12 +412,12 @@ func (r *Router) sampleSplitPoints(ctx context.Context, src *shardHandle, cell i
 		page, err := sess.CellSnapshot(cctx, cell, box, off, chunk)
 		cancel()
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		if i == 0 {
 			total = page.Total
 		} else if page.Total != total {
-			return nil, fmt.Errorf("shard %d: cell %d moved under the split sample (%d != %d items)",
+			return nil, 0, fmt.Errorf("shard %d: cell %d moved under the split sample (%d != %d items)",
 				src.id, cell, page.Total, total)
 		}
 		for _, it := range page.Items {
@@ -422,7 +427,7 @@ func (r *Router) sampleSplitPoints(ctx context.Context, src *shardHandle, cell i
 			break // one page held everything
 		}
 	}
-	return pts, nil
+	return pts, total, nil
 }
 
 // migrate executes one planned split+migration end to end. On any error
@@ -433,7 +438,7 @@ func (r *Router) migrate(ctx context.Context, lay *layout, plan migPlan) (int64,
 	src := r.shards[plan.src]
 
 	// Choose the split plane from a sampled quantile of the full cell.
-	pts, err := r.sampleSplitPoints(ctx, src, plan.cell, lay.part.Cell(plan.cell))
+	pts, total, err := r.sampleSplitPoints(ctx, src, plan.cell, lay.part.Cell(plan.cell))
 	if err != nil {
 		return 0, fmt.Errorf("split sample: %w", err)
 	}
@@ -453,110 +458,83 @@ func (r *Router) migrate(ctx context.Context, lay *layout, plan migPlan) (int64,
 	}
 	epoch2 := lay.epoch + 1
 
-	// Open the dual-write ledger under the barrier BEFORE pulling the cut:
-	// from here, every acked write in the moving region is ledgered, and
-	// the cut (pinned at its first page, below) catches everything earlier.
+	// Open the dual-write ledger under the barrier BEFORE any destination
+	// pulls its cut: from here, every acked write in the moving region is
+	// ledgered, and each destination's cut (pinned at its first page)
+	// catches everything earlier.
 	ledger := &migLedger{cell: plan.cell, box: movingBox}
 	r.migMu.Lock()
 	r.mig = ledger
 	r.migMu.Unlock()
-	closeLedger := func() {
-		r.migMu.Lock()
-		r.mig = nil
-		r.migMu.Unlock()
-	}
 
-	cutSess, err := src.client.NewSession(ctx)
-	if err != nil {
-		closeLedger()
-		return 0, fmt.Errorf("cut session: %w", err)
-	}
-	defer cutSess.Close()
-	// The ledger is already open and the cut is pinned at its first page,
-	// so cut ∪ ledger covers every acked write.
-	cut, pages, err := cutSess.PullCell(ctx, r.cfg.Timeout, plan.cell, movingBox, r.cfg.MigratePageSize)
-	r.m.shardCalls.Add(int64(pages))
-	if err != nil {
-		closeLedger()
-		return 0, fmt.Errorf("cut pull: %w", err)
-	}
-
-	// Stage the cut to every destination over pinned sessions. Paced: one
-	// page per MigratePageInterval per destination, so staging shares the
-	// wire politely with live traffic.
-	sessions := make([]*Session, len(plan.dests))
-	abortStages := func() {
+	// Every exit hands back the destinations' pinned conns: a committed
+	// migration's to the pool, any other's closed, which discards its stage.
+	var sessions []*Session
+	committed := false
+	defer func() {
 		for _, s := range sessions {
-			if s != nil {
+			if committed {
+				s.Close()
+			} else {
 				s.Abort()
 			}
 		}
-	}
+	}()
+
+	// Stage: every destination pulls the moving box from the source over
+	// its own pinned session. The call lasts the destination's whole pull,
+	// so its deadline is one Timeout per page the sampled cell total
+	// implies, plus one: a hung destination aborts the migration instead of
+	// holding the ledger open.
+	pages := (total + uint64(r.cfg.MigratePageSize) - 1) / uint64(r.cfg.MigratePageSize)
+	stageTimeout := r.cfg.Timeout * time.Duration(pages+1)
+	var moved int64
 	for i, dest := range plan.dests {
 		sess, err := r.shards[dest].client.NewSession(ctx)
+		var staged uint64
 		if err == nil {
-			cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
+			sessions = append(sessions, sess)
+			cctx, cancel := context.WithTimeout(ctx, stageTimeout)
 			r.m.shardCalls.Add(1)
-			err = sess.MigrateBegin(cctx, epoch2, newCell, movingBox, cut.Total)
+			staged, err = sess.MigrateBegin(cctx, epoch2, newCell, movingBox, src.client.Addr(), r.cfg.MigratePageSize)
 			cancel()
 		}
-		if err == nil {
-			for off := 0; off < len(cut.Items) && err == nil; off += r.cfg.MigratePageSize {
-				end := off + r.cfg.MigratePageSize
-				if end > len(cut.Items) {
-					end = len(cut.Items)
-				}
-				cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
-				r.m.shardCalls.Add(1)
-				err = sess.MigratePage(cctx, epoch2, newCell, uint64(off), cut.Items[off:end], cut.ExpireAts[off:end])
-				cancel()
-				if err == nil && r.cfg.MigratePageInterval > 0 && end < len(cut.Items) {
-					time.Sleep(r.cfg.MigratePageInterval)
-				}
-			}
-		}
 		if err != nil {
-			if sess != nil {
-				sess.Abort()
-			}
-			abortStages()
-			closeLedger()
+			r.migMu.Lock()
+			r.mig = nil
+			r.migMu.Unlock()
 			return 0, fmt.Errorf("stage to shard %d: %w", dest, err)
 		}
-		sessions[i] = sess
+		if i == 0 {
+			moved = int64(staged) // the new cell's primary copy
+		}
 	}
 
 	// Commit window: gate writes out (they bounce with ErrMigrating rather
 	// than pile up on the lock), quiesce in-flight ones, and commit.
 	r.commitGate.Store(true)
-	reopen := func() { r.commitGate.Store(false) }
 	r.migMu.Lock()
-	if ledger.full {
-		r.mig = nil
-		r.migMu.Unlock()
-		reopen()
-		abortStages()
-		return 0, fmt.Errorf("cell %d: migration ledger overflowed (%d+ racing writes), aborted", plan.cell, migLedgerCap)
-	}
-	ops := ledger.ops
-
 	var commitErr error
 	failedAt := -1
-	for i, dest := range plan.dests {
+	if ledger.full {
+		commitErr = fmt.Errorf("cell %d: migration ledger overflowed (%d+ racing writes), aborted", plan.cell, migLedgerCap)
+	}
+	for i := 0; commitErr == nil && i < len(plan.dests); i++ {
 		cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 		r.m.shardCalls.Add(1)
-		_, err := sessions[i].MigrateCommit(cctx, epoch2, newCell, cut.Orphans, cut.OrphanAts, ops)
+		_, err := sessions[i].MigrateCommit(cctx, epoch2, newCell, ledger.ops)
 		cancel()
 		if err != nil {
-			commitErr, failedAt = fmt.Errorf("commit to shard %d: %w", dest, err), i
-			break
+			commitErr, failedAt = fmt.Errorf("commit to shard %d: %w", plan.dests[i], err), i
 		}
 	}
 	if commitErr != nil {
 		r.mig = nil
 		r.migMu.Unlock()
-		reopen()
-		abortStages()
+		r.commitGate.Store(false)
+		if failedAt < 0 {
+			return 0, commitErr // the ledger overflowed: nothing committed
+		}
 		// No flip happened: the source stays authoritative. Destinations
 		// that committed (and the failed one, whose apply may have landed
 		// before the error) now hold the staged region as strays — queue a
@@ -598,15 +576,8 @@ func (r *Router) migrate(ctx context.Context, lay *layout, plan migPlan) (int64,
 	for oldLay.readers.Load() != 0 {
 		time.Sleep(200 * time.Microsecond)
 	}
-	reopen()
-
-	// The staging sessions did their job: return the healthy conns to the
-	// pool (the failure paths above Abort them instead). Leaking them would
-	// pin one router-side fd and one shard-side handler per destination per
-	// committed migration.
-	for _, s := range sessions {
-		s.Close()
-	}
+	r.commitGate.Store(false)
+	committed = true
 
 	// The moved region on source replicas that do not host the new cell is
 	// now stray state: queue and attempt its purge.
@@ -616,7 +587,7 @@ func (r *Router) migrate(ctx context.Context, lay *layout, plan migPlan) (int64,
 		}
 	}
 	r.drainDirty(ctx)
-	return int64(len(cut.Items)), nil
+	return moved, nil
 }
 
 // markDirty queues a stray region for purge. The caller must hold
@@ -663,8 +634,9 @@ func (r *Router) drainDirty(ctx context.Context) {
 }
 
 // purgeRegion exact-sets a stray region to empty on sh — the same
-// migration wire path with an empty stage: Begin(total=0) + Commit with no
-// ops, which the shard applies as "this box now holds nothing".
+// migration wire path with an empty stage: a Begin with no source + a
+// Commit with no ops, which the shard applies as "this box now holds
+// nothing".
 func (r *Router) purgeRegion(ctx context.Context, sh *shardHandle, epoch uint64, reg dirtyRegion) error {
 	sess, err := sh.client.NewSession(ctx)
 	if err != nil {
@@ -674,9 +646,9 @@ func (r *Router) purgeRegion(ctx context.Context, sh *shardHandle, epoch uint64,
 	cctx, cancel := context.WithTimeout(ctx, r.cfg.Timeout)
 	defer cancel()
 	r.m.shardCalls.Add(2)
-	if err := sess.MigrateBegin(cctx, epoch, reg.cell, reg.box, 0); err != nil {
+	if _, err := sess.MigrateBegin(cctx, epoch, reg.cell, reg.box, "", 0); err != nil {
 		return err
 	}
-	_, err = sess.MigrateCommit(cctx, epoch, reg.cell, nil, nil, nil)
+	_, err = sess.MigrateCommit(cctx, epoch, reg.cell, nil)
 	return err
 }

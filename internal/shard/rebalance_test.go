@@ -2,15 +2,16 @@ package shard_test
 
 // Rebalancer cluster tests: a live split+migration must keep every read
 // bit-identical to a single-tree oracle over the acked write set — during
-// the cut transfer, during the commit window, and after the epoch flip —
-// while concurrent writers churn the moving cell. And a torn migration
-// stage (dropped conn, short page stream) must apply nothing: commit is
-// the only frame that touches the destination service.
+// the destinations' cut pulls, during the commit window, and after the
+// epoch flip — while concurrent writers churn the moving cell. And a torn
+// migration stage (dropped conn, a source dying mid-pull) must apply
+// nothing: commit is the only frame that touches the destination service.
 
 import (
 	"context"
 	"errors"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -77,21 +78,32 @@ func TestClusterMigrationOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// staged records every applied migration commit (stray purges
+	// included) as the shard that applied it and the items it staged.
+	type commit struct{ shard, items int }
+	var stagedMu sync.Mutex
+	var staged []commit
 	cluster := make([]*testShard, shards)
 	addrs := make([]string, shards)
 	for i := range cluster {
 		cluster[i] = startShard(t, dim, int64(i+1), "", "127.0.0.1:0")
 		defer cluster[i].stop()
 		addrs[i] = cluster[i].addr
+		cluster[i].ln.SetMigrationObserver(func(items int64, _ pim.Stats, _ time.Duration) {
+			stagedMu.Lock()
+			staged = append(staged, commit{i, int(items)})
+			stagedMu.Unlock()
+		})
 	}
 	router, err := shard.NewRouter(part, addrs, shard.Config{
 		Timeout:       5 * time.Second,
 		ProbeInterval: 50 * time.Millisecond,
 		Replication:   2,
 		// RebalanceInterval stays 0: the test drives RebalanceOnce itself.
-		RebalanceThreshold:  1.5,
-		MigratePageSize:     64,
-		MigratePageInterval: 5 * time.Millisecond,
+		RebalanceThreshold: 1.5,
+		// Small pages: each destination's pull spans many pages while the
+		// writers race the ledger.
+		MigratePageSize: 64,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -353,10 +365,12 @@ func TestClusterMigrationOracle(t *testing.T) {
 	}
 
 	// With the writers stopped, a second hot spot forces one more split,
-	// and its migration is the only traffic on the wire. Each moved point
-	// crosses the wire once per hop — the cut pull plus one staging per
-	// replica — and the split plane comes from a fixed-size sample (8 pages
-	// of 256 points), so the bytes track the moved points, not the dataset.
+	// and its migration is the only traffic on the wire. The destinations
+	// pull the moving half from the source themselves, so no moved point
+	// crosses the router: its bytes are the fixed-size split sample (8 pages
+	// of 256 points) plus a fixed allowance for control frames (count
+	// probe, stage and commit calls, purges, health pings), whatever the
+	// number of points moved.
 	var hot []core.Item
 	for i := 0; i < 3000; i++ {
 		hot = append(hot, core.Item{ID: idGen.Add(1), P: geom.Point{0.8 + rng.Float64()*0.2, 0.8 + rng.Float64()*0.2}})
@@ -364,49 +378,91 @@ func TestClusterMigrationOracle(t *testing.T) {
 	if n, err := router.BatchUpdate(ctx, false, hot); err != nil || n != len(hot) {
 		t.Fatalf("second hot spot: acked %d/%d, err %v", n, len(hot), err)
 	}
+	stagedMu.Lock()
+	seen := len(staged)
+	stagedMu.Unlock()
 	m0 := router.Metrics()
 	moved2, committed2, err := router.RebalanceOnce(ctx)
-	if err != nil || !committed2 {
-		t.Fatalf("second split: committed %v, err %v (counts %v)", committed2, err, router.CellCounts(ctx))
+	if err != nil || !committed2 || moved2 == 0 {
+		t.Fatalf("second split: committed %v, moved %d, err %v (counts %v)", committed2, moved2, err, router.CellCounts(ctx))
 	}
 	m1 := router.Metrics()
 	wire := m1.WireBytesOut + m1.WireBytesIn - m0.WireBytesOut - m0.WireBytesIn
-	pageBytes := func(n int) int64 {
-		items := make([]core.Item, n)
-		ats := make([]int64, n)
-		for i := range items {
-			items[i] = core.Item{ID: int32(i), P: geom.Point{0.9, 0.9}}
-			ats[i] = shard.UntrackedDeadline
-		}
-		return int64(len(shard.EncodeFrame(1, shard.MigratePage{Items: items, ExpireAts: ats}, dim)))
+	const (
+		sampleChunks, sampleChunk = 8, 256
+		controlAllowance          = 8 << 10
+	)
+	sampleItems := make([]core.Item, sampleChunk)
+	sampleAts := make([]int64, sampleChunk)
+	for i := range sampleItems {
+		sampleItems[i] = core.Item{ID: int32(i), P: geom.Point{0.9, 0.9}}
+		sampleAts[i] = shard.UntrackedDeadline
 	}
-	itemBytes := (pageBytes(100) - pageBytes(0)) / 100
-	const splitSample = 8 * 256
-	budget := itemBytes * (int64(1+router.Replication())*moved2 + splitSample) * 115 / 100
+	sampleBytes := int64(sampleChunks * len(shard.EncodeFrame(1, shard.CellSnapshotResp{Total: 1 << 20, Items: sampleItems, ExpireAts: sampleAts}, dim)))
+	budget := sampleBytes*115/100 + controlAllowance
+	t.Logf("second split moved %d points; router wire %d B, budget %d B (sample %d B)", moved2, wire, budget, sampleBytes)
 	if wire > budget {
-		t.Fatalf("second split moved %d points in %d wire bytes, over the %d-byte budget of %d B per point crossing",
-			moved2, wire, budget, itemBytes)
+		t.Fatalf("second split moved %d points in %d router wire bytes, over the %d-byte budget (1.15 × %d B split sample + %d B control): the cut crossed the router",
+			moved2, wire, budget, sampleBytes, controlAllowance)
+	}
+	// Each of the R destinations staged exactly the moved points; every
+	// other commit of this split is an empty stray purge.
+	stagedMu.Lock()
+	split2 := append([]commit(nil), staged[seen:]...)
+	stagedMu.Unlock()
+	full := 0
+	for _, c := range split2 {
+		switch c.items {
+		case int(moved2):
+			full++
+		case 0:
+		default:
+			t.Fatalf("shard %d staged %d items in the second split, want %d (or 0 for a purge)", c.shard, c.items, moved2)
+		}
+	}
+	if full != router.Replication() {
+		t.Fatalf("%d destinations staged the %d moved points, want %d (commits %v)", full, moved2, router.Replication(), split2)
 	}
 }
 
-// TestTornMigrationAppliesNothing: a migration stage that never reaches a
-// well-formed commit — dropped conn, short page stream, out-of-sequence
-// page — leaves the destination byte-for-byte untouched.
+// TestTornMigrationAppliesNothing: a migration stage the destination
+// pulled but never committed well-formed — its conn dropped, a commit for
+// another epoch, a source that died mid-pull — leaves the destination
+// byte-for-byte untouched, while the same stage and commit over a sound
+// source do apply.
 func TestTornMigrationAppliesNothing(t *testing.T) {
-	const dim = 2
-	sh := startShard(t, dim, 1, "", "127.0.0.1:0")
-	defer sh.stop()
-	client := shard.NewClient(sh.addr, dim)
+	const (
+		dim      = 2
+		pageSize = 16
+	)
+	src := startShard(t, dim, 1, "", "127.0.0.1:0")
+	defer src.stop()
+	dest := startShard(t, dim, 2, "", "127.0.0.1:0")
+	defer dest.stop()
+	srcClient := shard.NewClient(src.addr, dim)
+	defer srcClient.Close()
+	client := shard.NewClient(dest.addr, dim)
 	defer client.Close()
 	ctx := context.Background()
 
+	// The destination holds three residents, two inside the moving box; the
+	// source holds the box's cut, many pages of it.
+	moving := geom.NewBox(geom.Point{0.5, 0}, geom.Point{1, 1})
 	resident := []core.Item{
 		{ID: 1, P: geom.Point{0.1, 0.1}},
 		{ID: 2, P: geom.Point{0.6, 0.6}},
 		{ID: 3, P: geom.Point{0.9, 0.2}},
 	}
 	if n, err := client.Update(ctx, false, resident); err != nil || n != len(resident) {
-		t.Fatalf("seed: %d, %v", n, err)
+		t.Fatalf("seed destination: %d, %v", n, err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var cut []core.Item
+	for id := int32(100); id < 300; id++ {
+		cut = append(cut, core.Item{ID: id, P: geom.Point{0.5 + rng.Float64()*0.5, rng.Float64()}})
+	}
+	if n, err := srcClient.Update(ctx, false, cut); err != nil || n != len(cut) {
+		t.Fatalf("seed source: %d, %v", n, err)
 	}
 	full := geom.NewBox(geom.Point{0, 0}, geom.Point{1, 1})
 	snapshot := func() []core.Item {
@@ -416,20 +472,11 @@ func TestTornMigrationAppliesNothing(t *testing.T) {
 		}
 		return canonicalItems(items[0])
 	}
-	want := snapshot()
-	if len(want) != len(resident) {
-		t.Fatalf("seeded %d items, shard holds %d", len(resident), len(want))
-	}
-	staged := []core.Item{
-		{ID: 10, P: geom.Point{0.55, 0.55}},
-		{ID: 11, P: geom.Point{0.65, 0.65}},
-	}
-	ats := []int64{shard.UntrackedDeadline, shard.UntrackedDeadline}
-	checkUntouched := func(what string) {
+	holds := func(what string, want []core.Item) {
 		t.Helper()
 		got := snapshot()
 		if len(got) != len(want) {
-			t.Fatalf("%s: shard holds %d items, want the untouched %d", what, len(got), len(want))
+			t.Fatalf("%s: shard holds %d items, want %d", what, len(got), len(want))
 		}
 		for i := range got {
 			if !core.ItemEq(got[i], want[i]) {
@@ -437,63 +484,96 @@ func TestTornMigrationAppliesNothing(t *testing.T) {
 			}
 		}
 	}
+	untouched := snapshot()
+	if len(untouched) != len(resident) {
+		t.Fatalf("seeded %d items, shard holds %d", len(resident), len(untouched))
+	}
 
-	// Dropped conn mid-stage: Begin + one page, then the conn dies. The
-	// stage lives on the conn's handler goroutine only, so nothing applies.
+	// A dropped conn after a completed stage: the cut lives on that conn's
+	// handler only, so a commit on another conn finds nothing to apply.
 	sess, err := client.NewSession(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.MigrateBegin(ctx, 5, 0, full, 3); err != nil {
-		t.Fatalf("begin: %v", err)
-	}
-	if err := sess.MigratePage(ctx, 5, 0, 0, staged, ats); err != nil {
-		t.Fatalf("page: %v", err)
+	if n, err := sess.MigrateBegin(ctx, 5, 7, moving, src.addr, pageSize); err != nil || n != uint64(len(cut)) {
+		t.Fatalf("stage: %d of %d items, err %v", n, len(cut), err)
 	}
 	sess.Abort()
-	checkUntouched("after dropped conn")
-
-	// Short stream: commit with fewer items staged than Begin promised.
-	sess, err = client.NewSession(ctx)
-	if err != nil {
+	if sess, err = client.NewSession(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.MigrateBegin(ctx, 6, 0, full, 3); err != nil {
-		t.Fatalf("begin: %v", err)
+	if _, err := sess.MigrateCommit(ctx, 5, 7, nil); err == nil {
+		t.Fatal("a commit on a fresh conn applied a dropped conn's stage")
 	}
-	if err := sess.MigratePage(ctx, 6, 0, 0, staged, ats); err != nil {
-		t.Fatalf("page: %v", err)
+	sess.Abort()
+	holds("after a dropped conn", untouched)
+
+	// A commit with no stage for it: the conn staged epoch 6, the commit
+	// names epoch 7.
+	if sess, err = client.NewSession(ctx); err != nil {
+		t.Fatal(err)
 	}
-	_, err = sess.MigrateCommit(ctx, 6, 0, nil, nil, nil)
+	if _, err := sess.MigrateBegin(ctx, 6, 7, moving, src.addr, pageSize); err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	_, err = sess.MigrateCommit(ctx, 7, 7, nil)
 	var re *shard.RemoteError
-	if !errors.As(err, &re) || !strings.Contains(re.Msg, "torn migration stage") {
-		t.Fatalf("short-stream commit: err = %v, want torn-stage rejection", err)
+	if !errors.As(err, &re) || !strings.Contains(re.Msg, "without matching begin") {
+		t.Fatalf("commit for an unstaged epoch: err = %v, want a no-matching-begin refusal", err)
 	}
 	sess.Abort()
-	checkUntouched("after torn-stage commit")
+	holds("after a commit with no stage", untouched)
 
-	// Out-of-sequence page: the stage is dropped, and a commit after it has
-	// no matching begin.
-	sess, err = client.NewSession(ctx)
+	// A source that dies mid-pull: the proxy tears the source's stream after
+	// about one page. The stage errors, and a commit on the same conn — a
+	// plain one, which a refusal does not close the way it poisons a
+	// Session — is refused.
+	proxy := startTruncatingProxy(t, src.addr, 1000)
+	nc, err := net.Dial("tcp", dest.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.MigrateBegin(ctx, 7, 0, full, 4); err != nil {
-		t.Fatalf("begin: %v", err)
-	}
-	if err := sess.MigratePage(ctx, 7, 0, 2, staged, ats); err == nil {
-		t.Fatal("out-of-sequence page accepted")
-	}
-	sess.Abort()
-	sess, err = client.NewSession(ctx)
-	if err != nil {
+	defer nc.Close()
+	if _, err := shard.ReadHandshake(nc); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.MigrateCommit(ctx, 7, 0, nil, nil, nil); err == nil {
-		t.Fatal("commit without matching begin accepted")
+	exchange := func(m any) any {
+		t.Helper()
+		if _, err := nc.Write(shard.EncodeFrame(1, m, dim)); err != nil {
+			t.Fatal(err)
+		}
+		payload, err := shard.ReadFrame(nc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, resp, err := shard.DecodePayload(payload, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	sess.Abort()
-	checkUntouched("after out-of-sequence page")
+	refused := func(resp any) bool { _, ok := resp.(*shard.RemoteError); return ok }
+	if resp := exchange(shard.MigrateBegin{Epoch: 8, Cell: 7, Box: moving, Source: proxy, PageSize: pageSize}); !refused(resp) {
+		t.Fatalf("a stage whose source died mid-pull answered %+v, want an error", resp)
+	}
+	if resp := exchange(shard.MigrateCommit{Epoch: 8, Cell: 7}); !refused(resp) {
+		t.Fatalf("a commit after a torn stage answered %+v, want a refusal", resp)
+	}
+	holds("after a stage whose source died mid-pull", untouched)
+
+	// Control: the same stage and commit over the sound source apply — the
+	// moving box becomes exactly the source's cut.
+	if sess, err = client.NewSession(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.MigrateBegin(ctx, 9, 7, moving, src.addr, pageSize); err != nil {
+		t.Fatalf("stage: %v", err)
+	}
+	if changed, err := sess.MigrateCommit(ctx, 9, 7, nil); err != nil || !changed {
+		t.Fatalf("commit: changed %v, err %v", changed, err)
+	}
+	sess.Close()
+	holds("after a sound stage and commit", canonicalItems(append([]core.Item{resident[0]}, cut...)))
 }
 
 // TestKNNStrayCrowdingStaysExact: migration strays — points a shard holds

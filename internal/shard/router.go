@@ -27,8 +27,8 @@ var ErrDegraded = errors.New("shard: cluster degraded, required replica unavaila
 // window, and for expiry sweeps while any part of a migration (ledger
 // capture, commit, or stray purge) is pending — short, bounded
 // unavailability the caller retries. The HTTP layer maps it to 503 with a
-// Retry-After hint derived from MigratePageInterval, the cadence at which
-// migration state advances.
+// constant one-second Retry-After hint: the commit window lasts one ledger
+// replay, far less than the header's one-second resolution.
 var ErrMigrating = errors.New("shard: cell migration in progress, retry shortly")
 
 // Config parameterizes a Router. The zero value is usable; defaults are
@@ -73,13 +73,9 @@ type Config struct {
 	// rebalance pass; Status flags the shards above it as rebalance
 	// candidates. Default 2.0.
 	RebalanceThreshold float64
-	// MigratePageSize is how many items one MigratePage frame carries while
-	// staging a migration. Default 512.
+	// MigratePageSize is the page size, in items, with which a migration
+	// destination pulls its cut from the source. Default 512.
 	MigratePageSize int
-	// MigratePageInterval paces migration staging (one page per interval
-	// per destination) and is the basis of the Retry-After hint on writes
-	// bounced with ErrMigrating during the commit window. Default 25ms.
-	MigratePageInterval time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -106,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MigratePageSize <= 0 {
 		c.MigratePageSize = 512
-	}
-	if c.MigratePageInterval <= 0 {
-		c.MigratePageInterval = 25 * time.Millisecond
 	}
 	return c
 }
@@ -1080,9 +1073,9 @@ func (r *Router) fanWrite(ctx context.Context, items []core.Item, delta int64,
 			}
 			// Dual-write: an acked op landing inside the moving region is
 			// recorded in the migration ledger so the destination replays it
-			// on commit. The ledger was opened under migMu.Lock before the
-			// cut was pulled and we hold migMu.RLock now, so every acked
-			// write is in cut ∪ ledger — none can slip between them.
+			// on commit. The ledger was opened under migMu.Lock before any
+			// destination pulled its cut and we hold migMu.RLock now, so
+			// every acked write is in cut ∪ ledger — none can slip between.
 			if mig := r.mig; mig != nil && cell == mig.cell && mkOp != nil {
 				for _, i := range idxs {
 					if op := mkOp(i); mig.box.ContainsHalfOpen(op.Item.P) {

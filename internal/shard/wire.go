@@ -51,10 +51,14 @@ import (
 // the cellSum messages for the router's anti-entropy sweep. v5 added the
 // migBegin/migPage/migCommit stream for the online rebalancer's live cell
 // migration (staged exact-set with ledger replay, conn-scoped like the
-// cellSnap stash).
+// cellSnap stash). v6 made the stage a pull: migBegin names the source
+// shard's address and page size and the destination pages the cut itself
+// over cellSnap frames, so migPage is gone (its type byte stays unused),
+// migCommit no longer carries the cut's orphans, and migResp reports how
+// many items the stage holds.
 const (
 	wireMagic   = "PKDSHRD1"
-	wireVersion = 5
+	wireVersion = 6
 	// handshakeSize is the byte length of the connection header.
 	handshakeSize = 16
 	// maxFramePayload bounds one frame so a corrupted length field cannot
@@ -91,9 +95,8 @@ const (
 	// v4 anti-entropy messages.
 	msgCellSumReq  byte = 0x25
 	msgCellSumResp byte = 0x26
-	// v5 online-rebalance migration messages.
+	// v5 online-rebalance migration messages (0x28 was v5's migPage).
 	msgMigBeginReq  byte = 0x27
-	msgMigPageReq   byte = 0x28
 	msgMigCommitReq byte = 0x29
 	msgMigResp      byte = 0x2a
 )
@@ -332,35 +335,26 @@ type CellChecksumResp struct {
 	Sums []CellChecksum
 }
 
-// MigrateBegin opens a migration stage on the receiving connection: the
-// destination will accept Total staged items for the half-open Box of
-// Cell, delivered as MigratePage frames on the same conn, and apply them
-// atomically at MigrateCommit. Epoch is the placement epoch the rebalancer
-// is building (epochs start at 1; 0 is malformed). The stage is conn-
-// scoped exactly like the cell-snapshot stash: dropping the conn discards
-// it, so a torn migration stream applies nothing.
+// MigrateBegin stages a migration on the receiving connection: the
+// destination pulls the half-open Box from the shard at wire address
+// Source, PageSize items per CellSnapshot page, over one consistent cut,
+// and holds it on the conn until MigrateCommit applies it. An empty Source
+// stages the empty set (a stray purge). Cell names the cut on both ends
+// (the source uses it only to match its pages). Epoch is the placement
+// epoch the rebalancer is building (epochs start at 1; 0 is malformed).
+// The stage is conn-scoped exactly like the cell-snapshot stash: dropping
+// the conn discards it, so a torn migration applies nothing.
 type MigrateBegin struct {
-	Epoch uint64
-	Cell  int
-	Box   geom.Box
-	Total uint64
-}
-
-// MigratePage carries one page of the staged exact set, in stream order.
-// ExpireAts parallels Items (UntrackedDeadline = no TTL entry). Offset is
-// the number of staged items that must precede this page — a sequencing
-// check, not a seek.
-type MigratePage struct {
-	Epoch     uint64
-	Cell      int
-	Offset    uint64
-	Items     []core.Item
-	ExpireAts []int64
+	Epoch    uint64
+	Cell     int
+	Box      geom.Box
+	Source   string
+	PageSize int
 }
 
 // MigrateOp is one write that raced the migration cut: an insert (or
 // TTL-tracked ingest) or a delete of one item in the moving region,
-// recorded by the router in ack order while the cut was being paged over.
+// recorded by the router in ack order from the moment its ledger opened.
 // ExpireAt is the ingest deadline (UntrackedDeadline for plain inserts and
 // for deletes).
 type MigrateOp struct {
@@ -370,24 +364,23 @@ type MigrateOp struct {
 }
 
 // MigrateCommit atomically completes the stage opened by MigrateBegin on
-// this conn: the shard replays Ops (in order) on top of the staged pages,
+// this conn: the shard replays Ops (in order) on top of the staged cut,
 // then exact-sets the cell box to the result — the same one-batch
 // multiset-diff apply as a peer-rebuild RestoreCell, so commit is all or
-// nothing and idempotent. Orphans/OrphanAts carry the cut's orphaned
-// expiry entries (as on a final CellSnapshotResp page).
+// nothing and idempotent.
 type MigrateCommit struct {
-	Epoch     uint64
-	Cell      int
-	Orphans   []core.Item
-	OrphanAts []int64
-	Ops       []MigrateOp
+	Epoch uint64
+	Cell  int
+	Ops   []MigrateOp
 }
 
-// MigrateResp acknowledges a MigrateBegin, MigratePage, or MigrateCommit.
-// Changed is meaningful on commit only: whether applying the staged state
-// changed the shard's local cell contents (a no-op commit proves the
-// destination already held the exact set).
+// MigrateResp acknowledges a MigrateBegin or MigrateCommit. On a begin,
+// Staged is how many items the stage holds; on a commit, Changed is
+// whether applying the staged state changed the shard's local cell
+// contents (a no-op commit proves the destination already held the exact
+// set).
 type MigrateResp struct {
+	Staged  uint64
 	Changed bool
 }
 
@@ -512,7 +505,6 @@ var decoders = [256]func(codec) (any, error){
 	msgCellSumReq:   func(c codec) (any, error) { var m CellChecksumReq; m.walk(&c); return m, c.end() },
 	msgCellSumResp:  func(c codec) (any, error) { var m CellChecksumResp; m.walk(&c); return m, c.end() },
 	msgMigBeginReq:  func(c codec) (any, error) { var m MigrateBegin; m.walk(&c); return m, c.end() },
-	msgMigPageReq:   func(c codec) (any, error) { var m MigratePage; m.walk(&c); return m, c.end() },
 	msgMigCommitReq: func(c codec) (any, error) { var m MigrateCommit; m.walk(&c); return m, c.end() },
 	msgMigResp:      func(c codec) (any, error) { var m MigrateResp; m.walk(&c); return m, c.end() },
 }
@@ -735,22 +727,14 @@ func (m *MigrateBegin) walk(c *codec) {
 	c.epoch(&m.Epoch)
 	c.cell(&m.Cell)
 	c.box(&m.Box)
-	c.u64(&m.Total)
-}
-
-func (m MigratePage) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigPageReq }
-func (m *MigratePage) walk(c *codec) {
-	c.epoch(&m.Epoch)
-	c.cell(&m.Cell)
-	c.u64(&m.Offset)
-	c.timedItems(&m.Items, &m.ExpireAts)
+	c.str(&m.Source, c.count(len(m.Source), 1))
+	c.int(&m.PageSize)
 }
 
 func (m MigrateCommit) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigCommitReq }
 func (m *MigrateCommit) walk(c *codec) {
 	c.epoch(&m.Epoch)
 	c.cell(&m.Cell)
-	c.timedItems(&m.Orphans, &m.OrphanAts)
 	for i := range seq(c, &m.Ops, c.itemSize()+9) {
 		op := &m.Ops[i]
 		c.flag(&op.Delete)
@@ -760,7 +744,10 @@ func (m *MigrateCommit) walk(c *codec) {
 }
 
 func (m MigrateResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigResp }
-func (m *MigrateResp) walk(c *codec)             { c.flag(&m.Changed) }
+func (m *MigrateResp) walk(c *codec) {
+	c.u64(&m.Staged)
+	c.flag(&m.Changed)
+}
 
 // codec is the bidirectional cursor the walks run over. Encoding (dec
 // false) every primitive appends its field to buf and nothing can fail.

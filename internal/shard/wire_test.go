@@ -132,28 +132,24 @@ func wireMessages(dim int) []any {
 			{Count: 0, Digest: 0},
 		}},
 		CellChecksumResp{},
-		MigrateBegin{Epoch: 2, Cell: 4, Box: geom.Box{Lo: pt(0.5, 0, 0), Hi: pt(1, 1, 1)}, Total: 3},
-		MigrateBegin{Epoch: 1, Cell: 0, Box: infBox(dim), Total: 0},
-		MigratePage{
-			Epoch:     2,
-			Cell:      4,
-			Offset:    128,
-			Items:     []core.Item{{ID: 11, Priority: 0.5, P: pt(0.6, 0.1, 0.1)}, {ID: 12, P: pt(0.7, 0.2, 0.2)}},
-			ExpireAts: []int64{4242, UntrackedDeadline},
+		MigrateBegin{
+			Epoch:    2,
+			Cell:     4,
+			Box:      geom.Box{Lo: pt(0.5, 0, 0), Hi: pt(1, 1, 1)},
+			Source:   "127.0.0.1:9291",
+			PageSize: 512,
 		},
-		MigratePage{Epoch: 3, Cell: 1, Offset: 0},
+		MigrateBegin{Epoch: 1, Cell: 0, Box: infBox(dim)},
 		MigrateCommit{
-			Epoch:     2,
-			Cell:      4,
-			Orphans:   []core.Item{{ID: 13, P: pt(0.8, 0.3, 0.3)}},
-			OrphanAts: []int64{987},
+			Epoch: 2,
+			Cell:  4,
 			Ops: []MigrateOp{
 				{Delete: false, Item: core.Item{ID: 14, P: pt(0.9, 0.4, 0.4)}, ExpireAt: 5000},
 				{Delete: true, Item: core.Item{ID: 11, P: pt(0.6, 0.1, 0.1)}, ExpireAt: UntrackedDeadline},
 			},
 		},
 		MigrateCommit{Epoch: 9, Cell: 2},
-		MigrateResp{Changed: true},
+		MigrateResp{Staged: 3, Changed: true},
 		MigrateResp{},
 	}
 }
@@ -291,21 +287,7 @@ func normalize(m any) any {
 			v.Sums = nil
 		}
 		return v
-	case MigratePage:
-		if len(v.Items) == 0 {
-			v.Items = nil
-		}
-		if len(v.ExpireAts) == 0 {
-			v.ExpireAts = nil
-		}
-		return v
 	case MigrateCommit:
-		if len(v.Orphans) == 0 {
-			v.Orphans = nil
-		}
-		if len(v.OrphanAts) == 0 {
-			v.OrphanAts = nil
-		}
 		if len(v.Ops) == 0 {
 			v.Ops = nil
 		}
@@ -490,10 +472,7 @@ func TestDecodePayloadRejectsMalformedBodies(t *testing.T) {
 			return p[:len(p)-4]
 		}},
 		{"zero migrate begin epoch", func() []byte {
-			return encodePayload(1, MigrateBegin{Epoch: 0, Cell: 1, Box: infBox(2), Total: 5}, 2)
-		}},
-		{"zero migrate page epoch", func() []byte {
-			return encodePayload(1, MigratePage{Epoch: 0, Cell: 1}, 2)
+			return encodePayload(1, MigrateBegin{Epoch: 0, Cell: 1, Box: infBox(2), Source: "a:1"}, 2)
 		}},
 		{"zero migrate commit epoch", func() []byte {
 			return encodePayload(1, MigrateCommit{Epoch: 0, Cell: 1}, 2)
@@ -506,14 +485,16 @@ func TestDecodePayloadRejectsMalformedBodies(t *testing.T) {
 				Lo: geom.Point{1, 1}, Hi: geom.Point{0, 0},
 			}}, 2)
 		}},
-		{"migrate page deadline truncated", func() []byte {
-			p := encodePayload(1, MigratePage{
-				Epoch:     1,
-				Cell:      1,
-				Items:     []core.Item{{ID: 1, P: geom.Point{0, 0}}},
-				ExpireAts: []int64{5},
-			}, 2)
-			return p[:len(p)-4]
+		{"migrate source longer than the body", func() []byte {
+			p := encodePayload(1, MigrateBegin{Epoch: 1, Cell: 1, Box: infBox(2), Source: "127.0.0.1:9291"}, 2)
+			// The source's length is the uint32 after type, reqID, epoch,
+			// cell and the box's four float64s.
+			p[1+8+8+4+32] = 0xff
+			return p
+		}},
+		{"migrate source truncated", func() []byte {
+			p := encodePayload(1, MigrateBegin{Epoch: 1, Cell: 1, Box: infBox(2), Source: "127.0.0.1:9291", PageSize: 64}, 2)
+			return p[:len(p)-6]
 		}},
 		{"migrate op delete byte", func() []byte {
 			p := encodePayload(1, MigrateCommit{Epoch: 1, Cell: 1, Ops: []MigrateOp{
@@ -531,9 +512,13 @@ func TestDecodePayloadRejectsMalformedBodies(t *testing.T) {
 			return p[:len(p)-4]
 		}},
 		{"migrate resp changed byte", func() []byte {
-			p := encodePayload(1, MigrateResp{Changed: true}, 2)
-			p[9] = 2
+			p := encodePayload(1, MigrateResp{Staged: 7, Changed: true}, 2)
+			p[len(p)-1] = 2
 			return p
+		}},
+		{"migrate resp staged truncated", func() []byte {
+			p := encodePayload(1, MigrateResp{Staged: 7}, 2)
+			return p[:len(p)-3]
 		}},
 		{"empty payload", func() []byte { return nil }},
 	} {
