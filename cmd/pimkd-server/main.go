@@ -21,15 +21,12 @@
 // All randomness (dataset, tree placement salt, service-layer sampling) is
 // derived from -seed, so a replayed request trace is deterministic.
 //
-// Robustness: -fault-seed > 0 arms a deterministic chaos plan (module
-// crashes, stalls, transient send failures at the -fault-crash /
-// -fault-stall / -fault-send rates) against the live machine, with a
-// fault.Supervisor rebuilding crashed modules' shards from the host-side
-// tree and retrying in place; -round-deadline converts genuine stalls into
-// typed round timeouts; -shed-highwater enables 503 + Retry-After load
-// shedding; SIGINT/SIGTERM drain gracefully (admitted requests complete).
+// Robustness: a batch that panics — a module program's panic included —
+// fails only its own requests (HTTP 500) and is counted in /statsz
+// batch_panics; -shed-highwater enables 503 + Retry-After load shedding;
+// SIGINT/SIGTERM drain gracefully (admitted requests complete).
 //
-//	pimkd-server -fault-seed 7 -fault-crash 0.001 -shed-highwater 768
+//	pimkd-server -shed-highwater 768
 //
 // Durability: -data-dir turns on snapshot + write-ahead-log persistence.
 // Every acknowledged update batch is appended to the WAL before it commits
@@ -60,8 +57,8 @@
 // same -replication / -cluster-bounds the router uses. On startup — and
 // whenever the router fences it as stale — the shard streams its hosted
 // cells from a healthy replica over paginated snapshot frames (metered
-// rounds labeled fault/rebuild/cell=N, folded into the supervisor's stats)
-// and reports in-sync only once a full pass changes nothing, so a shard
+// rounds labeled fault/rebuild/cell=N, counted as the restore-cell kind on
+// /statsz) and reports in-sync only once a full pass changes nothing, so a shard
 // that lost its data dir rebuilds from its peers and /readyz flips only
 // once it is caught up.
 //
@@ -86,7 +83,6 @@ import (
 	"time"
 
 	"pimkd/internal/core"
-	"pimkd/internal/fault"
 	"pimkd/internal/geom"
 	"pimkd/internal/persist"
 	"pimkd/internal/pim"
@@ -124,14 +120,7 @@ func main() {
 		ckptEvery = flag.Int("checkpoint-every", 256, "checkpoint after this many write batches (-1 = never by count)")
 		ckptIntvl = flag.Duration("checkpoint-interval", 30*time.Second, "checkpoint after this much wall time (-1s = never by time)")
 
-		faultSeed  = flag.Int64("fault-seed", 0, "arm the deterministic chaos plan with this seed (0 = off)")
-		faultCrash = flag.Float64("fault-crash", 0.0005, "per-(round,module) crash probability (with -fault-seed)")
-		faultStall = flag.Float64("fault-stall", 0.001, "per-(round,module) stall probability (with -fault-seed)")
-		stallDelay = flag.Duration("fault-stall-delay", time.Millisecond, "injected stall duration")
-		faultSend  = flag.Float64("fault-send", 0.001, "per-(round,module) transient send-failure probability")
-		deadline   = flag.Duration("round-deadline", 0, "per-round wall deadline; stalls beyond it become typed RoundTimeouts (0 = none)")
-		shedHW     = flag.Int("shed-highwater", 0, "load-shed (503 + Retry-After) above this many held admission slots (0 = off)")
-		retryTrans = flag.Int("retry-transient", 0, "read-batch retries after a transient fault (0 = default 2, -1 = off)")
+		shedHW = flag.Int("shed-highwater", 0, "load-shed (503 + Retry-After) above this many held admission slots (0 = off)")
 	)
 	flag.Parse()
 
@@ -217,39 +206,6 @@ func main() {
 		}
 	}
 
-	// Arm fault injection only after the build: the chaos window opens at
-	// the current round sequence, so construction is never perturbed and a
-	// given (-seed, -fault-seed) pair replays the identical fault schedule.
-	var sup *fault.Supervisor
-	if *deadline > 0 {
-		mach.SetRoundDeadline(*deadline)
-	}
-	if *faultSeed > 0 {
-		plan := fault.Plan{
-			Seed:         *faultSeed,
-			CrashProb:    *faultCrash,
-			StallProb:    *faultStall,
-			StallDelay:   *stallDelay,
-			SendFailProb: *faultSend,
-			FirstRound:   mach.RoundSeq() + 1,
-		}
-		mach.SetInjector(plan.Injector())
-		sup = fault.NewSupervisor(fault.SupervisorConfig{
-			OnEvent: func(ev fault.Event) {
-				log.Printf("fault: round=%d module=%d kind=%s attempt=%d recovered=%v rebuilt=%d pts comm=%d",
-					ev.Round, ev.Module, ev.Kind, ev.Attempt, ev.Recovered, ev.RebuiltPoints, ev.Cost.Communication)
-			},
-		}, mach, tree)
-		sup.Attach()
-		log.Printf("chaos armed: seed=%d crash=%g stall=%g(%v) send=%g from round %d",
-			*faultSeed, *faultCrash, *faultStall, *stallDelay, *faultSend, plan.FirstRound)
-	}
-	// Fold a process-level recovery into the supervisor's fault story, so
-	// one place reports both module rebuilds and startup replay.
-	if sup != nil && recovery.Recovered {
-		sup.RecordProcessRecovery(int64(recovery.ReplayRecords), int64(recovery.ReplayItems), recovery.ReplayCost)
-	}
-
 	cfg := serve.Config{
 		MaxBatch:           *maxBatch,
 		MaxLinger:          *linger,
@@ -257,7 +213,6 @@ func main() {
 		Seed:               *seed,
 		TraceCapacity:      *traceCap,
 		ShedHighWater:      *shedHW,
-		RetryTransient:     *retryTrans,
 		Persist:            store,
 		CheckpointEvery:    *ckptEvery,
 		CheckpointInterval: *ckptIntvl,
@@ -298,12 +253,6 @@ func main() {
 		for i, c := range cells {
 			boxes[i] = part.Cell(c)
 		}
-		if sup == nil {
-			// Rebuild accounting reports through the supervisor even when
-			// chaos is not armed; without Attach it only aggregates stats.
-			sup = fault.NewSupervisor(fault.SupervisorConfig{}, mach, tree)
-		}
-		acct := sup
 		rebuilder = serve.NewRebuilder(svc, serve.RebuildConfig{
 			Self:      *clusterSelf,
 			Peers:     peers,
@@ -315,7 +264,6 @@ func main() {
 			OnRebuilt: func(cells, items int64, cost pim.Stats, took time.Duration) {
 				log.Printf("peer rebuild converged: %d cells, %d items over the wire, comm %d words, %v",
 					cells, items, cost.Communication, took.Round(time.Millisecond))
-				acct.RecordPeerRebuild(cells, items, cost, took)
 			},
 			Logf: log.Printf,
 		})
@@ -367,15 +315,10 @@ func main() {
 		}
 		shardLn = serve.NewShardListener(svc, ln, ready.Load, syncst)
 		// Migration adopts (the router's online rebalancer moving a cell
-		// region here) report through the supervisor beside the fault rungs.
-		if sup == nil {
-			sup = fault.NewSupervisor(fault.SupervisorConfig{}, mach, tree)
-		}
-		migAcct := sup
+		// region here) are logged; their totals are the migrate-cell kind.
 		shardLn.SetMigrationObserver(func(items int64, cost pim.Stats, took time.Duration) {
 			log.Printf("migration adopt applied: %d items, comm %d words, %v",
 				items, cost.Communication, took.Round(time.Millisecond))
-			migAcct.RecordMigration(items, cost, took)
 		})
 		log.Printf("shard wire protocol on %s", shardLn.Addr())
 	}
@@ -424,24 +367,9 @@ func main() {
 			k.Kind, k.Requests, k.Batches, k.MeanBatchSize, k.CommPerRequest, k.MeanCommBalance)
 	}
 	rb := snap.Robustness
-	if rb.Sheds+rb.CanceledRequests+rb.BatchRetries+rb.BatchFaults+rb.BatchPanics > 0 {
-		fmt.Printf("robustness: sheds=%d canceled=%d batch retries=%d faults=%d panics=%d\n",
-			rb.Sheds, rb.CanceledRequests, rb.BatchRetries, rb.BatchFaults, rb.BatchPanics)
-	}
-	if sup != nil {
-		fs := sup.Stats()
-		fmt.Printf("supervisor: crashes=%d stalls=%d recoveries=%d gave up=%d rebuilt %d nodes / %d points, recovery comm=%d words\n",
-			fs.Crashes, fs.Stalls, fs.Recoveries, fs.GaveUp, fs.RebuiltNodes, fs.RebuiltPoints, fs.RecoveryCost.Communication)
-		if fs.PeerRebuilds > 0 {
-			fmt.Printf("peer rebuild: %d runs pulled %d cells / %d items from replicas, comm=%d words, %v converging\n",
-				fs.PeerRebuilds, fs.RebuiltCells, fs.PulledItems, fs.RebuildCost.Communication,
-				fs.RebuildTimeNS.Round(time.Millisecond))
-		}
-		if fs.MigrateAdopts > 0 {
-			fmt.Printf("rebalance: %d migration adopts applied %d items, comm=%d words, %v applying\n",
-				fs.MigrateAdopts, fs.MigratedItems, fs.MigrateCost.Communication,
-				fs.MigrateTimeNS.Round(time.Millisecond))
-		}
+	if rb.Sheds+rb.CanceledRequests+rb.BatchPanics > 0 {
+		fmt.Printf("robustness: sheds=%d canceled=%d batch panics=%d\n",
+			rb.Sheds, rb.CanceledRequests, rb.BatchPanics)
 	}
 }
 

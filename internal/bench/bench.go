@@ -2,7 +2,7 @@
 // figure, and theorem-shaped claim of the paper (see DESIGN.md §4 for the
 // experiment index E1–E23). Each experiment prints the measured series next
 // to the paper's predicted shape; EXPERIMENTS.md records a captured run.
-// The systems layers beyond the paper (fault recovery, durability, the
+// The systems layers beyond the paper (durability, peer rebuild, the
 // cluster, the load generator) are pinned by their own packages' tests and
 // measured end to end by `go run ./benchmark`, not here.
 //

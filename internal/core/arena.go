@@ -72,9 +72,7 @@ type node struct {
 // operation at a time: its visit counters, its per-batch scratch and its
 // OpStats tallies belong to the running batch, whose own work may be
 // parallel. Callers that share a Tree serialise its batches, as the serving
-// layer's single executor does. A batch ended by a pim.RoundTimeout may
-// leave module programs running after it returns; it leaves its scratch to
-// them, so the next batch starts on fresh buffers.
+// layer's single executor does.
 type Tree struct {
 	cfg  Config
 	mach *pim.Machine
@@ -116,9 +114,8 @@ type Tree struct {
 	// nothing in proportion to the tree.
 	visits []atomic.Int32
 	// scratch holds LeafSearch's per-module wave buffers, reused across
-	// waves and batches; nil while a batch holds them, or after a batch
-	// that panicked left them to its abandoned module programs.
-	scratch *searchScratch
+	// waves and batches.
+	scratch searchScratch
 
 	// OpStats tallies structure-level event counters useful to experiments.
 	OpStats OpStats

@@ -4,10 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
@@ -292,87 +289,6 @@ func TestTraversalScratchScales(t *testing.T) {
 		t.Logf("%s batch: %.0f B at n=2^12, %.0f B at n=2^16", c.name, c.small, c.big)
 		if c.big > 1.25*c.small {
 			t.Errorf("%s batch allocates %.0f B at n=2^16 against %.0f B at n=2^12: more than 1.25×", c.name, c.big, c.small)
-		}
-	}
-}
-
-// hangRound is an Injector that holds every module program of one round in
-// its first Transfer until a later round begins. A round deadline abandons
-// those programs mid-program, and they finish while the next batch runs.
-type hangRound struct {
-	target  int64
-	release chan struct{}
-	once    sync.Once
-	calls   atomic.Int32 // SendOK calls made in the target round
-}
-
-func (h *hangRound) ModuleAction(round int64, mod, attempt int) pim.Action {
-	if round > h.target {
-		h.once.Do(func() { close(h.release) })
-	}
-	return pim.Action{}
-}
-
-func (h *hangRound) SendOK(round int64, mod, attempt int) bool {
-	if round == h.target {
-		h.calls.Add(1)
-		<-h.release
-	}
-	return true
-}
-
-// TestLeafSearchScratchAfterRoundTimeout runs a LeafSearch whose Group-0
-// programs overrun the round deadline, so the RoundTimeout abandons them
-// while they still hold the batch's wave buffers. They resume during the
-// next LeafSearch on the same tree, which must answer as a reference tree
-// does; under -race it also checks that the two batches share no buffer.
-func TestLeafSearchScratchAfterRoundTimeout(t *testing.T) {
-	const n, queries = 1 << 12, 512
-	build := func() *Tree {
-		tree := New(Config{Dim: 2, Seed: 33}, pim.NewMachine(8, 1<<22))
-		items := make([]Item, n)
-		for i, p := range workload.Uniform(n, 2, 331) {
-			items[i] = Item{P: p, ID: int32(i)}
-		}
-		tree.Build(items)
-		return tree
-	}
-	ref, tree := build(), build()
-	first := workload.Uniform(queries, 2, 332)
-	second := workload.Uniform(queries, 2, 333)
-
-	tree.LeafSearch(first) // sizes the tree's wave buffers
-	mach := tree.mach
-	mach.SetRoundDeadline(20 * time.Millisecond)
-	h := &hangRound{target: mach.RoundSeq() + 1, release: make(chan struct{})}
-	mach.SetInjector(h)
-	var timeout *pim.RoundTimeout
-	func() {
-		defer func() { timeout, _ = recover().(*pim.RoundTimeout) }()
-		tree.LeafSearch(first)
-	}()
-	if timeout == nil {
-		t.Fatal("the hung Group-0 round raised no RoundTimeout")
-	}
-	got := tree.LeafSearch(second)
-	// Each abandoned Group-0 program ends with one more Transfer, after all
-	// of its writes.
-	for end := time.Now().Add(10 * time.Second); int(h.calls.Load()) < 2*len(timeout.Stragglers); time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatal("the abandoned Group-0 programs did not finish")
-		}
-	}
-	mach.SetInjector(nil)
-	want := ref.LeafSearch(second)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("query %d: leaf %d after the abandoned round, reference %d", i, got[i], want[i])
-		}
-	}
-	got, want = tree.LeafSearch(first), ref.LeafSearch(first)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("re-run query %d: leaf %d, reference %d", i, got[i], want[i])
 		}
 	}
 }

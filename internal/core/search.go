@@ -93,15 +93,7 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 	firedSet := map[NodeID]bool{}
 	frontier := map[NodeID][]int32{}
 
-	// The batch takes the tree's wave buffers and gives them back only on a
-	// normal return. A RoundTimeout abandons module programs that may still
-	// write to the buffers, so a batch that panics keeps them, and the next
-	// batch allocates fresh ones.
-	sc := t.scratch
-	t.scratch = nil
-	if sc == nil {
-		sc = new(searchScratch)
-	}
+	sc := &t.scratch
 
 	// Wave 0: traverse Group 0 on evenly loaded modules (Group 0 is
 	// replicated everywhere, so any module can route any query — the top of
@@ -338,7 +330,6 @@ func (t *Tree) leafSearchBatch(qs []geom.Point, delta int) (leaves []NodeID, fir
 		})
 		frontier = next
 	}
-	t.scratch = sc
 
 	fired = make([]NodeID, 0, len(firedSet))
 	for id := range firedSet {

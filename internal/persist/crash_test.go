@@ -1,4 +1,4 @@
-package fault_test
+package persist_test
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pimkd/internal/core"
-	"pimkd/internal/fault"
 	"pimkd/internal/geom"
 	"pimkd/internal/persist"
 	"pimkd/internal/pim"
@@ -187,14 +186,12 @@ func TestCrashRecoveryMidCommit(t *testing.T) {
 		t.Fatal("no persist/load rounds in trace")
 	}
 
-	// 4. The supervisor's two-level fault story: fold the process recovery
-	// into the same stats module rebuilds use.
-	sup := fault.NewSupervisor(fault.SupervisorConfig{}, mach2, tree2)
-	sup.RecordProcessRecovery(int64(rec.ReplayRecords), int64(rec.ReplayItems), rec.ReplayCost)
-	fs := sup.Stats()
-	if fs.ProcessRecoveries != 1 || fs.ReplayedRecords != int64(rec.ReplayRecords) ||
-		fs.ReplayCost.Communication != rec.ReplayCost.Communication {
-		t.Fatalf("supervisor process-recovery stats: %+v", fs)
+	// 4. The store reports the process recovery where /persistz serves it:
+	// one recovery, the replayed records, and the replay communication.
+	lr := st2.Status().LastRecovery
+	if !lr.Recovered || lr.ReplayRecords != rec.ReplayRecords ||
+		lr.ReplayCost.Communication != rec.ReplayCost.Communication {
+		t.Fatalf("store's last-recovery status: %+v", lr)
 	}
 
 	// 5. The recovered store accepts new durable writes at the truncated

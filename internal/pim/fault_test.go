@@ -2,42 +2,8 @@ package pim
 
 import (
 	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 )
-
-// scriptedInjector injects faults at explicit (round, module, attempt)
-// sites; everything else runs normally.
-type scriptedInjector struct {
-	crash func(round int64, mod, attempt int) bool
-	stall func(round int64, mod, attempt int) time.Duration
-	send  func(round int64, mod, attempt int) bool
-}
-
-func (in *scriptedInjector) ModuleAction(round int64, mod, attempt int) Action {
-	var a Action
-	if in.crash != nil && in.crash(round, mod, attempt) {
-		a.Crash = true
-		return a
-	}
-	if in.stall != nil {
-		a.Stall = in.stall(round, mod, attempt)
-	}
-	return a
-}
-
-func (in *scriptedInjector) SendOK(round int64, mod, attempt int) bool {
-	if in.send == nil {
-		return true
-	}
-	return in.send(round, mod, attempt)
-}
-
-// handlerFunc adapts a func to RecoveryHandler.
-type handlerFunc func(f *ModuleFault) bool
-
-func (h handlerFunc) HandleModuleFault(f *ModuleFault) bool { return h(f) }
 
 // recoverFault runs fn and returns the typed fault panic it raises, if any.
 func recoverFault(t *testing.T, fn func()) (err error) {
@@ -46,8 +12,6 @@ func recoverFault(t *testing.T, fn func()) (err error) {
 		switch p := recover().(type) {
 		case nil:
 		case *ModuleFault:
-			err = p
-		case *RoundTimeout:
 			err = p
 		default:
 			t.Fatalf("unexpected panic value %T: %v", p, p)
@@ -88,155 +52,5 @@ func TestModulePanicContained(t *testing.T) {
 	})
 	if got := m.Stats().PIMWork; got != 8 {
 		t.Fatalf("PIMWork = %d, want 8 (4 before the fault, 4 after)", got)
-	}
-}
-
-func TestInjectedCrashEscalatesWithoutHandler(t *testing.T) {
-	m := NewMachine(4, 1024)
-	m.SetInjector(&scriptedInjector{
-		crash: func(round int64, mod, attempt int) bool { return mod == 1 },
-	})
-	var ran atomic.Int64
-	err := recoverFault(t, func() {
-		m.RunRound(func(r *Round) {
-			r.OnModules(func(ctx *ModuleCtx) { ran.Add(1); ctx.Work(1) })
-		})
-	})
-	var mf *ModuleFault
-	if !errors.As(err, &mf) {
-		t.Fatalf("expected *ModuleFault, got %v", err)
-	}
-	if mf.Kind != FaultCrash || mf.Module != 1 || !mf.Injected {
-		t.Fatalf("wrong fault: %+v", mf)
-	}
-	if ran.Load() != 3 {
-		t.Fatalf("crashed module ran its program: %d programs ran, want 3", ran.Load())
-	}
-}
-
-func TestInjectedCrashRecoveredInline(t *testing.T) {
-	m := NewMachine(4, 1024)
-	m.SetInjector(&scriptedInjector{
-		// Crash module 3 on its first two attempts of round 1 only.
-		crash: func(round int64, mod, attempt int) bool {
-			return round == 1 && mod == 3 && attempt < 2
-		},
-	})
-	var handled []int
-	m.SetRecoveryHandler(handlerFunc(func(f *ModuleFault) bool {
-		handled = append(handled, f.Attempt)
-		// Recovery runs rounds of its own; injection must be suppressed.
-		m.RunRound(func(r *Round) {
-			r.Label("fault/recover/test")
-			r.Transfer(f.Module, 10)
-		})
-		return true
-	}))
-	var ran atomic.Int64
-	m.RunRound(func(r *Round) {
-		r.OnModules(func(ctx *ModuleCtx) { ran.Add(1); ctx.Work(1) })
-	})
-	if len(handled) != 2 || handled[0] != 0 || handled[1] != 1 {
-		t.Fatalf("handler attempts = %v, want [0 1]", handled)
-	}
-	if ran.Load() != 4 {
-		t.Fatalf("programs ran = %d, want 4 (crashed attempts never ran)", ran.Load())
-	}
-	s := m.Stats()
-	if s.PIMWork != 4 || s.Communication != 20 {
-		t.Fatalf("stats = %+v, want pimWork 4 and comm 20 (two recovery rounds)", s)
-	}
-	if s.Rounds != 3 {
-		t.Fatalf("rounds = %d, want 3 (main + two recovery)", s.Rounds)
-	}
-}
-
-func TestRoundDeadlineConvertsHangToTimeout(t *testing.T) {
-	m := NewMachine(2, 1024)
-	m.SetRoundDeadline(20 * time.Millisecond)
-	release := make(chan struct{})
-	defer close(release)
-	err := recoverFault(t, func() {
-		m.RunRound(func(r *Round) {
-			r.OnModules(func(ctx *ModuleCtx) {
-				if ctx.ID() == 1 {
-					<-release // a genuine hang
-				}
-			})
-		})
-	})
-	var to *RoundTimeout
-	if !errors.As(err, &to) {
-		t.Fatalf("expected *RoundTimeout, got %v", err)
-	}
-	if len(to.Stragglers) != 1 || to.Stragglers[0] != 1 {
-		t.Fatalf("stragglers = %v, want [1]", to.Stragglers)
-	}
-}
-
-func TestInjectedStallBeyondDeadlineIsDeterministic(t *testing.T) {
-	m := NewMachine(2, 1024)
-	m.SetRoundDeadline(50 * time.Millisecond)
-	m.SetInjector(&scriptedInjector{
-		stall: func(round int64, mod, attempt int) time.Duration {
-			if mod == 0 && attempt == 0 {
-				return time.Hour // would blow the deadline; resolved without sleeping
-			}
-			return 0
-		},
-	})
-	var stalls []*ModuleFault
-	m.SetRecoveryHandler(handlerFunc(func(f *ModuleFault) bool {
-		stalls = append(stalls, f)
-		return true
-	}))
-	start := time.Now()
-	m.RunRound(func(r *Round) {
-		r.OnModules(func(ctx *ModuleCtx) { ctx.Work(1) })
-	})
-	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {
-		t.Fatalf("stall was slept, not escalated (took %v)", elapsed)
-	}
-	if len(stalls) != 1 || stalls[0].Kind != FaultStall || stalls[0].Module != 0 {
-		t.Fatalf("stall faults = %+v, want one FaultStall on module 0", stalls)
-	}
-	if got := m.Stats().PIMWork; got != 2 {
-		t.Fatalf("PIMWork = %d, want 2", got)
-	}
-}
-
-func TestTransientSendFailureMetersRetries(t *testing.T) {
-	m := NewMachine(4, 1024)
-	m.SetInjector(&scriptedInjector{
-		// First try of every send to module 2 fails; the retry succeeds.
-		send: func(round int64, mod, attempt int) bool { return mod != 2 || attempt > 0 },
-	})
-	m.RunRound(func(r *Round) {
-		r.Transfer(1, 5)
-		r.Transfer(2, 5)
-	})
-	s := m.Stats()
-	if s.Communication != 15 {
-		t.Fatalf("comm = %d, want 15 (5 + 5 failed + 5 retried)", s.Communication)
-	}
-	if s.CommTime != 10 {
-		t.Fatalf("commTime = %d, want 10 (module 2 paid the failed try)", s.CommTime)
-	}
-	if m.SendRetries() != 1 {
-		t.Fatalf("SendRetries = %d, want 1", m.SendRetries())
-	}
-}
-
-func TestPersistentSendFailureEscalates(t *testing.T) {
-	m := NewMachine(2, 1024)
-	m.SetInjector(&scriptedInjector{
-		send: func(round int64, mod, attempt int) bool { return false },
-	})
-	err := recoverFault(t, func() {
-		m.RunRound(func(r *Round) { r.Transfer(0, 1) })
-	})
-	var mf *ModuleFault
-	if !errors.As(err, &mf) || mf.Kind != FaultSend {
-		t.Fatalf("expected FaultSend, got %v", err)
 	}
 }

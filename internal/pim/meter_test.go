@@ -37,11 +37,10 @@ func chargeLoop(r *Round, words, work int64) {
 
 func TestChargeAllEqualsPerModuleLoop(t *testing.T) {
 	for _, p := range []int{1, 7, 64} {
-		run := func(charge func(r *Round, words, work int64), inj Injector) (Snapshot, Stats, []RoundRecord, int64) {
+		run := func(charge func(r *Round, words, work int64)) (Snapshot, Stats, []RoundRecord) {
 			m := NewMachine(p, 16)
 			obs := &recordingObserver{}
 			m.SetObserver(obs)
-			m.SetInjector(inj)
 			var metered Stats
 			for i := 0; i < 3; i++ {
 				metered = metered.Add(chargeRound(m, charge).Metered())
@@ -50,28 +49,18 @@ func TestChargeAllEqualsPerModuleLoop(t *testing.T) {
 			for i := range recs {
 				recs[i].Start, recs[i].Wall = time.Time{}, 0
 			}
-			return m.SnapshotStats(), metered, recs, m.SendRetries()
+			return m.SnapshotStats(), metered, recs
 		}
-		// Every first try of a send to an odd module fails once.
-		flaky := &scriptedInjector{send: func(round int64, mod, attempt int) bool { return mod%2 == 0 || attempt > 0 }}
-		for _, inj := range []Injector{nil, flaky} {
-			snap, metered, recs, retries := run((*Round).ChargeAll, inj)
-			wantSnap, wantMetered, wantRecs, wantRetries := run(chargeLoop, inj)
-			if !reflect.DeepEqual(snap, wantSnap) {
-				t.Errorf("P=%d injector=%v: ChargeAll meters %+v, the loop %+v", p, inj != nil, snap, wantSnap)
-			}
-			if metered != wantMetered {
-				t.Errorf("P=%d injector=%v: ChargeAll rounds metered %+v, the loop's %+v", p, inj != nil, metered, wantMetered)
-			}
-			if !reflect.DeepEqual(recs, wantRecs) {
-				t.Errorf("P=%d injector=%v: ChargeAll records %+v, the loop's %+v", p, inj != nil, recs, wantRecs)
-			}
-			if retries != wantRetries {
-				t.Errorf("P=%d injector=%v: ChargeAll retried %d sends, the loop %d", p, inj != nil, retries, wantRetries)
-			}
-			if inj != nil && p > 1 && retries == 0 {
-				t.Errorf("P=%d: the flaky injector failed no send", p)
-			}
+		snap, metered, recs := run((*Round).ChargeAll)
+		wantSnap, wantMetered, wantRecs := run(chargeLoop)
+		if !reflect.DeepEqual(snap, wantSnap) {
+			t.Errorf("P=%d: ChargeAll meters %+v, the loop %+v", p, snap, wantSnap)
+		}
+		if metered != wantMetered {
+			t.Errorf("P=%d: ChargeAll rounds metered %+v, the loop's %+v", p, metered, wantMetered)
+		}
+		if !reflect.DeepEqual(recs, wantRecs) {
+			t.Errorf("P=%d: ChargeAll records %+v, the loop's %+v", p, recs, wantRecs)
 		}
 	}
 }

@@ -196,9 +196,6 @@ type Machine struct {
 	// Per-module cumulative meters, for load-balance inspection.
 	moduleWork []atomic.Int64
 	moduleComm []atomic.Int64
-	// mods is the identity module list 0..P-1 that every OnModules round
-	// runs.
-	mods []int
 	// buf is the round scratch the machine lends to one round at a time
 	// (see roundBuf); nil while a round holds it.
 	buf atomic.Pointer[roundBuf]
@@ -211,17 +208,9 @@ type Machine struct {
 	labelMu sync.Mutex
 	labels  []string
 
-	// Fault-model state (see fault.go). inj perturbs rounds, rec resolves
-	// contained faults, deadline bounds a round's wall time, seq numbers
-	// rounds for deterministic fault targeting, and recDepth suppresses
-	// injection inside recovery.
-	inj             atomic.Pointer[injHolder]
-	rec             atomic.Pointer[recHolder]
-	deadline        atomic.Int64
-	seq             atomic.Int64
-	recDepth        atomic.Int32
+	// containedFaults counts the module-program panics OnModules
+	// re-raised (see ContainedFaults).
 	containedFaults atomic.Int64
-	sendRetries     atomic.Int64
 }
 
 // NewMachine creates a machine with p PIM modules and a CPU cache of cacheM
@@ -235,10 +224,6 @@ func NewMachine(p, cacheM int) *Machine {
 		cacheM:     cacheM,
 		moduleWork: make([]atomic.Int64, p),
 		moduleComm: make([]atomic.Int64, p),
-		mods:       make([]int, p),
-	}
-	for i := range m.mods {
-		m.mods[i] = i
 	}
 	m.obs.Store(defaultObserver.Load())
 	return m
@@ -415,19 +400,10 @@ type Round struct {
 	finished bool
 
 	// buf is the scratch this round took from its machine: modWork and
-	// modComm are its meters, and its module run serves runModules while
-	// runBusy is unset. abandoned marks a round whose module run missed its
-	// deadline: its programs may still be writing into buf, so Finish does
-	// not give buf back.
-	buf       *roundBuf
-	runBusy   atomic.Bool
-	abandoned bool
-
-	// seq is the round's machine-wide sequence number; inj is the fault
-	// injector captured at BeginRound (nil when injection is disabled or
-	// the round belongs to a recovery handler).
-	seq int64
-	inj Injector
+	// modComm are its meters, and its module run serves OnModules while
+	// runBusy is unset.
+	buf     *roundBuf
+	runBusy atomic.Bool
 
 	// Observation state; obs/start/label are populated only when the
 	// machine has an observer, cpuW/cpuS always (Metered needs them).
@@ -444,11 +420,10 @@ type Round struct {
 
 // roundBuf is the scratch one round needs whatever its width: P work and
 // P communication meters, the every-module meters and one module run with
-// its slots. A machine lends
-// its buffer to one round at a time (BeginRound takes it, Finish gives it
-// back), so a round costs the same garbage however few operations share it;
-// a round that finds the buffer lent out — a round begun inside another's
-// recovery handler, say — gets a fresh one.
+// its slots. A machine lends its buffer to one round at a time (BeginRound
+// takes it, Finish gives it back), so a round costs the same garbage however
+// few operations share it; a round that finds the buffer lent out — one of
+// two rounds in flight on the machine — gets a fresh one.
 type roundBuf struct {
 	modWork []atomic.Int64
 	modComm []atomic.Int64
@@ -476,27 +451,13 @@ func (m *Machine) BeginRound() *Round {
 		buf.allWork.Store(0)
 		buf.allComm.Store(0)
 	}
-	r := &Round{
-		m:       m,
-		modWork: buf.modWork,
-		modComm: buf.modComm,
-		buf:     buf,
-		seq:     m.seq.Add(1),
-	}
-	if m.recDepth.Load() == 0 {
-		if h := m.inj.Load(); h != nil {
-			r.inj = h.inj
-		}
-	}
+	r := &Round{m: m, modWork: buf.modWork, modComm: buf.modComm, buf: buf}
 	if h := m.obs.Load(); h != nil {
 		r.obs = h.obs
 		r.start = time.Now()
 	}
 	return r
 }
-
-// Seq returns the round's machine-wide sequence number.
-func (r *Round) Seq() int64 { return r.seq }
 
 // Label names this round for the observer (e.g. "core/search:wave"). The
 // machine's PushLabel scopes are prefixed onto it at Finish. A no-op on
@@ -518,25 +479,10 @@ func (r *Round) CPUSpan(n int64) { r.cpuS.Add(n) }
 // mod (either direction — the model charges the off-chip channel the same
 // way for reads and writes). It is safe to call concurrently. It meters
 // into the round only; the machine totals gain the words at Finish.
-//
-// Under fault injection a send may fail transiently: each failed try meters
-// its words again (the failed send occupied the off-chip channel) and the
-// transfer is retried; a failure persisting past maxSendAttempts escalates
-// to a contained FaultSend module fault.
 func (r *Round) Transfer(mod int, words int64) {
-	if words == 0 {
-		return
+	if words != 0 {
+		r.modComm[mod].Add(words)
 	}
-	if r.inj != nil {
-		for attempt := 0; !r.inj.SendOK(r.seq, mod, attempt); attempt++ {
-			r.modComm[mod].Add(words)
-			r.m.sendRetries.Add(1)
-			if attempt+1 >= maxSendAttempts {
-				panic(&ModuleFault{Kind: FaultSend, Module: mod, Round: r.seq, Attempt: attempt, Injected: true})
-			}
-		}
-	}
-	r.modComm[mod].Add(words)
 }
 
 // ModuleWork attributes n units of PIM-core work to module mod from outside
@@ -549,17 +495,9 @@ func (r *Round) ModuleWork(mod int, n int64) { r.modWork[mod].Add(n) }
 // ChargeAll charges every module words of off-chip communication and work
 // units of PIM work in O(1): a broadcast to all P modules, or a computation
 // spread evenly over them. It meters exactly what a loop of Transfer(m,
-// words) and ModuleWork(m, work) over every module would. Under fault
-// injection it runs that loop, so each module's send may fail and be
-// retried on its own. Safe for concurrent use.
+// words) and ModuleWork(m, work) over every module would. Safe for
+// concurrent use.
 func (r *Round) ChargeAll(words, work int64) {
-	if r.inj != nil {
-		for mod := 0; mod < r.m.p; mod++ {
-			r.Transfer(mod, words)
-			r.ModuleWork(mod, work)
-		}
-		return
-	}
 	r.buf.allComm.Add(words)
 	r.buf.allWork.Add(work)
 }
@@ -585,118 +523,58 @@ func (c *ModuleCtx) Work(n int64) { c.r.modWork[c.mod].Add(n) }
 // writing results into a staging buffer the CPU reads).
 func (c *ModuleCtx) Transfer(words int64) { c.r.Transfer(c.mod, words) }
 
+// FaultKind classifies a contained module fault. The machine injects no
+// faults, so FaultPanic is the only kind.
+type FaultKind int
+
+// FaultPanic is a panic recovered from a module program: a bug, whose
+// program may have had partial side effects.
+const FaultPanic FaultKind = 0
+
+// ModuleFault is a panic recovered from a module program. OnModules
+// re-raises it, as a panic value, on the goroutine driving the round once
+// every module program of the run has returned, so a buggy program never
+// kills the process from a worker goroutine and callers (the serving
+// layer's batch executor) can recover it.
+type ModuleFault struct {
+	// Kind is always FaultPanic and Injected always false; both stay for
+	// callers that check them.
+	Kind     FaultKind
+	Injected bool
+	// Module is the id of the module whose program panicked.
+	Module int
+	// Reason is the recovered panic value.
+	Reason any
+	// Stack is the panicking goroutine's stack.
+	Stack []byte
+}
+
+func (f *ModuleFault) Error() string {
+	return fmt.Sprintf("pim: module %d panicked: %v", f.Module, f.Reason)
+}
+
+// ContainedFaults counts the module-program panics the machine contained
+// and re-raised since construction.
+func (m *Machine) ContainedFaults() int64 { return m.containedFaults.Load() }
+
 // OnModules runs fn on every module and waits for all of them. The
 // programs run concurrently on min(GOMAXPROCS, P) worker goroutines, each
 // claiming the next unstarted module until none is left. fn must touch only
 // module-local state for its own module id plus read-only shared inputs,
-// and must not wait on another module's program. A worker about to sleep
-// through an injected stall or to run the recovery handler first starts a
-// spare worker, so the blocked module holds no other module back and the
-// round's stalls overlap rather than add up.
+// and must not wait on another module's program.
 //
-// Module programs run with fault containment: a panicking program never
-// kills the process — the first unresolved fault of the round is re-raised
-// as a typed *ModuleFault (or *RoundTimeout) panic on the goroutine calling
-// OnModules, where the supervisor or the serving layer can recover it.
-// Injected crashes and stalls are first offered to the machine's recovery
-// handler, which may rebuild the module's shard and retry the program in
-// place (detect → rebuild → retry).
+// A panicking program never kills the process: its worker records it as
+// that module's *ModuleFault and goes on with the next module, and once
+// every program has returned OnModules re-raises the fault of the lowest
+// module that panicked on the calling goroutine.
 func (r *Round) OnModules(fn func(ctx *ModuleCtx)) {
-	r.runModules(r.m.mods, fn)
-}
-
-// OnModuleSubset runs fn on the given module ids only, with the same
-// workers and fault containment as OnModules.
-func (r *Round) OnModuleSubset(mods []int, fn func(ctx *ModuleCtx)) {
-	r.runModules(mods, fn)
-}
-
-// A module slot's life: idle until a worker claims it, running while its
-// program executes, then done. A round that misses its deadline cancels
-// the slots still idle, so no program starts after the RoundTimeout.
-const (
-	slotIdle int32 = iota
-	slotRunning
-	slotDone
-	slotCancelled
-)
-
-// moduleSlot is one module's program in a runModules call.
-type moduleSlot struct {
-	ctx   ModuleCtx
-	fault *ModuleFault
-	state atomic.Int32
-}
-
-// moduleRun is one runModules call: the slots its workers claim in order
-// through next. loop is the run's work method as one func value, made once,
-// so starting a worker allocates no closure.
-type moduleRun struct {
-	fn    func(ctx *ModuleCtx)
-	slots []moduleSlot
-	next  atomic.Int64
-	wg    sync.WaitGroup
-	loop  func()
-}
-
-// startRun readies a module run for mods: the round buffer's own run, or a
-// fresh one when another runModules of this round holds it — including a
-// run that missed its deadline and was left to its stragglers.
-func (r *Round) startRun(mods []int, fn func(ctx *ModuleCtx)) *moduleRun {
-	run := &r.buf.run
-	if !r.runBusy.CompareAndSwap(false, true) {
-		run = &moduleRun{}
-		run.loop = run.work
-	}
-	if cap(run.slots) < len(mods) {
-		run.slots = make([]moduleSlot, len(mods))
-	}
-	run.fn = fn
-	run.slots = run.slots[:len(mods)]
-	run.next.Store(0)
-	for i, mod := range mods {
-		s := &run.slots[i]
-		s.ctx = ModuleCtx{r: r, mod: mod}
-		s.fault = nil
-		s.state.Store(slotIdle)
-	}
-	return run
-}
-
-// runModules is the shared fault-containing executor behind OnModules and
-// OnModuleSubset.
-func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
-	if len(mods) == 0 {
-		return
-	}
-	run := r.startRun(mods, fn)
-	workers := min(runtime.GOMAXPROCS(0), len(mods))
+	run := r.startRun(fn)
+	workers := min(runtime.GOMAXPROCS(0), len(run.slots))
 	run.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go run.loop()
 	}
-
-	if d := time.Duration(r.m.deadline.Load()); d > 0 {
-		done := make(chan struct{})
-		go func() { run.wg.Wait(); close(done) }()
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-done:
-		case <-timer.C:
-			if stragglers := run.cancel(); len(stragglers) > 0 {
-				// The stragglers keep running and writing into this round's
-				// buffer, so it is never lent again.
-				r.abandoned = true
-				r.m.containedFaults.Add(1)
-				panic(&RoundTimeout{Round: r.seq, Deadline: d, Stragglers: stragglers})
-			}
-			// Raced with completion: every program actually finished.
-			<-done
-		}
-	} else {
-		run.wg.Wait()
-	}
+	run.wg.Wait()
 
 	var fault *ModuleFault
 	for i := range run.slots {
@@ -714,8 +592,46 @@ func (r *Round) runModules(mods []int, fn func(ctx *ModuleCtx)) {
 	}
 }
 
+// moduleSlot is one module's program in an OnModules run.
+type moduleSlot struct {
+	ctx   ModuleCtx
+	fault *ModuleFault
+}
+
+// moduleRun is one OnModules call: the slots its workers claim in order
+// through next. loop is the run's work method as one func value, made once,
+// so starting a worker allocates no closure.
+type moduleRun struct {
+	fn    func(ctx *ModuleCtx)
+	slots []moduleSlot
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	loop  func()
+}
+
+// startRun readies a module run over every module: the round buffer's own
+// run, or a fresh one when another OnModules of this round holds it.
+func (r *Round) startRun(fn func(ctx *ModuleCtx)) *moduleRun {
+	run := &r.buf.run
+	if !r.runBusy.CompareAndSwap(false, true) {
+		run = &moduleRun{}
+		run.loop = run.work
+	}
+	p := r.m.p
+	if cap(run.slots) < p {
+		run.slots = make([]moduleSlot, p)
+	}
+	run.fn = fn
+	run.slots = run.slots[:p]
+	run.next.Store(0)
+	for i := range run.slots {
+		run.slots[i] = moduleSlot{ctx: ModuleCtx{r: r, mod: i}}
+	}
+	return run
+}
+
 // work is one worker: it runs the next unclaimed module's program until
-// every slot is claimed or the round was cancelled.
+// every slot is claimed.
 func (run *moduleRun) work() {
 	defer run.wg.Done()
 	for {
@@ -723,101 +639,19 @@ func (run *moduleRun) work() {
 		if i >= int64(len(run.slots)) {
 			return
 		}
-		s := &run.slots[i]
-		if !s.state.CompareAndSwap(slotIdle, slotRunning) {
-			return // cancelled by a RoundTimeout
-		}
-		run.runSlot(s)
+		run.runSlot(&run.slots[i])
 	}
 }
 
 // runSlot runs one module's program under its own recover, so a panic
 // becomes that module's *ModuleFault and the worker goes on to the next.
 func (run *moduleRun) runSlot(s *moduleSlot) {
-	defer s.state.Store(slotDone)
 	defer func() {
 		if p := recover(); p != nil {
-			if f, ok := p.(*ModuleFault); ok {
-				s.fault = f
-				return
-			}
-			s.fault = &ModuleFault{
-				Kind: FaultPanic, Module: s.ctx.mod, Round: s.ctx.r.seq,
-				Reason: p, Stack: debug.Stack(),
-			}
+			s.fault = &ModuleFault{Kind: FaultPanic, Module: s.ctx.mod, Reason: p, Stack: debug.Stack()}
 		}
 	}()
-	s.fault = run.runModule(&s.ctx)
-}
-
-// spare starts one more worker when modules are left unclaimed. A worker
-// calls it before it blocks in an injected stall or a recovery handler, so
-// the blocked module holds no other module back and the sleeps of one round
-// overlap instead of adding up on one worker.
-func (run *moduleRun) spare() {
-	if run.next.Load() < int64(len(run.slots)) {
-		run.wg.Add(1) // the calling worker's count is still held
-		go run.loop()
-	}
-}
-
-// cancel handles a missed deadline: it cancels every slot not yet started
-// and returns the modules still running, in slot order. When none is
-// running but some never started (the workers were starved), those are
-// what kept the round from finishing, so it returns them instead; nil
-// means every program had finished.
-func (run *moduleRun) cancel() []int {
-	var running, cancelled []int
-	for i := range run.slots {
-		s := &run.slots[i]
-		if s.state.CompareAndSwap(slotIdle, slotCancelled) {
-			cancelled = append(cancelled, s.ctx.mod)
-		} else if s.state.Load() == slotRunning {
-			running = append(running, s.ctx.mod)
-		}
-	}
-	if len(running) == 0 {
-		return cancelled
-	}
-	return running
-}
-
-// runModule executes fn for one module, applying injected faults. Injected
-// crashes and deadline-meeting stalls are offered to the recovery handler;
-// when it resolves them (true), the program is retried — the faulted
-// attempt never ran, so retried metering stays deterministic. Unresolved
-// faults are returned for runModules to escalate; real panics from fn
-// propagate to the per-module recover in runSlot. Before it sleeps through
-// a stall or hands a fault to the recovery handler, the worker starts a
-// spare.
-func (run *moduleRun) runModule(ctx *ModuleCtx) *ModuleFault {
-	r, mod := ctx.r, ctx.mod
-	for attempt := 0; ; attempt++ {
-		if r.inj != nil {
-			act := r.inj.ModuleAction(r.seq, mod, attempt)
-			if act.Crash {
-				mf := &ModuleFault{Kind: FaultCrash, Module: mod, Round: r.seq, Attempt: attempt, Injected: true}
-				run.spare()
-				if r.m.handleFault(mf) {
-					continue
-				}
-				return mf
-			}
-			if act.Stall > 0 {
-				run.spare()
-				if d := time.Duration(r.m.deadline.Load()); d > 0 && act.Stall >= d {
-					mf := &ModuleFault{Kind: FaultStall, Module: mod, Round: r.seq, Attempt: attempt, Injected: true}
-					if r.m.handleFault(mf) {
-						continue
-					}
-					return mf
-				}
-				time.Sleep(act.Stall)
-			}
-		}
-		run.fn(ctx)
-		return nil
-	}
+	run.fn(&s.ctx)
 }
 
 // Finish closes the round: the machine totals gain everything the round
@@ -826,9 +660,8 @@ func (run *moduleRun) runModule(ctx *ModuleCtx) *ModuleFault {
 // advances. A logical round that moves more data than the CPU cache holds
 // costs extra bulk-synchronous rounds to flush the buffered messages — the
 // Ω(c/M + s) round law of the model (§7 of the paper). Finish gives the
-// round's scratch back to the machine for the next round, unless a module
-// run of this round missed its deadline. Finish is idempotent; what a
-// straggler of a timed-out module run meters after it reaches no total.
+// round's scratch back to the machine for the next round. It is
+// idempotent.
 func (r *Round) Finish() {
 	if r.finished {
 		return
@@ -854,9 +687,7 @@ func (r *Round) Finish() {
 	if r.obs != nil {
 		r.emit(1 + extra)
 	}
-	if !r.abandoned {
-		r.m.buf.Store(r.buf)
-	}
+	r.m.buf.Store(r.buf)
 }
 
 // fold adds the round's additive meters — work, communication, CPU and the
@@ -889,8 +720,7 @@ func (r *Round) fold() (maxW, maxC, totalW, totalC int64) {
 
 // Metered returns exactly what this round contributed to the machine's
 // meters, valid after Finish. Unlike bracketing Machine.Stats() around the
-// round, it is immune to concurrent metering by other rounds — the recovery
-// protocol uses it to attribute rebuild cost exactly.
+// round, it is immune to concurrent metering by other rounds.
 func (r *Round) Metered() Stats { return r.metered }
 
 // emit builds the round's RoundRecord and delivers it to the observer. Only
@@ -935,10 +765,10 @@ func (r *Round) emit(rounds int64) {
 }
 
 // RunRound is a convenience wrapper: begin a round, hand it to fn, finish.
-// A round that fn ends by panicking — a contained *ModuleFault or a
-// *RoundTimeout, say — still adds what it metered to the machine's work,
-// communication, CPU and per-module totals before the panic goes on. It
-// counts no round, adds no PIM or communication time and emits no record.
+// A round that fn ends by panicking — with a contained *ModuleFault, say —
+// still adds what it metered to the machine's work, communication, CPU and
+// per-module totals before the panic goes on. It counts no round, adds no
+// PIM or communication time and emits no record.
 func (m *Machine) RunRound(fn func(r *Round)) {
 	r := m.BeginRound()
 	defer func() {

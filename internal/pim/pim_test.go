@@ -193,19 +193,6 @@ func TestOnModulesConcurrentSafety(t *testing.T) {
 	}
 }
 
-func TestOnModuleSubset(t *testing.T) {
-	m := NewMachine(8, 16)
-	m.RunRound(func(r *Round) {
-		r.OnModuleSubset([]int{1, 5}, func(ctx *ModuleCtx) {
-			ctx.Work(int64(ctx.ID()))
-		})
-	})
-	work, _ := m.ModuleLoads()
-	if work[1] != 1 || work[5] != 5 || work[0] != 0 {
-		t.Fatalf("loads %v", work)
-	}
-}
-
 func TestFinishIdempotent(t *testing.T) {
 	m := NewMachine(2, 16)
 	r := m.BeginRound()

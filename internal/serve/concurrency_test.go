@@ -10,6 +10,9 @@
 //	    holds across insert→lookup and delete→lookup pairs),
 //	(c) batches never exceed MaxBatch and the linger deadline always seals
 //	    a forming batch (bounded by a generous scheduling slack).
+//
+// It also checks that a round tracer attached for the whole run accounts
+// for exactly what the machine metered under concurrent serving.
 package serve
 
 import (
@@ -23,6 +26,7 @@ import (
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/pim"
+	"pimkd/internal/trace"
 	"pimkd/internal/workload"
 )
 
@@ -45,6 +49,9 @@ func TestConcurrentCoalescingChurn(t *testing.T) {
 	const lingerSlack = 2 * time.Second
 
 	mach := pim.NewMachine(p, 1<<20)
+	// Attached before Build, so its totals cover the machine's lifetime.
+	tracer := trace.New(0)
+	mach.SetObserver(tracer)
 	tree := core.New(core.Config{Dim: dim, Seed: 17}, mach)
 	base := workload.Uniform(nBase, dim, 19)
 	items := make([]core.Item, nBase)
@@ -187,6 +194,11 @@ func TestConcurrentCoalescingChurn(t *testing.T) {
 	wg.Wait()
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every round the machine metered was observed exactly once.
+	if err := tracer.Totals().CheckConservation(mach.Stats()); err != nil {
+		t.Fatalf("trace conservation under concurrent serving: %v", err)
 	}
 
 	// (b) the tree stayed consistent at every batch boundary.

@@ -82,16 +82,6 @@ type Config struct {
 	// ShedRetryAfter is the Retry-After hint attached to shed responses.
 	// Default 1s.
 	ShedRetryAfter time.Duration
-	// RetryTransient is how many times a read-only batch that fails with a
-	// transient machine fault (ErrFault: a contained module crash the
-	// supervisor gave up on, or a round timeout) is re-executed before the
-	// error is fanned out to its callers. Write batches are never retried —
-	// a fault may have left a partial mutation, and blind re-execution
-	// could double-apply it. Default 2; -1 disables retries.
-	RetryTransient int
-	// RetryBackoff is the wall-clock delay before the first batch retry; it
-	// doubles per attempt. Never metered. Default 500µs.
-	RetryBackoff time.Duration
 
 	// Persist, when non-nil, turns on durable-write mode: every sealed
 	// write batch is appended to this store's write-ahead log before it
@@ -125,15 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ShedRetryAfter <= 0 {
 		c.ShedRetryAfter = time.Second
-	}
-	switch {
-	case c.RetryTransient == 0:
-		c.RetryTransient = 2
-	case c.RetryTransient < 0:
-		c.RetryTransient = 0
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * time.Microsecond
 	}
 	if c.CheckpointEvery == 0 {
 		c.CheckpointEvery = 256

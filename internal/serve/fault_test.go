@@ -6,11 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"pimkd/internal/core"
 	"pimkd/internal/pim"
+	"pimkd/internal/shard"
 )
 
 // TestBatchPanicFailsOnlyAffectedBatch is the satellite-1 regression test:
@@ -192,96 +193,46 @@ func TestShedRetryAfterRoundsUp(t *testing.T) {
 	}
 }
 
-// faultNTimes escalates a module fault on the first n batch executions.
-type faultNTimes struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (f *faultNTimes) hook(b *batch) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.n > 0 {
-		f.n--
-		panic(&pim.ModuleFault{Kind: pim.FaultCrash, Module: 1, Injected: true})
-	}
-}
-
-// TestTransientFaultRetried: a read batch whose execution dies with a typed
-// machine fault is re-executed and its callers see clean results.
-func TestTransientFaultRetried(t *testing.T) {
-	svc, pts := newTestService(t, 512, Config{
-		MaxBatch:     4,
-		MaxLinger:    time.Millisecond,
-		RetryBackoff: time.Microsecond,
-	})
+// TestModulePanicFailsReadBatchOnce: a module program that panics is a bug,
+// not a transient fault. Its read batch runs once and fails with
+// ErrBatchPanic, counted in batch_panics; HTTP answers 500 and the shard
+// wire CodeInternal, and the next batch succeeds.
+func TestModulePanicFailsReadBatchOnce(t *testing.T) {
+	svc, pts := newTestService(t, 512, Config{MaxBatch: 4, MaxLinger: time.Millisecond})
 	defer svc.Close()
 
-	f := &faultNTimes{n: 1}
-	svc.testHookPreBatch = f.hook
-
-	ns, _, err := svc.KNN(context.Background(), pts[0], 3)
-	if err != nil {
-		t.Fatalf("KNN across transient fault: %v", err)
+	var runs atomic.Int32
+	svc.testHookPreBatch = func(b *batch) {
+		if b.key.kind != KindKNN {
+			return
+		}
+		runs.Add(1)
+		svc.tree.Machine().RunRound(func(r *pim.Round) {
+			r.OnModules(func(*pim.ModuleCtx) { panic("bug") })
+		})
 	}
-	if len(ns) != 3 {
-		t.Fatalf("got %d neighbors, want 3", len(ns))
-	}
-	rb := svc.Metrics().Robustness
-	if rb.BatchFaults != 1 || rb.BatchRetries != 1 {
-		t.Fatalf("robustness = %+v, want 1 fault and 1 retry", rb)
-	}
-}
-
-// TestPersistentFaultSurfacesAfterRetries: when every retry faults too, the
-// callers get ErrFault and the HTTP layer answers 503.
-func TestPersistentFaultSurfacesAfterRetries(t *testing.T) {
-	svc, pts := newTestService(t, 512, Config{
-		MaxBatch:       4,
-		MaxLinger:      time.Millisecond,
-		RetryTransient: 1,
-		RetryBackoff:   time.Microsecond,
-	})
-	defer svc.Close()
-
-	f := &faultNTimes{n: 1 << 30} // never stops faulting
-	svc.testHookPreBatch = f.hook
 
 	_, _, err := svc.KNN(context.Background(), pts[0], 3)
-	if !errors.Is(err, ErrFault) {
-		t.Fatalf("err = %v, want ErrFault", err)
+	if !errors.Is(err, ErrBatchPanic) {
+		t.Fatalf("err = %v, want ErrBatchPanic", err)
 	}
-	rb := svc.Metrics().Robustness
-	if rb.BatchFaults != 2 || rb.BatchRetries != 1 {
-		t.Fatalf("robustness = %+v, want 2 faults, 1 retry", rb)
+	if got := runs.Load(); got != 1 {
+		t.Fatalf("the panicking read batch ran %d times, want once", got)
+	}
+	if rb := svc.Metrics().Robustness; rb.BatchPanics != 1 || rb.BatchRetries != 0 {
+		t.Fatalf("robustness = %+v, want 1 batch panic and no retry", rb)
+	}
+	rr := httptest.NewRecorder()
+	if svc.okReply(rr, err) || rr.Code != http.StatusInternalServerError {
+		t.Fatalf("HTTP status = %d, want 500", rr.Code)
+	}
+	if code := remoteError(err).Code; code != shard.CodeInternal {
+		t.Fatalf("wire code = %v, want CodeInternal", code)
 	}
 
 	svc.testHookPreBatch = nil
 	if _, _, err := svc.KNN(context.Background(), pts[1], 3); err != nil {
-		t.Fatalf("KNN after persistent fault cleared: %v", err)
-	}
-}
-
-// TestWriteBatchFaultNotRetried: a faulted update batch must fail without
-// re-execution (replaying a partially applied write could double-apply).
-func TestWriteBatchFaultNotRetried(t *testing.T) {
-	svc, pts := newTestService(t, 512, Config{
-		MaxBatch:     4,
-		MaxLinger:    time.Millisecond,
-		RetryBackoff: time.Microsecond,
-	})
-	defer svc.Close()
-
-	f := &faultNTimes{n: 1}
-	svc.testHookPreBatch = f.hook
-
-	_, err := svc.Insert(context.Background(), core.Item{P: pts[0], ID: 9001})
-	if !errors.Is(err, ErrFault) {
-		t.Fatalf("err = %v, want ErrFault (no retry for writes)", err)
-	}
-	rb := svc.Metrics().Robustness
-	if rb.BatchRetries != 0 {
-		t.Fatalf("write batch was retried %d times", rb.BatchRetries)
+		t.Fatalf("KNN after the panic: %v", err)
 	}
 }
 

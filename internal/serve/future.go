@@ -61,8 +61,8 @@ const (
 // (read batches may share a scheduling epoch; write batches never do), and
 // the label every round of one of its batches runs under — a format given
 // the batch's cell id (%[1]d) and its executor sequence number (%[2]d).
-// Cell restores are labeled like the supervisor's module rebuilds so
-// peer-rebuild cost lands in the fault-tolerance budget, and migration
+// Cell restores are labeled under fault/ so peer-rebuild cost lands in
+// the fault-tolerance budget trace.SumByPrefix reports, and migration
 // adopts under their own namespace so the rebalancer's cost stays separable
 // from both serving and rebuilds.
 var kinds = [numKinds]struct {

@@ -191,10 +191,9 @@ func NewHandler(s *Service) http.Handler {
 
 // okReply maps service errors to HTTP statuses; returns false when a status
 // was already written. Robustness mapping: shed and drained requests get
-// 503 (with Retry-After on sheds — the client should come back), transient
-// faults that out-lived the retry policy get 503 (retryable), a batch-worker
-// panic gets 500 (a bug, not load), and a request whose own deadline or
-// connection expired gets 504.
+// 503 (with Retry-After on sheds — the client should come back), a
+// batch-worker panic gets 500 (a bug, not load), and a request whose own
+// deadline or connection expired gets 504.
 func (s *Service) okReply(w http.ResponseWriter, err error) bool {
 	switch {
 	case err == nil:
@@ -202,7 +201,7 @@ func (s *Service) okReply(w http.ResponseWriter, err error) bool {
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", httpapi.RetryAfterSecs(s.cfg.ShedRetryAfter))
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-	case errors.Is(err, ErrClosed), errors.Is(err, ErrFault):
+	case errors.Is(err, ErrClosed):
 		http.Error(w, err.Error(), http.StatusServiceUnavailable)
 	case errors.Is(err, ErrBatchPanic), errors.Is(err, ErrPersist):
 		http.Error(w, err.Error(), http.StatusInternalServerError)

@@ -31,8 +31,6 @@ type metrics struct {
 	// Robustness counters (see Robustness).
 	sheds           int64
 	canceledReqs    int64
-	batchRetries    int64
-	batchFaults     int64
 	batchPanics     int64
 	persistFailures int64
 
@@ -100,14 +98,7 @@ func (m *metrics) shed() { m.bump(func(m *metrics) { m.sheds++ }) }
 // (withdrawn from a forming batch, or pruned by the executor).
 func (m *metrics) canceled() { m.bump(func(m *metrics) { m.canceledReqs++ }) }
 
-// batchRetried counts one re-execution of a read batch after a transient
-// fault.
-func (m *metrics) batchRetried() { m.bump(func(m *metrics) { m.batchRetries++ }) }
-
-// batchFaulted counts a batch execution ended by a contained machine fault.
-func (m *metrics) batchFaulted() { m.bump(func(m *metrics) { m.batchFaults++ }) }
-
-// batchPanicked counts a batch execution ended by a non-fault panic.
+// batchPanicked counts a batch execution ended by a panic.
 func (m *metrics) batchPanicked() { m.bump(func(m *metrics) { m.batchPanics++ }) }
 
 // persistFailed counts a write batch refused because its WAL append failed.
@@ -200,12 +191,11 @@ type Robustness struct {
 	// CanceledRequests counts requests dropped because their caller's
 	// context ended before execution.
 	CanceledRequests int64 `json:"canceled_requests"`
-	// BatchRetries counts read-batch re-executions after transient faults.
+	// BatchRetries is always 0: a batch runs once, and a panic fails it.
+	// The field stays for readers of the JSON shape.
 	BatchRetries int64 `json:"batch_retries"`
-	// BatchFaults counts batch executions ended by a contained machine
-	// fault (module crash or round timeout).
-	BatchFaults int64 `json:"batch_faults"`
-	// BatchPanics counts batch executions ended by a non-fault panic.
+	// BatchPanics counts batch executions ended by a panic, a module
+	// program's included.
 	BatchPanics int64 `json:"batch_panics"`
 	// PersistFailures counts write batches refused because their
 	// write-ahead-log append failed (durable-write mode only).
@@ -243,8 +233,6 @@ func (m *metrics) snapshot(mach pim.Snapshot, cfg Config) MetricsSnapshot {
 		Robustness: Robustness{
 			Sheds:            m.sheds,
 			CanceledRequests: m.canceledReqs,
-			BatchRetries:     m.batchRetries,
-			BatchFaults:      m.batchFaults,
 			BatchPanics:      m.batchPanics,
 			PersistFailures:  m.persistFailures,
 		},

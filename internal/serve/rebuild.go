@@ -99,8 +99,8 @@ type RebuildConfig struct {
 	// OnRebuilt, if set, observes each completed convergence run: how many
 	// cells were pulled, how many items arrived over the wire, the exact
 	// metered cost of the restore rounds (each labeled
-	// fault/rebuild/cell=N), and how long the run took. The server wires
-	// this to fault.Supervisor accounting.
+	// fault/rebuild/cell=N), and how long the run took. pimkd-server logs
+	// it; the restore batches' totals are the restore-cell kind on /statsz.
 	OnRebuilt func(cells, items int64, cost pim.Stats, took time.Duration)
 	// Logf, if set, receives progress lines.
 	Logf func(format string, args ...any)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime/debug"
@@ -88,19 +87,6 @@ func (s *Service) execute(b *batch, epoch int64) {
 	pop := mach.PushLabel(label)
 	mach.SnapshotStatsInto(&s.pre)
 	results, err := s.runBatchSafe(b)
-	// Transient machine faults on read-only batches are retried with
-	// doubling backoff: reads have no side effects, so re-execution is
-	// always safe. Writes are never retried — an aborted update may have
-	// partially mutated the tree, and replaying it could double-apply.
-	if err != nil && errors.Is(err, ErrFault) && b.key.kind.IsRead() {
-		backoff := s.cfg.RetryBackoff
-		for attempt := 0; attempt < s.cfg.RetryTransient && err != nil && errors.Is(err, ErrFault); attempt++ {
-			time.Sleep(backoff)
-			backoff *= 2
-			s.metrics.batchRetried()
-			results, err = s.runBatchSafe(b)
-		}
-	}
 	mach.SnapshotStatsInto(&s.post)
 	s.post.SubInto(s.pre, &s.post) // post now holds the batch's delta
 	delta := s.post
@@ -153,24 +139,19 @@ func (s *Service) execute(b *batch, epoch int64) {
 	}
 }
 
-// runBatchSafe runs a batch with panic containment. A typed machine fault
-// (an escalated *pim.ModuleFault or *pim.RoundTimeout) becomes an ErrFault
-// error — transient, and retryable for reads. Any other panic becomes an
-// ErrBatchPanic error carrying the stack. Either way only this batch's
-// requests fail; the executor, the machine, and the service survive.
+// runBatchSafe runs a batch with panic containment: a panic becomes an
+// ErrBatchPanic error carrying the stack where it was raised — a module
+// program's own, for a *pim.ModuleFault. Only this batch's requests fail;
+// the executor, the machine, and the service survive.
 func (s *Service) runBatchSafe(b *batch) (results []reply, err error) {
 	defer func() {
-		switch p := recover().(type) {
-		case nil:
-		case *pim.ModuleFault:
-			s.metrics.batchFaulted()
-			results, err = nil, fmt.Errorf("%w: %v", ErrFault, p)
-		case *pim.RoundTimeout:
-			s.metrics.batchFaulted()
-			results, err = nil, fmt.Errorf("%w: %v", ErrFault, p)
-		default:
+		if p := recover(); p != nil {
+			stack := debug.Stack()
+			if mf, ok := p.(*pim.ModuleFault); ok {
+				stack = mf.Stack
+			}
 			s.metrics.batchPanicked()
-			results, err = nil, fmt.Errorf("%w: %v\n%s", ErrBatchPanic, p, debug.Stack())
+			results, err = nil, fmt.Errorf("%w: %v\n%s", ErrBatchPanic, p, stack)
 		}
 	}()
 	if s.testHookPreBatch != nil {

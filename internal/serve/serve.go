@@ -27,14 +27,10 @@ var ErrClosed = errors.New("serve: service closed")
 // The HTTP layer maps it to 503 with a Retry-After hint.
 var ErrOverloaded = errors.New("serve: overloaded, retry later")
 
-// ErrFault wraps a contained machine fault (an escalated module crash or a
-// round timeout) that survived the batch retry policy. Read-only batches
-// are retried Config.RetryTransient times before callers see this.
-var ErrFault = errors.New("serve: machine fault")
-
-// ErrBatchPanic wraps a non-fault panic recovered in the batch worker. The
-// panic fails only the requests of the affected batch; the service and its
-// executor keep running.
+// ErrBatchPanic wraps a panic recovered in the batch worker, a module
+// program's (*pim.ModuleFault) included. A panic is a bug, so the batch is
+// never re-run: the panic fails only the requests of the affected batch,
+// once, and the service and its executor keep running.
 var ErrBatchPanic = errors.New("serve: batch execution panicked")
 
 // ErrPersist wraps a write-ahead-log append failure in durable-write mode.

@@ -35,8 +35,8 @@ type ShardListener struct {
 	// standalone shard with no peers to rebuild from.
 	syncst SyncState
 	// onMigrate, when set, observes every applied migration commit (staged
-	// item count, the adopt batch's metered cost, wall time) — the server
-	// wires it to fault.Supervisor.RecordMigration. Set before traffic.
+	// item count, the adopt batch's metered cost, wall time) — pimkd-server
+	// logs it. Set before traffic.
 	onMigrate func(items int64, cost pim.Stats, took time.Duration)
 
 	mu     sync.Mutex
@@ -484,12 +484,12 @@ func scatter[T any](n int, op func(i int) (T, error)) ([]T, error) {
 func dropInfo[T any](v T, _ BatchInfo, err error) (T, error) { return v, err }
 
 // remoteError maps a Service error to the wire error taxonomy: transient
-// load/fault conditions are retryable CodeUnavailable, shard-side bugs are
+// load conditions are retryable CodeUnavailable, shard-side bugs are
 // CodeInternal, everything else (dimension mismatch, bad k) is the caller's
 // CodeBadRequest.
 func remoteError(err error) *shard.RemoteError {
 	switch {
-	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed), errors.Is(err, ErrFault),
+	case errors.Is(err, ErrOverloaded), errors.Is(err, ErrClosed),
 		errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return &shard.RemoteError{Code: shard.CodeUnavailable, Msg: err.Error()}
 	case errors.Is(err, ErrBatchPanic), errors.Is(err, ErrPersist):

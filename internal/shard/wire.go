@@ -108,7 +108,7 @@ var ErrWire = errors.New("shard: wire protocol error")
 // Remote error codes carried by errResp frames.
 const (
 	// CodeUnavailable is a retryable condition: the shard is overloaded,
-	// draining, or the batch hit a transient fault.
+	// draining, or the request was canceled before it ran.
 	CodeUnavailable uint16 = 1
 	// CodeInternal is a shard-side bug (batch panic, persistence failure).
 	CodeInternal uint16 = 2

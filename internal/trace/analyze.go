@@ -73,8 +73,8 @@ type Report struct {
 // SumByPrefix aggregates every round whose label starts with prefix — or
 // contains it as a later path segment, since machine-level label scopes
 // (e.g. the serve layer's "serve/knn/batch=N") are prefixed onto nested
-// rounds' own labels — into a single LabelStat. The recovery protocol
-// labels its rebuild rounds "fault/recover/module=N", so
+// rounds' own labels — into a single LabelStat. A replica's peer rebuild
+// labels its restore rounds "fault/rebuild/cell=N", so
 // SumByPrefix(recs, "fault/") is the total metered price of fault
 // tolerance in a trace window.
 func SumByPrefix(recs []pim.RoundRecord, prefix string) LabelStat {
@@ -255,7 +255,7 @@ func (rep *Report) WriteText(w io.Writer) {
 			rep.HotModuleComm, rep.ModuleComm[rep.HotModuleComm], pim.MaxLoadRatio(rep.ModuleComm))
 	}
 
-	// Fault-recovery attribution: the supervisor's rebuild rounds carry
+	// Fault-recovery attribution: a peer rebuild's restore rounds carry
 	// "fault/..." labels, so their aggregate is the measured overhead of
 	// fault tolerance within this window.
 	var fault LabelStat
@@ -269,7 +269,7 @@ func (rep *Report) WriteText(w io.Writer) {
 		}
 	}
 	if fault.Records > 0 {
-		fmt.Fprintf(w, "\nfault recovery: %d rounds rebuilt crashed shards, comm=%d words — %.1f%% of the critical path\n",
+		fmt.Fprintf(w, "\nfault recovery: %d rounds restored cells from peer replicas, comm=%d words — %.1f%% of the critical path\n",
 			fault.Rounds, fault.Comm, 100*fault.Share(tot))
 	}
 }
