@@ -116,6 +116,9 @@ type Tree struct {
 	// scratch holds LeafSearch's per-module wave buffers, reused across
 	// waves and batches.
 	scratch searchScratch
+	// place is the placement and caching step's scratch, reused across
+	// refreshes and batches.
+	place placeScratch
 
 	// OpStats tallies structure-level event counters useful to experiments.
 	OpStats OpStats
@@ -402,8 +405,8 @@ func (t *Tree) CheckInvariants() error {
 }
 
 // checkCaching validates the dual-way caching layout: within each cached
-// component, every node's replica set equals the master modules of its
-// in-component ancestors and descendants.
+// component, every node's replica list is strictly ascending and its set
+// equals the master modules of its in-component ancestors and descendants.
 func (t *Tree) checkCaching() error {
 	var rec func(id NodeID) error
 	rec = func(id NodeID) error {
@@ -432,7 +435,10 @@ func (t *Tree) checkCaching() error {
 			desc(id)
 			delete(want, nd.module)
 			have := map[int32]bool{}
-			for _, c := range nd.copies {
+			for i, c := range nd.copies {
+				if i > 0 && c <= nd.copies[i-1] {
+					return fmt.Errorf("node %d (group %d) replicas %v not strictly ascending", id, nd.group, nd.copies)
+				}
 				if c != nd.module {
 					have[c] = true
 				}

@@ -39,6 +39,13 @@ type bnode struct {
 // large subtrees recurse in parallel). Ownership of items passes to the
 // tree.
 func buildExactB(items []Item, leafSize int, ops *int64) *bnode {
+	return buildExact(items, make([]float64, len(items)), leafSize, ops)
+}
+
+// buildExact is buildExactB's recursion. coords is exactSplit's scratch,
+// one slot per item: each half of a split recurses on its own half of it,
+// so the parallel fork shares no scratch.
+func buildExact(items []Item, coords []float64, leafSize int, ops *int64) *bnode {
 	n := len(items)
 	if n == 0 {
 		return nil
@@ -48,7 +55,7 @@ func buildExactB(items []Item, leafSize int, ops *int64) *bnode {
 	if n <= leafSize {
 		return leafB(items, box)
 	}
-	axis, split, ok := exactSplit(items, box)
+	axis, split, ok := exactSplit(items, box, coords)
 	if !ok {
 		return leafB(items, box)
 	}
@@ -64,12 +71,12 @@ func buildExactB(items []Item, leafSize int, ops *int64) *bnode {
 	var l, r *bnode
 	if n >= buildParGrain {
 		parallel.Do(
-			func() { l = buildExactB(items[:i], leafSize, ops) },
-			func() { r = buildExactB(items[i:], leafSize, ops) },
+			func() { l = buildExact(items[:i], coords[:i], leafSize, ops) },
+			func() { r = buildExact(items[i:], coords[i:], leafSize, ops) },
 		)
 	} else {
-		l = buildExactB(items[:i], leafSize, ops)
-		r = buildExactB(items[i:], leafSize, ops)
+		l = buildExact(items[:i], coords[:i], leafSize, ops)
+		r = buildExact(items[i:], coords[i:], leafSize, ops)
 	}
 	b := &bnode{
 		axis:  int32(axis),
@@ -171,8 +178,8 @@ func unionBox(a, b geom.Box) geom.Box {
 // of a (v < split) partition are non-empty. Axes are tried widest-first;
 // when duplicate coordinates make one axis's median split lopsided, the
 // axis with the most even partition wins. ok is false when all points are
-// identical.
-func exactSplit(items []Item, box geom.Box) (axis int, split float64, ok bool) {
+// identical. coords is scratch of at least len(items) slots.
+func exactSplit(items []Item, box geom.Box, coords []float64) (axis int, split float64, ok bool) {
 	type axisWidth struct {
 		axis  int
 		width float64
@@ -183,7 +190,7 @@ func exactSplit(items []Item, box geom.Box) (axis int, split float64, ok bool) {
 	}
 	sort.Slice(dims, func(i, j int) bool { return dims[i].width > dims[j].width })
 	n := len(items)
-	coords := make([]float64, n)
+	coords = coords[:n]
 	bestSkew := n + 1
 	for _, aw := range dims {
 		if aw.width <= 0 {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"pimkd/internal/geom"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
@@ -95,7 +97,15 @@ func (t *Tree) Build(items []Item) {
 
 	// Phase C (CPU): stitch sketch + module subtrees, decompose, replicate.
 	whole := stitchSketch(sk, subs)
-	t.mach.CPUPhase(int64(countB(whole)), int64(mathx.CeilLog2(n)))
+	nodes := countB(whole)
+	t.mach.CPUPhase(int64(nodes), int64(mathx.CeilLog2(n)))
+	// Grow the arena once for the whole tree rather than through append's
+	// chain of copies. Only this bulk path does: a tree grown by small
+	// batches keeps append's growth, whose capacities depend on the arena's
+	// length alone, not on how the batches happened to be cut.
+	if need := nodes - len(t.freeL); need > 0 {
+		t.nodes = slices.Grow(t.nodes, need)
+	}
 	t.root = t.graft(whole, Nil, geom.UniverseBox(t.cfg.Dim))
 	t.mach.RunRound(func(r *pim.Round) {
 		r.Label("core/build:decorate")
@@ -129,8 +139,8 @@ func (s *sketchNode) route(p []float64) int {
 // create fewer).
 func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
 	next := 0
-	var rec func(items []Item, slots int) *sketchNode
-	rec = func(items []Item, slots int) *sketchNode {
+	var rec func(items []Item, coords []float64, slots int) *sketchNode
+	rec = func(items []Item, coords []float64, slots int) *sketchNode {
 		*ops += int64(len(items))
 		if slots == 1 || len(items) < 2 {
 			b := &sketchNode{bucket: next}
@@ -138,7 +148,7 @@ func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
 			return b
 		}
 		box := itemsBox(items)
-		axis, split, ok := exactSplit(items, box)
+		axis, split, ok := exactSplit(items, box, coords)
 		if !ok {
 			b := &sketchNode{bucket: next}
 			next++
@@ -156,11 +166,11 @@ func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
 		return &sketchNode{
 			axis:  int32(axis),
 			split: split,
-			l:     rec(items[:i], slots/2),
-			r:     rec(items[i:], slots-slots/2),
+			l:     rec(items[:i], coords[:i], slots/2),
+			r:     rec(items[i:], coords[i:], slots-slots/2),
 		}
 	}
-	root := rec(sample, slots)
+	root := rec(sample, make([]float64, len(sample)), slots)
 	return root, next
 }
 

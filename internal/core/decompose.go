@@ -1,11 +1,10 @@
 package core
 
 import (
-	"sort"
-	"sync/atomic"
+	"math/bits"
+	"slices"
 
 	"pimkd/internal/mathx"
-	"pimkd/internal/parallel"
 	"pimkd/internal/pim"
 )
 
@@ -59,64 +58,102 @@ func (t *Tree) assignGroups(id NodeID, parentGroup int16) {
 // starting at the component containing top, descending only into components
 // whose roots are flagged needsRefresh (fresh or regrouped nodes).
 func (t *Tree) refreshFrom(top NodeID, r *pim.Round, batchS int) {
-	queue := []NodeID{top}
-	for len(queue) > 0 {
-		root := queue[0]
-		queue = queue[1:]
-		boundary := t.refreshComponent(root, r, batchS)
-		for _, c := range boundary {
+	queue := append(t.place.queue[:0], top)
+	for head := 0; head < len(queue); head++ {
+		for _, c := range t.refreshComponent(queue[head], r, batchS) {
 			if t.nd(c).needsRefresh {
 				queue = append(queue, c)
 			}
 		}
 	}
+	t.place.queue = queue[:0]
 }
 
-// componentMembers gathers the maximal same-group connected subtree rooted
-// at root (BFS order, so chunking groups nearby nodes) and the boundary
-// children in deeper groups.
-func (t *Tree) componentMembers(root NodeID) (members, boundary []NodeID) {
+// placeScratch is the scratch of the placement and caching step, owned by
+// the Tree and reused across refreshes and batches. Each buffer is sized by
+// the largest component (or, for queue, the most components) one refresh
+// has needed, never by the arena.
+type placeScratch struct {
+	queue []NodeID // refreshFrom's FIFO of component roots
+	comp  compWalk // the component refreshComponent is refreshing
+	// flush is flushUnfinished's walk. It runs inside refreshComponent's
+	// delayed-Group-1 branch, whose caller still returns comp.boundary.
+	flush compWalk
+	prev  placement
+	// masks holds buildCachingDiff's module masks: ⌈P/64⌉ words per
+	// member for its ancestors, then as many for its descendants.
+	masks []uint64
+}
+
+// compWalk is one component walk: the members in BFS order (a parent
+// before its children), each member's parent as an index into members (-1
+// for the root), and the boundary children in deeper groups.
+type compWalk struct {
+	members  []NodeID
+	parents  []int32
+	boundary []NodeID
+}
+
+// placement is a component's placement before its refresh, aligned with
+// its members: member i had master module[i], was charged for charged[i]
+// copy slots, and held the replicas copies[span[i]:span[i+1]].
+type placement struct {
+	module, charged []int32
+	copies, span    []int32
+}
+
+func (p *placement) replicas(i int) []int32 { return p.copies[p.span[i]:p.span[i+1]] }
+
+// componentMembers walks the maximal same-group connected subtree rooted at
+// root into w: its members in BFS order (so chunking groups nearby nodes)
+// with their parents, and the boundary children in deeper groups.
+func (t *Tree) componentMembers(root NodeID, w *compWalk) {
 	g := t.nd(root).group
-	queue := []NodeID{root}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		members = append(members, id)
-		nd := t.nd(id)
+	w.members = append(w.members[:0], root)
+	w.parents = append(w.parents[:0], -1)
+	w.boundary = w.boundary[:0]
+	// members doubles as the BFS queue: a member is visited in the order it
+	// was appended.
+	for i := 0; i < len(w.members); i++ {
+		nd := t.nd(w.members[i])
 		if nd.leaf {
 			continue
 		}
-		for _, c := range []NodeID{nd.left, nd.right} {
+		for _, c := range [2]NodeID{nd.left, nd.right} {
 			if t.nd(c).group == g {
-				queue = append(queue, c)
+				w.members = append(w.members, c)
+				w.parents = append(w.parents, int32(i))
 			} else {
-				boundary = append(boundary, c)
+				w.boundary = append(w.boundary, c)
 			}
 		}
 	}
-	return members, boundary
 }
 
 // refreshComponent recomputes placement and caching for the component rooted
-// at root and returns the roots of the child components below it.
+// at root and returns the roots of the child components below it. The
+// returned slice is scratch, valid until the next call.
 func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID {
 	g := t.nd(root).group
-	members, boundary := t.componentMembers(root)
+	s := &t.place
+	t.componentMembers(root, &s.comp)
+	members := s.comp.members
 
 	// Snapshot the previous placement so transfers can be metered as the
 	// delta: a refresh that merely extends an existing component (a leaf
 	// split, a small graft) only ships the new copies, which is what the
 	// paper's amortized update bound assumes.
-	prevModule := make([]int32, len(members))
-	prevCopies := make([][]int32, len(members))
-	prevCharged := make([]int32, len(members))
+	prev := &s.prev
+	prev.module = slices.Grow(prev.module[:0], len(members))[:len(members)]
+	prev.charged = slices.Grow(prev.charged[:0], len(members))[:len(members)]
+	prev.copies = prev.copies[:0]
+	prev.span = append(prev.span[:0], 0)
 	for i, id := range members {
 		nd := t.nd(id)
-		prevModule[i] = nd.module
-		prevCharged[i] = nd.chargedCopies
-		if len(nd.copies) > 0 {
-			prevCopies[i] = append([]int32(nil), nd.copies...)
-		}
+		prev.module[i] = nd.module
+		prev.charged[i] = nd.chargedCopies
+		prev.copies = append(prev.copies, nd.copies...)
+		prev.span = append(prev.span, int32(len(prev.copies)))
 		t.unplace(id)
 	}
 
@@ -139,7 +176,7 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 			nd.needsRefresh = false
 			nd.chargedCopies = int32(t.mach.P())
 			t.chargeNodeSpace(int64(t.mach.P()))
-			wasGroup0 := prevCharged[i] == int32(t.mach.P())
+			wasGroup0 := prev.charged[i] == int32(t.mach.P())
 			if r != nil && !wasGroup0 {
 				r.ChargeAll(nodeWords(t.cfg.Dim), 0)
 			}
@@ -153,7 +190,7 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 			nd.needsRefresh = false
 			nd.chargedCopies = 1
 			t.chargeNodeSpace(1)
-			if r != nil && prevModule[i] != nd.module {
+			if r != nil && prev.module[i] != nd.module {
 				r.Transfer(int(nd.module), nodeWords(t.cfg.Dim))
 			}
 		}
@@ -165,7 +202,7 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 		}
 		fresh := 0
 		for i := range members {
-			if prevModule[i] < 0 {
+			if prev.module[i] < 0 {
 				fresh++
 			}
 		}
@@ -180,7 +217,7 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 				nd := t.nd(id)
 				nd.chargedCopies = 1
 				t.chargeNodeSpace(1)
-				if r != nil && prevModule[i] != nd.module {
+				if r != nil && prev.module[i] != nd.module {
 					r.Transfer(int(nd.module), nodeWords(t.cfg.Dim))
 				}
 			}
@@ -194,97 +231,82 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 				t.flushUnfinished(r, batchS)
 			}
 		} else {
-			t.buildCachingDiff(root, members, prevModule, prevCopies, r)
+			buildCaching(t, &s.comp, prev, r)
 		}
 	}
-	return boundary
+	return s.comp.boundary
 }
 
-// buildCaching constructs the dual-way caching of one cached component from
-// scratch (no previous placement credit).
-func (t *Tree) buildCaching(root NodeID, members []NodeID, r *pim.Round) {
-	t.buildCachingDiff(root, members, nil, nil, r)
-}
+// buildCaching is the caching pass refreshComponent and flushUnfinished
+// run. It is a variable only so that a test can run twin trees through the
+// map-based pass it replaced and require identical placements and meters.
+var buildCaching = (*Tree).buildCachingDiff
 
-// buildCachingDiff constructs the dual-way caching of one cached component:
-// every member is replicated onto the modules of its in-component ancestors
-// (top-down caching) and of its in-component descendants (bottom-up
-// caching). Transfers are metered as the delta against the previous
-// placement (prevModule/prevCopies aligned with members; nil = fresh): only
-// new copies are shipped and removed copies cost one invalidation word.
-func (t *Tree) buildCachingDiff(root NodeID, members []NodeID, prevModule []int32, prevCopies [][]int32, r *pim.Round) {
-	g := t.nd(root).group
-	// DFS with an explicit ancestor stack of (id, module).
-	type frame struct {
-		id    NodeID
-		phase int
+// buildCachingDiff constructs the dual-way caching of the cached component
+// walked into w: every member is replicated onto the modules of its
+// in-component ancestors (top-down caching) and of its in-component
+// descendants (bottom-up caching). Transfers are metered as the delta
+// against prev, the placement before the refresh (nil = fresh): only new
+// copies are shipped and removed copies cost one invalidation word.
+func (t *Tree) buildCachingDiff(w *compWalk, prev *placement, r *pim.Round) {
+	members, parents := w.members, w.parents
+	n := len(members)
+	words := (t.mach.P() + 63) / 64
+	masks := slices.Grow(t.place.masks[:0], 2*n*words)[:2*n*words]
+	t.place.masks = masks
+	clear(masks)
+	anc := func(i int) []uint64 { return masks[i*words : (i+1)*words] }
+	desc := func(i int) []uint64 { return masks[(n+i)*words : (n+i+1)*words] }
+	setBit := func(mask []uint64, mod int32) { mask[mod>>6] |= 1 << (mod & 63) }
+	// Top-down: a member's ancestors are its parent's plus the parent; BFS
+	// order puts every parent before its children.
+	for i := 1; i < n; i++ {
+		p := parents[i]
+		a := anc(i)
+		copy(a, anc(int(p)))
+		setBit(a, t.nd(members[p]).module)
 	}
-	var ancestors []NodeID
-	copySets := make(map[NodeID]map[int32]bool, len(members))
-	for _, id := range members {
-		copySets[id] = map[int32]bool{}
+	// Bottom-up: in reverse BFS order a member's descendants are complete
+	// before they fold into its parent's.
+	for i := n - 1; i > 0; i-- {
+		d, pd := desc(i), desc(int(parents[i]))
+		for k := range pd {
+			pd[k] |= d[k]
+		}
+		setBit(pd, t.nd(members[i]).module)
 	}
-	stack := []frame{{root, 0}}
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		nd := t.nd(f.id)
-		if f.phase == 0 {
-			f.phase = 1
-			// Dual-way exchange with every ancestor in the component.
-			for _, a := range ancestors {
-				copySets[f.id][t.nd(a).module] = true // top-down: ancestor's module caches me
-				copySets[a][nd.module] = true         // bottom-up: my module caches the ancestor
+	// Materialize each member's copies, ascending, in its own backing
+	// array: the set bits of ancestors | descendants, minus its master.
+	var spaceCopies int64
+	for i, id := range members {
+		nd := t.nd(id)
+		a, d := anc(i), desc(i)
+		nd.copies = nd.copies[:0]
+		for k := range a {
+			set := a[k] | d[k]
+			if k == int(nd.module>>6) {
+				set &^= 1 << (nd.module & 63)
 			}
-			ancestors = append(ancestors, f.id)
-			if !nd.leaf {
-				if t.nd(nd.right).group == g {
-					stack = append(stack, frame{nd.right, 0})
-				}
-				if t.nd(nd.left).group == g {
-					stack = append(stack, frame{nd.left, 0})
-				}
-				continue
+			for ; set != 0; set &= set - 1 {
+				nd.copies = append(nd.copies, int32(k*64+bits.TrailingZeros64(set)))
 			}
 		}
-		ancestors = ancestors[:len(ancestors)-1]
-		stack = stack[:len(stack)-1]
+		nd.chargedCopies = int32(1 + len(nd.copies))
+		spaceCopies += int64(nd.chargedCopies)
 	}
-	// Materialize each member's copy set in parallel. Copies are sorted
-	// ascending — ranging over the map here used to bake Go's randomized
-	// iteration order into nd.copies, quietly breaking run-to-run
-	// reproducibility of every later loop over the replica list. Space
-	// charges accumulate atomically and post once.
-	var spaceCopies atomic.Int64
-	parallel.ForChunked(len(members), func(lo, hi int) {
-		var charged int64
-		for _, id := range members[lo:hi] {
-			nd := t.nd(id)
-			set := copySets[id]
-			delete(set, nd.module)
-			nd.copies = nd.copies[:0]
-			for m := range set {
-				nd.copies = append(nd.copies, m)
-			}
-			sort.Slice(nd.copies, func(a, b int) bool { return nd.copies[a] < nd.copies[b] })
-			nd.chargedCopies = int32(1 + len(nd.copies))
-			charged += int64(1 + len(nd.copies))
-		}
-		spaceCopies.Add(charged)
-	})
-	t.chargeNodeSpace(spaceCopies.Load())
+	t.chargeNodeSpace(spaceCopies)
 	if r == nil {
 		return
 	}
 	// Meter the placement delta sequentially in member order so the
-	// transfer sequence (which the fault injector observes per call) stays
-	// deterministic.
+	// transfer sequence stays deterministic.
 	for i, id := range members {
 		nd := t.nd(id)
 		var pm int32 = -1
 		var pc []int32
-		if prevModule != nil {
-			pm = prevModule[i]
-			pc = prevCopies[i]
+		if prev != nil {
+			pm = prev.module[i]
+			pc = prev.replicas(i)
 		}
 		if pm != nd.module {
 			r.Transfer(int(nd.module), nodeWords(t.cfg.Dim))
@@ -374,6 +396,7 @@ func (t *Tree) FlushDelayed() {
 func (t *Tree) flushUnfinished(r *pim.Round, batchS int) {
 	pending := t.unfinishedList
 	t.unfinishedList = nil
+	w := &t.place.flush
 	for _, root := range pending {
 		nd := t.nd(root)
 		if nd.dead || !nd.unfinished {
@@ -381,14 +404,14 @@ func (t *Tree) flushUnfinished(r *pim.Round, batchS int) {
 		}
 		nd.unfinished = false
 		t.unfinishedComps--
-		members, _ := t.componentMembers(root)
+		t.componentMembers(root, w)
 		// Masters were already placed; release the master-only accounting
 		// and rebuild with full caching.
-		t.unchargeNodeSpace(int64(len(members)))
-		for _, id := range members {
+		t.unchargeNodeSpace(int64(len(w.members)))
+		for _, id := range w.members {
 			t.nd(id).chargedCopies = 0
 		}
-		t.buildCaching(root, members, r)
+		buildCaching(t, w, nil, r)
 	}
 	t.OpStats.DelayedFlushes++
 	_ = batchS

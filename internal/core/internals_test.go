@@ -63,7 +63,9 @@ func TestChunkPlacement(t *testing.T) {
 		nd := tree.nd(id)
 		isRoot := nd.parent == Nil || tree.nd(nd.parent).group != nd.group
 		if isRoot && tree.cachedGroup(nd.group) {
-			members, _ := tree.componentMembers(id)
+			var w compWalk
+			tree.componentMembers(id, &w)
+			members := w.members
 			comps++
 			for i, m := range members {
 				leader := members[i-(i%4)]

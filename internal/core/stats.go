@@ -136,20 +136,17 @@ func (t *Tree) SampleComponent(group int) []ComponentNode {
 	if rootID == Nil {
 		return nil
 	}
-	members, _ := t.componentMembers(rootID)
-	depth := map[NodeID]int{rootID: 0}
-	out := make([]ComponentNode, 0, len(members))
-	for _, id := range members {
+	var w compWalk
+	t.componentMembers(rootID, &w)
+	depth := make([]int, len(w.members))
+	out := make([]ComponentNode, 0, len(w.members))
+	for i, id := range w.members {
 		nd := t.nd(id)
-		d := 0
-		if nd.parent != Nil {
-			if pd, ok := depth[nd.parent]; ok {
-				d = pd + 1
-			}
+		if p := w.parents[i]; p >= 0 {
+			depth[i] = depth[p] + 1
 		}
-		depth[id] = d
 		copies := append([]int32(nil), nd.copies...)
-		out = append(out, ComponentNode{ID: id, Depth: d, Master: nd.module, Copies: copies, Leaf: nd.leaf})
+		out = append(out, ComponentNode{ID: id, Depth: depth[i], Master: nd.module, Copies: copies, Leaf: nd.leaf})
 	}
 	return out
 }

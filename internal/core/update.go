@@ -39,7 +39,7 @@ func (t *Tree) BatchInsert(items []Item) {
 		// per-item append loop) so distinct leaves commit in parallel; the
 		// metering, space charges, and ancestor shadow counters then run in
 		// one sequential pass in ascending leaf order, keeping pim.Stats
-		// and fault-injection attempt sequences deterministic.
+		// deterministic.
 		groups := parallel.GroupBy(len(leaves), func(i int) int { return int(leaves[i]) })
 		parallel.ForChunked(len(groups), func(lo, hi int) {
 			for _, g := range groups[lo:hi] {

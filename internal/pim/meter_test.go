@@ -10,7 +10,7 @@ import (
 // chargeRound meters one round of mixed traffic whose every-module charges
 // go through charge; a ChargeAll round and a per-module-loop round must
 // meter the same.
-func chargeRound(m *Machine, charge func(r *Round, words, work int64)) *Round {
+func chargeRound(m *Machine, charge func(r *Round, words, work int64)) {
 	r := m.BeginRound()
 	r.CPUWork(11)
 	r.CPUSpan(2)
@@ -25,7 +25,6 @@ func chargeRound(m *Machine, charge func(r *Round, words, work int64)) *Round {
 	r.Transfer(m.P()-1, 9)
 	r.ModuleWork(0, 6)
 	r.Finish()
-	return r
 }
 
 func chargeLoop(r *Round, words, work int64) {
@@ -37,27 +36,29 @@ func chargeLoop(r *Round, words, work int64) {
 
 func TestChargeAllEqualsPerModuleLoop(t *testing.T) {
 	for _, p := range []int{1, 7, 64} {
-		run := func(charge func(r *Round, words, work int64)) (Snapshot, Stats, []RoundRecord) {
+		run := func(charge func(r *Round, words, work int64)) (Snapshot, []Stats, []RoundRecord) {
 			m := NewMachine(p, 16)
 			obs := &recordingObserver{}
 			m.SetObserver(obs)
-			var metered Stats
+			var deltas []Stats
 			for i := 0; i < 3; i++ {
-				metered = metered.Add(chargeRound(m, charge).Metered())
+				pre := m.Stats()
+				chargeRound(m, charge)
+				deltas = append(deltas, m.Stats().Sub(pre))
 			}
 			recs := obs.records()
 			for i := range recs {
 				recs[i].Start, recs[i].Wall = time.Time{}, 0
 			}
-			return m.SnapshotStats(), metered, recs
+			return m.SnapshotStats(), deltas, recs
 		}
-		snap, metered, recs := run((*Round).ChargeAll)
-		wantSnap, wantMetered, wantRecs := run(chargeLoop)
+		snap, deltas, recs := run((*Round).ChargeAll)
+		wantSnap, wantDeltas, wantRecs := run(chargeLoop)
 		if !reflect.DeepEqual(snap, wantSnap) {
 			t.Errorf("P=%d: ChargeAll meters %+v, the loop %+v", p, snap, wantSnap)
 		}
-		if metered != wantMetered {
-			t.Errorf("P=%d: ChargeAll rounds metered %+v, the loop's %+v", p, metered, wantMetered)
+		if !reflect.DeepEqual(deltas, wantDeltas) {
+			t.Errorf("P=%d: ChargeAll rounds moved the totals by %+v, the loop's by %+v", p, deltas, wantDeltas)
 		}
 		if !reflect.DeepEqual(recs, wantRecs) {
 			t.Errorf("P=%d: ChargeAll records %+v, the loop's %+v", p, recs, wantRecs)
@@ -107,7 +108,7 @@ func TestMachineTotalsMoveAtFinish(t *testing.T) {
 	close(release)
 	<-done
 
-	want := Snapshot{Stats: pre.Stats.Add(Stats{
+	delta := Stats{
 		CPUWork:       7,
 		CPUSpan:       1,
 		PIMWork:       runnerP*(runnerP-1)/2 + 3*runnerP,
@@ -115,7 +116,8 @@ func TestMachineTotalsMoveAtFinish(t *testing.T) {
 		Communication: 7 * runnerP,
 		CommTime:      7,
 		Rounds:        1,
-	})}
+	}
+	want := Snapshot{Stats: pre.Stats.Add(delta)}
 	want.ModuleWork = make([]int64, runnerP)
 	want.ModuleComm = make([]int64, runnerP)
 	for i := range want.ModuleWork {
@@ -125,8 +127,8 @@ func TestMachineTotalsMoveAtFinish(t *testing.T) {
 	if got := m.SnapshotStats(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("totals after Finish %+v, want %+v", got, want)
 	}
-	if got := r.Metered(); got != want.Stats.Sub(pre.Stats) {
-		t.Fatalf("Metered %+v, want %+v", got, want.Stats.Sub(pre.Stats))
+	if got := m.Stats().Sub(pre.Stats); got != delta {
+		t.Fatalf("the round moved Stats by %+v, want %+v", got, delta)
 	}
 }
 

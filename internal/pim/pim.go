@@ -406,24 +406,22 @@ type Round struct {
 	runBusy atomic.Bool
 
 	// Observation state; obs/start/label are populated only when the
-	// machine has an observer, cpuW/cpuS always (Metered needs them).
+	// machine has an observer, cpuW/cpuS always (fold adds them to the
+	// machine).
 	obs   Observer
 	start time.Time
 	label string
 	cpuW  atomic.Int64
 	cpuS  atomic.Int64
-
-	// metered is this round's exact contribution to the machine meters,
-	// filled by Finish (see Metered).
-	metered Stats
 }
 
 // roundBuf is the scratch one round needs whatever its width: P work and
 // P communication meters, the every-module meters and one module run with
 // its slots. A machine lends its buffer to one round at a time (BeginRound
-// takes it, Finish gives it back), so a round costs the same garbage however
-// few operations share it; a round that finds the buffer lent out — one of
-// two rounds in flight on the machine — gets a fresh one.
+// takes it; Finish, or RunRound's panic path, gives it back), so a round
+// costs the same garbage however few operations share it; a round that
+// finds the buffer lent out — one of two rounds in flight on the machine —
+// gets a fresh one.
 type roundBuf struct {
 	modWork []atomic.Int64
 	modComm []atomic.Int64
@@ -667,7 +665,7 @@ func (r *Round) Finish() {
 		return
 	}
 	r.finished = true
-	maxW, maxC, totalW, totalC := r.fold()
+	maxW, maxC, totalC := r.fold()
 	r.m.pimTime.Add(maxW)
 	r.m.commT.Add(maxC)
 	extra := int64(0)
@@ -675,15 +673,6 @@ func (r *Round) Finish() {
 		extra = totalC / int64(r.m.cacheM)
 	}
 	r.m.rounds.Add(1 + extra)
-	r.metered = Stats{
-		CPUWork:       r.cpuW.Load(),
-		CPUSpan:       r.cpuS.Load(),
-		PIMWork:       totalW,
-		PIMTime:       maxW,
-		Communication: totalC,
-		CommTime:      maxC,
-		Rounds:        1 + extra,
-	}
 	if r.obs != nil {
 		r.emit(1 + extra)
 	}
@@ -692,10 +681,11 @@ func (r *Round) Finish() {
 
 // fold adds the round's additive meters — work, communication, CPU and the
 // per-module loads — to the machine totals, and returns the round's
-// per-module maxima and totals. It runs once per round: in Finish, or in
-// RunRound when the round ends by panic.
-func (r *Round) fold() (maxW, maxC, totalW, totalC int64) {
+// per-module maxima and its communication total. It runs once per round:
+// in Finish, or in RunRound when the round ends by panic.
+func (r *Round) fold() (maxW, maxC, totalC int64) {
 	m := r.m
+	var totalW int64
 	allW, allC := r.buf.allWork.Load(), r.buf.allComm.Load()
 	for i := 0; i < m.p; i++ {
 		w := r.modWork[i].Load() + allW
@@ -715,13 +705,8 @@ func (r *Round) fold() (maxW, maxC, totalW, totalC int64) {
 	m.comm.Add(totalC)
 	m.cpuWork.Add(r.cpuW.Load())
 	m.cpuSpan.Add(r.cpuS.Load())
-	return maxW, maxC, totalW, totalC
+	return maxW, maxC, totalC
 }
-
-// Metered returns exactly what this round contributed to the machine's
-// meters, valid after Finish. Unlike bracketing Machine.Stats() around the
-// round, it is immune to concurrent metering by other rounds.
-func (r *Round) Metered() Stats { return r.metered }
 
 // emit builds the round's RoundRecord and delivers it to the observer. Only
 // called on observed rounds, after the meters are folded into the machine.
@@ -767,14 +752,16 @@ func (r *Round) emit(rounds int64) {
 // RunRound is a convenience wrapper: begin a round, hand it to fn, finish.
 // A round that fn ends by panicking — with a contained *ModuleFault, say —
 // still adds what it metered to the machine's work, communication, CPU and
-// per-module totals before the panic goes on. It counts no round, adds no
-// PIM or communication time and emits no record.
+// per-module totals, and gives its scratch back as Finish does, before the
+// panic goes on. It counts no round, adds no PIM or communication time and
+// emits no record.
 func (m *Machine) RunRound(fn func(r *Round)) {
 	r := m.BeginRound()
 	defer func() {
 		if !r.finished {
 			r.finished = true
 			r.fold()
+			m.buf.Store(r.buf)
 		}
 	}()
 	fn(r)

@@ -90,7 +90,10 @@ func TestOnModulesRoundAllocs(t *testing.T) {
 
 func TestRoundBufferConcurrentRounds(t *testing.T) {
 	// Rounds driven from several goroutines at once each take their own
-	// buffer: no two rounds in flight ever share meters.
+	// buffer: no two rounds in flight ever share meters, so once every
+	// round has finished the machine totals are the sum of what each round
+	// charged. A shared buffer would fold one round's meters into another's
+	// or wipe them, moving the totals, and the per-round maxima with them.
 	const (
 		drivers = 4
 		rounds  = 50
@@ -105,14 +108,54 @@ func TestRoundBufferConcurrentRounds(t *testing.T) {
 				r := m.BeginRound()
 				r.OnModules(func(ctx *ModuleCtx) { ctx.Work(1); ctx.Transfer(int64(g + 1)) })
 				r.Finish()
-				if got := r.Metered(); got.PIMWork != runnerP || got.Communication != int64(runnerP*(g+1)) {
-					t.Errorf("driver %d round %d metered %+v, want %d work and %d words", g, i, got, runnerP, runnerP*(g+1))
-					return
-				}
 			}
 		}()
 	}
 	wg.Wait()
+	// Driver g's rounds each charge every module 1 work unit and g+1 words.
+	words := int64(drivers * (drivers + 1) / 2)
+	want := Stats{
+		PIMWork:       drivers * rounds * runnerP,
+		PIMTime:       drivers * rounds,
+		Communication: rounds * runnerP * words,
+		CommTime:      rounds * words,
+		Rounds:        drivers * rounds,
+	}
+	if got := m.Stats(); got != want {
+		t.Fatalf("totals after %d concurrent rounds %+v, want %+v", drivers*rounds, got, want)
+	}
+	work, comm := m.ModuleLoads()
+	for mod := range work {
+		if work[mod] != drivers*rounds || comm[mod] != rounds*words {
+			t.Fatalf("module %d loads %d work and %d words, want %d and %d", mod, work[mod], comm[mod], drivers*rounds, rounds*words)
+		}
+	}
+}
+
+// TestPanickedRoundReturnsBuffer: a round that ends by a contained panic
+// gives its buffer back to the machine as Finish does, so the next round
+// reuses it instead of allocating P meters and P module slots afresh.
+func TestPanickedRoundReturnsBuffer(t *testing.T) {
+	m := NewMachine(runnerP, 1<<20)
+	var buf *roundBuf
+	err := recoverFault(t, func() {
+		m.RunRound(func(r *Round) {
+			buf = r.buf
+			r.OnModules(func(ctx *ModuleCtx) {
+				if ctx.ID() == 5 {
+					panic("module program bug")
+				}
+			})
+		})
+	})
+	if err == nil {
+		t.Fatal("the round did not panic")
+	}
+	r := m.BeginRound()
+	defer r.Finish()
+	if r.buf != buf {
+		t.Fatal("the round after a contained panic got a fresh buffer, not the panicked round's")
+	}
 }
 
 func TestSnapshotIntoReusesVectors(t *testing.T) {
