@@ -1,13 +1,16 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"pimkd/internal/codec"
 	"pimkd/internal/core"
 	"pimkd/internal/pim"
 )
@@ -29,6 +32,59 @@ func fuzzSeedWAL() []byte {
 	return buf
 }
 
+// overflowSnapshot is a CRC-valid snapshot whose META claims N = 1<<62
+// items of dim 1 over an empty PNTS section: N × itemSize wraps to 0, so a
+// size check by multiplication passes and the item allocation panics.
+func overflowSnapshot() []byte {
+	data := EncodeSnapshot(Snapshot{Meta: SnapshotMeta{Kind: KindCore, Dim: 1}})
+	const metaOff = len(snapMagic) + 4 + 12 // META payload start
+	meta := data[metaOff : metaOff+90]
+	binary.LittleEndian.PutUint64(meta[66:], 1<<62) // N
+	binary.LittleEndian.PutUint32(data[metaOff+90:], crc32.ChecksumIEEE(meta))
+	return data
+}
+
+// TestDecodeSnapshotCountOverflow: a META item count whose byte size
+// overflows is corruption, not a panic.
+func TestDecodeSnapshotCountOverflow(t *testing.T) {
+	if _, err := DecodeSnapshot(overflowSnapshot()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+}
+
+// fuzzSeedFrames builds three 2-d segments of one two-record frame each: a
+// valid one, one whose second record skips an LSN, and one whose second
+// record is cut short behind a valid frame CRC.
+func fuzzSeedFrames() (valid, skip, short []byte) {
+	items := testItems(5, 2, 3)
+	recs := []WALRecord{{LSN: 1, Op: OpDelete, Items: items[:2]}, {LSN: 2, Op: OpInsert, Items: items[2:]}}
+	valid = append(encodeWALHeader(2, 1), encodeWALFrame(2, recs...)...)
+	recs[1].LSN = 3
+	skip = append(encodeWALHeader(2, 1), encodeWALFrame(2, recs...)...)
+	recs[1].LSN = 2
+	c := codec.Frame(2, 0, 0)
+	recs[0].walk(&c)
+	recs[1].walk(&c)
+	short = append(encodeWALHeader(2, 1), codec.Seal(c.Buf[:len(c.Buf)-5])...)
+	return valid, skip, short
+}
+
+// TestWALMultiRecordFrame: a two-record frame scans to both records; a
+// frame whose CRC holds but whose second record skips an LSN or is cut
+// short is corruption, not a torn tail.
+func TestWALMultiRecordFrame(t *testing.T) {
+	valid, skip, short := fuzzSeedFrames()
+	scan, err := ScanWALSegment(valid)
+	if err != nil || scan.Torn || len(scan.Records) != 2 || scan.Records[1].LSN != 2 || scan.ValidLen != int64(len(valid)) {
+		t.Fatalf("valid frame: %+v, %v", scan, err)
+	}
+	for name, data := range map[string][]byte{"lsn skip": skip, "short record": short} {
+		if _, err := ScanWALSegment(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzDecodeSnapshot: arbitrary bytes must produce a typed error or a valid
 // Snapshot — never a panic, and never a decoded snapshot whose declared
 // sizes disagree with its contents.
@@ -42,6 +98,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[20] ^= 0xff
 	f.Add(mut)
+	f.Add(overflowSnapshot())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeSnapshot(data)
@@ -82,6 +139,10 @@ func FuzzScanWALSegment(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[walHeaderSize+9] ^= 0x01
 	f.Add(mut)
+	frame2, skip, short := fuzzSeedFrames()
+	f.Add(frame2)
+	f.Add(skip)
+	f.Add(short)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		scan, err := ScanWALSegment(data)
@@ -118,16 +179,19 @@ func FuzzScanWALSegment(f *testing.F) {
 // with PERSIST_REGEN_CORPUS=1; otherwise it only verifies the checked-in
 // corpus files still parse as their intended kind.
 func TestRegenFuzzCorpus(t *testing.T) {
+	frame2, skip, short := fuzzSeedFrames()
 	corpora := map[string][][]byte{
 		"FuzzDecodeSnapshot": {
 			fuzzSeedSnapshot(),
 			fuzzSeedSnapshot()[:50],
 			[]byte("PKDSNAP1\x02\x00\x00\x00"), // future version
+			overflowSnapshot(),
 		},
 		"FuzzScanWALSegment": {
 			fuzzSeedWAL(),
 			fuzzSeedWAL()[:len(fuzzSeedWAL())-5], // torn tail
 			[]byte("PKDWAL01\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00"), // short header
+			frame2, skip, short, // two-record frames: valid, LSN skip, short record
 		},
 	}
 	if os.Getenv("PERSIST_REGEN_CORPUS") != "" {

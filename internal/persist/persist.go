@@ -13,11 +13,11 @@
 //     point. Files are written to a temp name and renamed into place, with
 //     a CRC32 per section, so a torn snapshot write is detected and the
 //     previous snapshot used instead.
-//   - The write-ahead log appends one CRC-framed record per acknowledged
-//     update batch (BatchInsert / BatchDelete), optionally fsync'd, and the
-//     serving layer appends *before* the batch commits to the machine: an
-//     acknowledged update is always durable, and a record torn by a crash
-//     mid-append corresponds to a batch that was never acknowledged.
+//   - The write-ahead log appends one CRC frame per commit, holding a record
+//     per update batch (BatchDelete, BatchInsert), optionally fsync'd, and
+//     the serving layer appends *before* the batch commits to the machine:
+//     an acknowledged update is always durable, and a frame torn by a crash
+//     mid-append is a commit that was never acknowledged.
 //   - Open loads the newest valid snapshot, replays the WAL tail through
 //     the normal metered batch path (the rounds carry the trace label
 //     "persist/replay", so replay cost shows up in pim.Stats and traces

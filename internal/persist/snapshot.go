@@ -3,20 +3,19 @@ package persist
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
+	"pimkd/internal/codec"
 	"pimkd/internal/core"
-	"pimkd/internal/geom"
 	"pimkd/internal/pim"
 )
 
-// Snapshot file format (version 1), little-endian throughout:
+// Snapshot file format (version 1), little-endian throughout, each layout a
+// walk over package codec:
 //
 //	magic   "PKDSNAP1"                        (8 bytes)
 //	version uint32                            (= 1)
@@ -26,17 +25,16 @@ import (
 //	    payload
 //	    crc32   uint32                        (IEEE, of payload)
 //
-// META and PNTS are required, in that order; the zero-length DONE section
-// terminates the file — a snapshot without it is a torn write and is
-// rejected as a whole (snapshots are replaced atomically via temp + rename,
-// so a valid predecessor is still on disk).
+// META (SnapshotMeta's walk) and PNTS (META's N items back to back) are
+// required, in that order; the zero-length DONE section terminates the file
+// — a snapshot without it is a torn write and is rejected as a whole
+// (snapshots are replaced atomically via temp + rename, so a valid
+// predecessor is still on disk).
 const (
-	snapMagic       = "PKDSNAP1"
-	snapVersion     = 1
+	snapMagic   = "PKDSNAP1"
+	snapVersion = 1
+	// metaPayloadSize is META's length.
 	metaPayloadSize = 90
-	// maxSectionLen bounds a single section so a corrupted length field
-	// cannot drive a huge allocation.
-	maxSectionLen = 1 << 31
 )
 
 // TreeKind identifies which index class a snapshot captures.
@@ -82,30 +80,6 @@ type Snapshot struct {
 	Items []core.Item
 }
 
-// itemSize is the encoded size of one item in dimension dim.
-func itemSize(dim int) int { return 4 + 8 + 8*dim }
-
-func appendItem(buf []byte, it core.Item) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(it.ID))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(it.Priority))
-	for _, c := range it.P {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c))
-	}
-	return buf
-}
-
-func decodeItem(data []byte, dim int) core.Item {
-	it := core.Item{
-		ID:       int32(binary.LittleEndian.Uint32(data)),
-		Priority: math.Float64frombits(binary.LittleEndian.Uint64(data[4:])),
-		P:        make(geom.Point, dim),
-	}
-	for d := 0; d < dim; d++ {
-		it.P[d] = math.Float64frombits(binary.LittleEndian.Uint64(data[12+8*d:]))
-	}
-	return it
-}
-
 // snapWriter streams a snapshot's sections to w, keeping a running CRC of
 // the current section's payload and the first write error.
 type snapWriter struct {
@@ -138,18 +112,35 @@ func (sw *snapWriter) payload(p []byte) {
 // section writes one section: tag, payload length, the payload that body
 // streams through payload, and the payload's CRC.
 func (sw *snapWriter) section(tag string, length int, body func()) {
-	sw.buf = binary.LittleEndian.AppendUint64(append(sw.buf[:0], tag...), uint64(length))
-	sw.write(sw.buf)
+	c := codec.Encoder(sw.buf[:0], 0)
+	c.Magic(tag)
+	n := uint64(length)
+	c.U64(&n)
+	sw.write(c.Buf)
 	sw.crc = 0
 	body()
-	sw.write(binary.LittleEndian.AppendUint32(sw.buf[:0], sw.crc))
+	c.Buf = c.Buf[:0]
+	c.U32(&sw.crc)
+	sw.write(c.Buf)
+}
+
+// readSection reads back one section snapWriter.section wrote and returns
+// its CRC-checked payload.
+func readSection(c *codec.Cursor, tag string) []byte {
+	c.Magic(tag)
+	var n uint64
+	c.U64(&n)
+	from := c.Pos()
+	payload := c.Take(c.Fits(int(n), 1))
+	c.Sum(from)
+	return payload
 }
 
 // snapshotSize is the encoded size of a snapshot of n items in dimension
 // dim: magic, version, and the META, PNTS and DONE sections with their
 // 16 bytes of framing each.
 func snapshotSize(dim, n int) int {
-	return len(snapMagic) + 4 + 3*16 + metaPayloadSize + n*itemSize(dim)
+	return len(snapMagic) + 4 + 3*16 + metaPayloadSize + n*codec.ItemSize(dim)
 }
 
 // writeSnapshot streams snap to w in the version-1 format and returns the
@@ -157,79 +148,56 @@ func snapshotSize(dim, n int) int {
 // CRC, never as one payload.
 func writeSnapshot(w io.Writer, snap Snapshot) (int64, error) {
 	snap.Meta.N = len(snap.Items)
-	sw := &snapWriter{w: w, buf: make([]byte, 0, chunkBytes+itemSize(snap.Meta.Dim))}
-	sw.write(binary.LittleEndian.AppendUint32(append(sw.buf, snapMagic...), snapVersion))
-	meta := encodeMeta(snap.Meta)
-	sw.section("META", len(meta), func() { sw.payload(meta) })
-	sw.section("PNTS", len(snap.Items)*itemSize(snap.Meta.Dim), func() {
-		chunk := sw.buf[:0]
-		for _, it := range snap.Items {
-			if chunk = appendItem(chunk, it); len(chunk) >= chunkBytes {
-				sw.payload(chunk)
-				chunk = chunk[:0]
+	dim := snap.Meta.Dim
+	sw := &snapWriter{w: w, buf: make([]byte, 0, chunkBytes+codec.ItemSize(dim))}
+	hdr, version := codec.Encoder(sw.buf, 0), uint32(snapVersion)
+	hdr.Magic(snapMagic)
+	hdr.U32(&version)
+	sw.write(hdr.Buf)
+	meta := codec.Encoder(make([]byte, 0, metaPayloadSize), 0)
+	snap.Meta.walk(&meta)
+	sw.section("META", len(meta.Buf), func() { sw.payload(meta.Buf) })
+	sw.section("PNTS", len(snap.Items)*codec.ItemSize(dim), func() {
+		chunk := codec.Encoder(sw.buf[:0], dim)
+		for i := range snap.Items {
+			if chunk.Item(&snap.Items[i]); len(chunk.Buf) >= chunkBytes {
+				sw.payload(chunk.Buf)
+				chunk.Buf = chunk.Buf[:0]
 			}
 		}
-		sw.payload(chunk)
+		sw.payload(chunk.Buf)
 	})
 	sw.section("DONE", 0, func() {})
 	return sw.n, sw.err
 }
 
-func encodeMeta(m SnapshotMeta) []byte {
-	buf := make([]byte, 0, metaPayloadSize)
-	buf = append(buf, byte(m.Kind))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Dim))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.LeafSize))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Groups))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.ChunkSize))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(m.PushPullFactor)))
-	if m.NoDelayedGroup1 {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+func (m *SnapshotMeta) walk(c *codec.Cursor) {
+	c.U8((*uint8)(&m.Kind))
+	c.Int32(&m.Dim)
+	c.Int32(&m.LeafSize)
+	c.Int32(&m.Groups)
+	c.Int32(&m.ChunkSize)
+	c.Int64(&m.PushPullFactor)
+	c.Flag(&m.NoDelayedGroup1)
+	var retired uint32 // a retired field's slot, always 0
+	c.U32(&retired)
+	c.F64(&m.Alpha)
+	c.F64(&m.Beta)
+	c.I64(&m.Seed)
+	c.Int32(&m.P)
+	c.Int64(&m.CacheM)
+	c.Int64(&m.N)
+	c.U64(&m.AppliedLSN)
+	c.I64(&m.CreatedUnixNano)
+	switch {
+	case !c.Dec || c.Err != nil:
+	case m.Kind != KindCore:
+		c.Fail("unknown tree kind %d", m.Kind)
+	case m.Dim < 1 || m.Dim > 1<<16:
+		c.Fail("impossible dimension %d", m.Dim)
+	case m.N < 0:
+		c.Fail("negative item count %d", m.N)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, 0) // a retired field's slot, always 0
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Alpha))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.Beta))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Seed))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.P))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.CacheM))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.N))
-	buf = binary.LittleEndian.AppendUint64(buf, m.AppliedLSN)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.CreatedUnixNano))
-	return buf
-}
-
-func decodeMeta(payload []byte) (SnapshotMeta, error) {
-	var m SnapshotMeta
-	if len(payload) != metaPayloadSize {
-		return m, fmt.Errorf("%w: META payload %d bytes, want %d", ErrCorrupt, len(payload), metaPayloadSize)
-	}
-	m.Kind = TreeKind(payload[0])
-	m.Dim = int(int32(binary.LittleEndian.Uint32(payload[1:])))
-	m.LeafSize = int(int32(binary.LittleEndian.Uint32(payload[5:])))
-	m.Groups = int(int32(binary.LittleEndian.Uint32(payload[9:])))
-	m.ChunkSize = int(int32(binary.LittleEndian.Uint32(payload[13:])))
-	m.PushPullFactor = int(int64(binary.LittleEndian.Uint64(payload[17:])))
-	m.NoDelayedGroup1 = payload[25] != 0
-	m.Alpha = math.Float64frombits(binary.LittleEndian.Uint64(payload[30:]))
-	m.Beta = math.Float64frombits(binary.LittleEndian.Uint64(payload[38:]))
-	m.Seed = int64(binary.LittleEndian.Uint64(payload[46:]))
-	m.P = int(int32(binary.LittleEndian.Uint32(payload[54:])))
-	m.CacheM = int(int64(binary.LittleEndian.Uint64(payload[58:])))
-	m.N = int(int64(binary.LittleEndian.Uint64(payload[66:])))
-	m.AppliedLSN = binary.LittleEndian.Uint64(payload[74:])
-	m.CreatedUnixNano = int64(binary.LittleEndian.Uint64(payload[82:]))
-	if m.Kind != KindCore {
-		return m, fmt.Errorf("%w: unknown tree kind %d", ErrCorrupt, m.Kind)
-	}
-	if m.Dim < 1 || m.Dim > 1<<16 {
-		return m, fmt.Errorf("%w: impossible dimension %d", ErrCorrupt, m.Dim)
-	}
-	if m.N < 0 {
-		return m, fmt.Errorf("%w: negative item count %d", ErrCorrupt, m.N)
-	}
-	return m, nil
 }
 
 // EncodeSnapshot serializes snap to the version-1 binary format: the bytes
@@ -247,68 +215,32 @@ func EncodeSnapshot(snap Snapshot) []byte {
 // ErrVersion); DecodeSnapshot never panics on arbitrary input.
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	var snap Snapshot
-	if len(data) < len(snapMagic)+4 {
-		return snap, fmt.Errorf("%w: %d bytes is shorter than the header", ErrCorrupt, len(data))
+	c := codec.Decoder(data, 0, ErrCorrupt)
+	var version uint32
+	c.Magic(snapMagic)
+	c.U32(&version)
+	if c.Err != nil {
+		return snap, c.Err
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
-		return snap, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
+	if version != snapVersion {
+		return snap, fmt.Errorf("%w: snapshot version %d (this build reads %d)", ErrVersion, version, snapVersion)
 	}
-	if v := binary.LittleEndian.Uint32(data[len(snapMagic):]); v != snapVersion {
-		return snap, fmt.Errorf("%w: snapshot version %d (this build reads %d)", ErrVersion, v, snapVersion)
+	meta := codec.Decoder(readSection(&c, "META"), 0, ErrCorrupt)
+	pnts := readSection(&c, "PNTS")
+	readSection(&c, "DONE")
+	if c.Err != nil {
+		return snap, c.Err
 	}
-	off := len(snapMagic) + 4
-
-	sections := map[string][]byte{}
-	var order []string
-	done := false
-	for off < len(data) && !done {
-		if len(data)-off < 16 {
-			return snap, fmt.Errorf("%w: truncated section header at offset %d", ErrCorrupt, off)
-		}
-		tag := string(data[off : off+4])
-		length := binary.LittleEndian.Uint64(data[off+4 : off+12])
-		off += 12
-		if length > maxSectionLen || length > uint64(len(data)-off) {
-			return snap, fmt.Errorf("%w: section %q length %d exceeds file", ErrCorrupt, tag, length)
-		}
-		payload := data[off : off+int(length)]
-		off += int(length)
-		if len(data)-off < 4 {
-			return snap, fmt.Errorf("%w: section %q missing CRC", ErrCorrupt, tag)
-		}
-		want := binary.LittleEndian.Uint32(data[off:])
-		off += 4
-		if got := crc32.ChecksumIEEE(payload); got != want {
-			return snap, fmt.Errorf("%w: section %q CRC %08x, want %08x", ErrCorrupt, tag, got, want)
-		}
-		if _, dup := sections[tag]; dup {
-			return snap, fmt.Errorf("%w: duplicate section %q", ErrCorrupt, tag)
-		}
-		sections[tag] = payload
-		order = append(order, tag)
-		done = tag == "DONE"
-	}
-	if !done {
-		return snap, fmt.Errorf("%w: snapshot not terminated by DONE (torn write)", ErrCorrupt)
-	}
-	if len(order) != 3 || order[0] != "META" || order[1] != "PNTS" {
-		return snap, fmt.Errorf("%w: section order %v, want [META PNTS DONE]", ErrCorrupt, order)
-	}
-
-	meta, err := decodeMeta(sections["META"])
-	if err != nil {
+	snap.Meta.walk(&meta)
+	if err := meta.End(); err != nil {
 		return snap, err
 	}
-	pts := sections["PNTS"]
-	isz := itemSize(meta.Dim)
-	if len(pts) != meta.N*isz {
-		return snap, fmt.Errorf("%w: PNTS %d bytes, want %d items × %d", ErrCorrupt, len(pts), meta.N, isz)
+	// META's N is checked against PNTS's bytes before anything is allocated.
+	p := codec.Decoder(pnts, snap.Meta.Dim, ErrCorrupt)
+	for i := range codec.List(&p, &snap.Items, snap.Meta.N, codec.ItemSize(snap.Meta.Dim)) {
+		p.Item(&snap.Items[i])
 	}
-	items := make([]core.Item, meta.N)
-	for i := range items {
-		items[i] = decodeItem(pts[i*isz:], meta.Dim)
-	}
-	return Snapshot{Meta: meta, Items: items}, nil
+	return snap, p.End()
 }
 
 // WriteSnapshotFile atomically writes snap to path: the bytes go to a

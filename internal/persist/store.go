@@ -386,17 +386,29 @@ func (st *Store) scanFrozen() (n int, bytes int64) {
 }
 
 // LogBatch appends one acknowledged update batch to the write-ahead log and
-// returns its LSN. The serving layer calls this *before* committing the
-// batch to the machine, so an acknowledgement always implies durability
-// (with Fsync) or at least crash-ordering (without). Safe for concurrent
-// use; records are sequenced by the internal LSN counter.
+// returns its LSN.
 func (st *Store) LogBatch(op Op, items []core.Item) (uint64, error) {
-	if op != OpInsert && op != OpDelete {
-		return 0, fmt.Errorf("persist: LogBatch with invalid op %d", op)
+	return st.LogBatches(WALRecord{Op: op, Items: items})
+}
+
+// LogBatches appends batches that commit together to the write-ahead log
+// as one frame — one write, one fsync, so a crash drops all of them or
+// none — numbering recs in place with consecutive LSNs, and returns the
+// last. The serving layer calls this *before* committing the batches to
+// the machine, so an acknowledgement always implies durability (with Fsync)
+// or at least crash-ordering (without). Safe for concurrent use.
+func (st *Store) LogBatches(recs ...WALRecord) (uint64, error) {
+	if len(recs) == 0 {
+		return 0, fmt.Errorf("persist: LogBatches with no records")
 	}
-	for _, it := range items {
-		if len(it.P) != st.dim {
-			return 0, fmt.Errorf("%w: item dim %d, store dim %d", ErrMismatch, len(it.P), st.dim)
+	for _, r := range recs {
+		if r.Op != OpInsert && r.Op != OpDelete {
+			return 0, fmt.Errorf("persist: LogBatch with invalid op %d", r.Op)
+		}
+		for _, it := range r.Items {
+			if len(it.P) != st.dim {
+				return 0, fmt.Errorf("%w: item dim %d, store dim %d", ErrMismatch, len(it.P), st.dim)
+			}
 		}
 	}
 	st.mu.Lock()
@@ -407,18 +419,19 @@ func (st *Store) LogBatch(op Op, items []core.Item) (uint64, error) {
 	if st.failed != nil {
 		return 0, fmt.Errorf("persist: log poisoned by earlier append error: %w", st.failed)
 	}
-	lsn := st.lsn + 1
-	frame := EncodeWALRecord(WALRecord{LSN: lsn, Op: op, Items: items}, st.dim)
-	if err := st.seg.append(frame, st.fsync); err != nil {
+	for i := range recs {
+		recs[i].LSN = st.lsn + 1 + uint64(i)
+	}
+	if err := st.seg.append(encodeWALFrame(st.dim, recs...), st.fsync); err != nil {
 		st.failed = err
 		return 0, err
 	}
-	st.lsn = lsn
+	st.lsn += uint64(len(recs))
 	st.appends++
 	if st.fsync {
 		st.syncs++
 	}
-	return lsn, nil
+	return st.lsn, nil
 }
 
 // Sync flushes the active WAL segment to stable storage. With Options.Fsync

@@ -1,39 +1,40 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
+	"pimkd/internal/codec"
 	"pimkd/internal/core"
 )
 
-// WAL segment format, little-endian:
+// WAL segment format, little-endian, each layout a walk over package codec:
 //
 //	header (24 bytes):
 //	    magic    "PKDWAL01"  (8 bytes)
 //	    dim      uint32
 //	    startLSN uint64      (LSN of the first record in this segment)
 //	    crc32    uint32      (IEEE, of the 12 bytes dim+startLSN)
-//	records, back to back:
+//	frames, back to back (codec.Frame, the shard wire's frame too):
 //	    length   uint32      (payload bytes)
 //	    crc32    uint32      (IEEE, of payload)
-//	    payload:
+//	    payload: one or more records with consecutive LSNs, each
 //	        lsn    uint64
 //	        op     uint8     (OpInsert | OpDelete)
 //	        count  uint32
 //	        count × item     (id int32, priority float64, dim × float64)
 //
-// A record whose frame fails to parse — short header, short payload, CRC
-// mismatch — at the *tail* of the newest segment is a torn append from a
-// crash and is truncated away; anywhere else it is corruption (ErrCorrupt).
-// LSNs are strictly sequential across segments with no gaps.
+// A frame is one append, so a crash keeps all of its records or none. A
+// frame that fails to parse — short header, short payload, CRC mismatch — at
+// the *tail* of the newest segment is a torn append from a crash and is
+// truncated away; anywhere else it is corruption (ErrCorrupt), as is a frame
+// whose CRC holds but whose records do not parse. LSNs are strictly
+// sequential across records, frames and segments with no gaps.
 const (
 	walMagic      = "PKDWAL01"
 	walHeaderSize = 24
-	// maxWALRecordLen bounds one record's payload so a corrupted length
+	// maxWALRecordLen bounds one frame's payload so a corrupted length
 	// field cannot drive a huge allocation (2^28 B ≈ 16M 2-d items).
 	maxWALRecordLen = 1 << 28
 )
@@ -46,72 +47,47 @@ type WALRecord struct {
 	Items []core.Item
 }
 
-// EncodeWALRecord frames one record (length + CRC + payload) for appending
-// to a segment whose header declares dimension dim.
-func EncodeWALRecord(rec WALRecord, dim int) []byte {
-	payload := make([]byte, 0, 13+len(rec.Items)*itemSize(dim))
-	payload = binary.LittleEndian.AppendUint64(payload, rec.LSN)
-	payload = append(payload, byte(rec.Op))
-	payload = binary.LittleEndian.AppendUint32(payload, uint32(len(rec.Items)))
-	for _, it := range rec.Items {
-		payload = appendItem(payload, it)
+func (r *WALRecord) walk(c *codec.Cursor) {
+	c.U64(&r.LSN)
+	c.U8((*uint8)(&r.Op))
+	if c.Dec && c.Err == nil && r.Op != OpInsert && r.Op != OpDelete {
+		c.Fail("WAL record lsn=%d has unknown op %d", r.LSN, r.Op)
 	}
-	buf := make([]byte, 0, 8+len(payload))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	c.Items(&r.Items)
 }
 
-// decodeWALPayload parses a CRC-validated record payload. A payload that
-// passed its frame CRC but fails structural validation is corruption, not a
-// torn tail.
-func decodeWALPayload(payload []byte, dim int) (WALRecord, error) {
-	var rec WALRecord
-	if len(payload) < 13 {
-		return rec, fmt.Errorf("%w: WAL payload %d bytes, want >= 13", ErrCorrupt, len(payload))
+// EncodeWALRecord frames one record (length + CRC + payload) for appending
+// to a segment whose header declares dimension dim.
+func EncodeWALRecord(rec WALRecord, dim int) []byte { return encodeWALFrame(dim, rec) }
+
+// encodeWALFrame frames recs (consecutive LSNs) as one frame.
+func encodeWALFrame(dim int, recs ...WALRecord) []byte {
+	size := codec.FrameHeader
+	for _, r := range recs {
+		size += 13 + len(r.Items)*codec.ItemSize(dim)
 	}
-	rec.LSN = binary.LittleEndian.Uint64(payload)
-	rec.Op = Op(payload[8])
-	if rec.Op != OpInsert && rec.Op != OpDelete {
-		return rec, fmt.Errorf("%w: WAL record lsn=%d has unknown op %d", ErrCorrupt, rec.LSN, payload[8])
+	c := codec.Frame(dim, 0, size)
+	for i := range recs {
+		recs[i].walk(&c)
 	}
-	count := int(binary.LittleEndian.Uint32(payload[9:]))
-	isz := itemSize(dim)
-	if len(payload) != 13+count*isz {
-		return rec, fmt.Errorf("%w: WAL record lsn=%d payload %d bytes, want %d items × %d",
-			ErrCorrupt, rec.LSN, len(payload), count, isz)
+	return codec.Seal(c.Buf)
+}
+
+func walHeader(c *codec.Cursor, dim *int, startLSN *uint64) {
+	c.Magic(walMagic)
+	from := c.Pos()
+	c.Int32(dim)
+	c.U64(startLSN)
+	c.Sum(from)
+	if c.Dec && c.Err == nil && (*dim < 1 || *dim > 1<<16) {
+		c.Fail("impossible WAL dimension %d", *dim)
 	}
-	rec.Items = make([]core.Item, count)
-	for i := range rec.Items {
-		rec.Items[i] = decodeItem(payload[13+i*isz:], dim)
-	}
-	return rec, nil
 }
 
 func encodeWALHeader(dim int, startLSN uint64) []byte {
-	buf := make([]byte, 0, walHeaderSize)
-	buf = append(buf, walMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(dim))
-	buf = binary.LittleEndian.AppendUint64(buf, startLSN)
-	return binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[8:20]))
-}
-
-func decodeWALHeader(data []byte) (dim int, startLSN uint64, err error) {
-	if len(data) < walHeaderSize {
-		return 0, 0, fmt.Errorf("%w: WAL segment %d bytes is shorter than the %d-byte header",
-			ErrCorrupt, len(data), walHeaderSize)
-	}
-	if string(data[:8]) != walMagic {
-		return 0, 0, fmt.Errorf("%w: bad WAL magic", ErrCorrupt)
-	}
-	if got, want := crc32.ChecksumIEEE(data[8:20]), binary.LittleEndian.Uint32(data[20:24]); got != want {
-		return 0, 0, fmt.Errorf("%w: WAL header CRC %08x, want %08x", ErrCorrupt, got, want)
-	}
-	dim = int(int32(binary.LittleEndian.Uint32(data[8:])))
-	if dim < 1 || dim > 1<<16 {
-		return 0, 0, fmt.Errorf("%w: impossible WAL dimension %d", ErrCorrupt, dim)
-	}
-	return dim, binary.LittleEndian.Uint64(data[12:]), nil
+	c := codec.Encoder(make([]byte, 0, walHeaderSize), dim)
+	walHeader(&c, &dim, &startLSN)
+	return c.Buf
 }
 
 // WALScan is the result of scanning one segment's bytes.
@@ -130,44 +106,36 @@ type WALScan struct {
 // ScanWALSegment parses a segment image. Frame-level damage (short or
 // CRC-failing frame) terminates the scan as a torn tail — recorded, not an
 // error, because the caller decides whether a tail is legal here. Damage
-// *behind* a valid frame (bad op, count/length mismatch, LSN gap) is
+// *behind* a valid frame CRC (bad op, count/length mismatch, LSN gap) is
 // ErrCorrupt. ScanWALSegment never panics on arbitrary input.
 func ScanWALSegment(data []byte) (WALScan, error) {
 	var s WALScan
-	dim, start, err := decodeWALHeader(data)
-	if err != nil {
-		return s, err
+	hdr := codec.Decoder(data, 0, ErrCorrupt)
+	if walHeader(&hdr, &s.Dim, &s.StartLSN); hdr.Err != nil {
+		return WALScan{}, hdr.Err
 	}
-	s.Dim, s.StartLSN = dim, start
 	s.ValidLen = walHeaderSize
-	next := start
-	off := walHeaderSize
-	for off < len(data) {
-		if len(data)-off < 8 {
-			s.Torn = true
-			return s, nil
-		}
-		length := int(binary.LittleEndian.Uint32(data[off:]))
-		wantCRC := binary.LittleEndian.Uint32(data[off+4:])
-		if length > maxWALRecordLen || length > len(data)-off-8 {
-			s.Torn = true
-			return s, nil
-		}
-		payload := data[off+8 : off+8+length]
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			s.Torn = true
-			return s, nil
-		}
-		rec, err := decodeWALPayload(payload, dim)
+	next := s.StartLSN
+	for off := walHeaderSize; off < len(data); {
+		payload, err := codec.CutFrame(data[off:], maxWALRecordLen, ErrCorrupt)
 		if err != nil {
-			return s, err
+			s.Torn = true
+			return s, nil
 		}
-		if rec.LSN != next {
-			return s, fmt.Errorf("%w: WAL record lsn=%d, want %d (gap or reorder)", ErrCorrupt, rec.LSN, next)
+		c := codec.Decoder(payload, s.Dim, ErrCorrupt)
+		for more := true; more; more = c.Left() > 0 { // one or more records
+			var rec WALRecord
+			rec.walk(&c)
+			if c.Err != nil {
+				return s, c.Err
+			}
+			if rec.LSN != next {
+				return s, fmt.Errorf("%w: WAL record lsn=%d, want %d (gap or reorder)", ErrCorrupt, rec.LSN, next)
+			}
+			next++
+			s.Records = append(s.Records, rec)
 		}
-		next++
-		off += 8 + length
-		s.Records = append(s.Records, rec)
+		off += codec.FrameHeader + len(payload)
 		s.ValidLen = int64(off)
 	}
 	return s, nil

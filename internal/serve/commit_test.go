@@ -96,8 +96,8 @@ func TestDurableWALPerWriteKind(t *testing.T) {
 	digest := sha256.Sum256(data)
 
 	const (
-		wantWALBytes  = 465
-		wantWALSHA256 = "81f6737b1964ea6d159bb006c6eba3dd301cbd00bd0534270f3cb0219247aa40"
+		wantWALBytes  = 457
+		wantWALSHA256 = "28185cef86a67712f1de19843a42d80f18793287ad463c66f91628fa0eba49b7"
 		wantCount     = 68
 		wantDigest    = 0x654b2c8c26fc84c7
 	)

@@ -8,12 +8,13 @@ import (
 
 // Durable-write mode. When Config.Persist is set, every write batch reaches
 // the tree through commit (scheduler.go), which appends its delete set and
-// its insert set to the write-ahead log *before* applying either — a
-// request is only ever acknowledged after its batch is durable — and a
-// background checkpointer periodically folds the log into a fresh snapshot
-// without blocking the executor:
+// its insert set to the write-ahead log as one frame *before* applying
+// either — a request is only ever acknowledged after its batch is durable,
+// and a crash mid-append keeps both sets or neither — and a background
+// checkpointer periodically folds the log into a fresh snapshot without
+// blocking the executor:
 //
-//	executor (owns tree):  commit: LogBatch → BatchDelete/Insert → reply →
+//	executor (owns tree):  commit: LogBatches → BatchDelete/Insert → reply →
 //	                       maybe BeginCheckpoint (cheap: capture items +
 //	                       rotate WAL)
 //	checkpointer:          Checkpoint.Write (heavy: encode, fsync, rename, GC)

@@ -2,7 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
@@ -12,6 +15,7 @@ import (
 	"time"
 
 	"pimkd/internal/core"
+	"pimkd/internal/geom"
 	"pimkd/internal/persist"
 	"pimkd/internal/pim"
 	"pimkd/internal/workload"
@@ -204,5 +208,76 @@ func TestPersistDisabledStatus(t *testing.T) {
 	defer svc.Close()
 	if _, ok := svc.PersistStatus(); ok {
 		t.Fatal("PersistStatus reported enabled without Config.Persist")
+	}
+}
+
+// TestTornRestoreRecoversOneSide crashes a durable RestoreCell mid-append:
+// the restore's diff has a delete half and an insert half, and cutting the
+// last bytes off the WAL segment tears the tail of what it logged. Recovery
+// must land the cell on the pre-restore state or on the restored state,
+// never on a mix of the two halves; an uncut log recovers the restore.
+func TestTornRestoreRecoversOneSide(t *testing.T) {
+	for _, cut := range []int64{0, 3} {
+		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
+			dir := t.TempDir()
+			svc, st, _ := newDurableService(t, dir, 200, durableTraceConfig)
+			ctx := context.Background()
+			before, _, err := svc.SnapshotCell(ctx, 0, traceCell)
+			if err != nil || len(before.Items) < 2 {
+				t.Fatalf("snapshot: %d items, %v", len(before.Items), err)
+			}
+			restored := CellSnapshot{
+				Items:     append(append([]core.Item(nil), before.Items[1:]...), core.Item{ID: 7001, P: geom.Point{0.45, 0.05}}),
+				Deadlines: append(append([]int64(nil), before.Deadlines[1:]...), math.MinInt64),
+			}
+			if changed, _, err := svc.RestoreCell(ctx, 0, traceCell, restored); err != nil || !changed {
+				t.Fatalf("restore: changed=%v, %v", changed, err)
+			}
+			if err := svc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+			if err != nil || len(segs) == 0 {
+				t.Fatalf("no WAL segment: %v", err)
+			}
+			sort.Strings(segs)
+			last := segs[len(segs)-1]
+			fi, err := os.Stat(last)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(last, fi.Size()-cut); err != nil {
+				t.Fatal(err)
+			}
+
+			_, tree, rec, err := persist.Open(dir, persist.Options{Machine: pim.NewMachine(8, 1<<20)})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			var got []core.Item
+			for _, it := range tree.Items() {
+				if traceCell.ContainsHalfOpen(it.P) {
+					got = append(got, it)
+				}
+			}
+			core.SortItems(got)
+			pre := append([]core.Item(nil), before.Items...)
+			post := append([]core.Item(nil), restored.Items...)
+			core.SortItems(pre)
+			core.SortItems(post)
+			switch {
+			case cut == 0 && !reflect.DeepEqual(got, post):
+				t.Fatalf("uncut log recovered %d cell items, want the %d restored ones", len(got), len(post))
+			case cut > 0 && !rec.TornTail:
+				t.Fatal("cut log recovered without a torn tail")
+			case !reflect.DeepEqual(got, pre) && !reflect.DeepEqual(got, post):
+				t.Fatalf("recovered cell (%d items) is neither the pre-restore (%d) nor the restored (%d) state",
+					len(got), len(pre), len(post))
+			}
+		})
 	}
 }

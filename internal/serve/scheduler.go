@@ -320,20 +320,20 @@ func (s *Service) runBatch(b *batch) ([]reply, error) {
 }
 
 // commit is the one way a write reaches the tree. The delete set, then the
-// insert set, is WAL-logged (each only when non-empty), and neither is
-// applied until both are logged; the apply then runs in the same order the
-// log replays. A refused append leaves the tree untouched, counts one
-// persist failure and returns ErrPersist.
+// insert set, is WAL-logged as one frame (a record for each non-empty set),
+// so a crash keeps both halves or neither; the apply then runs in the same
+// order the log replays. A refused append leaves the tree untouched, counts
+// one persist failure and returns ErrPersist.
 func (s *Service) commit(dels, inss []core.Item) error {
-	if st := s.cfg.Persist; st != nil {
-		var err error
+	if st := s.cfg.Persist; st != nil && len(dels)+len(inss) > 0 {
+		recs := make([]persist.WALRecord, 0, 2)
 		if len(dels) > 0 {
-			_, err = st.LogBatch(persist.OpDelete, dels)
+			recs = append(recs, persist.WALRecord{Op: persist.OpDelete, Items: dels})
 		}
-		if err == nil && len(inss) > 0 {
-			_, err = st.LogBatch(persist.OpInsert, inss)
+		if len(inss) > 0 {
+			recs = append(recs, persist.WALRecord{Op: persist.OpInsert, Items: inss})
 		}
-		if err != nil {
+		if _, err := st.LogBatches(recs...); err != nil {
 			s.metrics.persistFailed()
 			return fmt.Errorf("%w: %v", ErrPersist, err)
 		}
@@ -512,11 +512,7 @@ func (s *Service) migrateCell(box geom.Box, snap CellSnapshot, ops []shard.Migra
 // restoreCell exact-sets one cell to snap: the tree multiset diff goes
 // through commit as one delete set and one insert set, and the cell's
 // expiry entries are rebuilt from the snapshot. It reports whether anything
-// differed. A crash between the two WAL appends recovers with the deletes
-// applied and the inserts not; for a peer-rebuild restore that is safe
-// because it only runs on a fenced (not in-sync) replica whose
-// authoritative copy lives on its peers — the next rebuild pass on boot
-// re-pulls the cell.
+// differed.
 func (s *Service) restoreCell(box geom.Box, snap CellSnapshot) (changed bool, err error) {
 	cur := s.cellItems(box)
 

@@ -1,14 +1,12 @@
 package shard
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
+	"pimkd/internal/codec"
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
@@ -16,9 +14,9 @@ import (
 )
 
 // Wire protocol, little-endian. The inter-node path replaces JSON-over-HTTP
-// with the same framing discipline as internal/persist's WAL: length-
-// prefixed, CRC-checked, versioned, with a decoder that never panics on
-// arbitrary input (it is a fuzz target).
+// with the same frame as internal/persist's WAL — codec.Frame: length-
+// prefixed, CRC-checked — plus a versioned handshake, with a decoder that
+// never panics on arbitrary input (it is a fuzz target).
 //
 //	handshake (server → client on accept, 16 bytes):
 //	    magic    "PKDSHRD1"  (8 bytes)
@@ -33,15 +31,8 @@ import (
 //	        reqID uint64     (echoed verbatim in the response frame)
 //	        body  (per message type below)
 //
-// Message bodies: each message's layout is its walk method below (the one
-// statement both directions run), over the codec's primitives — fixed-width
-// little-endian integers, float64 bit patterns, one-byte flags, uint32-counted
-// lists, and
-//
-//	point       dim × float64
-//	box         lo point, hi point
-//	item        id int32, priority float64, point
-//	timed item  item, expireAt int64 (MinInt64 = not expiry-tracked)
+// Message bodies: each message's layout is its walk method below, over
+// package codec's primitives.
 //
 // Version history: v2 added replication — pong sync state, per-candidate
 // coordinates in knnResp (the router filters merged candidates by cell
@@ -399,18 +390,32 @@ func (e *RemoteError) Error() string {
 // maps it to 503 with Retry-After.
 func (e *RemoteError) Retryable() bool { return e.Code == CodeUnavailable || e.Code == CodeNotReady }
 
+// handshake walks the connection header.
+func handshake(c *codec.Cursor, version, dim *uint16) {
+	c.Magic(wireMagic)
+	from := c.Pos()
+	c.U16(version)
+	c.U16(dim)
+	c.Sum(from)
+	switch {
+	case !c.Dec || c.Err != nil:
+	case *version != wireVersion:
+		c.Fail("version %d, want %d", *version, wireVersion)
+	case *dim < 1:
+		c.Fail("impossible dimension %d", *dim)
+	}
+}
+
 // WriteHandshake writes the connection header declaring the shard's
 // dimension.
 func WriteHandshake(w io.Writer, dim int) error {
 	if dim < 1 || dim > 1<<16-1 {
 		return fmt.Errorf("shard: handshake dimension %d out of range", dim)
 	}
-	buf := make([]byte, 0, handshakeSize)
-	buf = append(buf, wireMagic...)
-	buf = binary.LittleEndian.AppendUint16(buf, wireVersion)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(dim))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[8:12]))
-	_, err := w.Write(buf)
+	c := codec.Encoder(make([]byte, 0, handshakeSize), 0)
+	v, d := uint16(wireVersion), uint16(dim)
+	handshake(&c, &v, &d)
+	_, err := w.Write(c.Buf)
 	return err
 }
 
@@ -426,29 +431,16 @@ func ReadHandshake(r io.Reader) (dim int, err error) {
 
 // DecodeHandshake validates a handshake image.
 func DecodeHandshake(buf []byte) (dim int, err error) {
-	if len(buf) < handshakeSize {
-		return 0, fmt.Errorf("%w: handshake %d bytes, want %d", ErrWire, len(buf), handshakeSize)
-	}
-	if string(buf[:8]) != wireMagic {
-		return 0, fmt.Errorf("%w: bad magic", ErrWire)
-	}
-	if got, want := crc32.ChecksumIEEE(buf[8:12]), binary.LittleEndian.Uint32(buf[12:16]); got != want {
-		return 0, fmt.Errorf("%w: handshake CRC %08x, want %08x", ErrWire, got, want)
-	}
-	if v := binary.LittleEndian.Uint16(buf[8:10]); v != wireVersion {
-		return 0, fmt.Errorf("%w: version %d, want %d", ErrWire, v, wireVersion)
-	}
-	dim = int(binary.LittleEndian.Uint16(buf[10:12]))
-	if dim < 1 {
-		return 0, fmt.Errorf("%w: impossible dimension %d", ErrWire, dim)
-	}
-	return dim, nil
+	c := codec.Decoder(buf, 0, ErrWire)
+	var v, d uint16
+	handshake(&c, &v, &d)
+	return int(d), c.Err
 }
 
 // frameHeader is the length + CRC prefix of every frame; payloadHeader the
 // type byte + request ID that open every payload.
 const (
-	frameHeader   = 8
+	frameHeader   = codec.FrameHeader
 	payloadHeader = 9
 )
 
@@ -459,75 +451,58 @@ func EncodeFrame(reqID uint64, m any, dim int) []byte {
 	if !ok {
 		panic(fmt.Sprintf("shard: EncodeFrame of unknown message type %T", m))
 	}
-	frame, t := e.put(codec{buf: make([]byte, frameHeader+payloadHeader, 64), dim: dim})
-	payload := frame[frameHeader:]
-	payload[0] = t
-	binary.LittleEndian.PutUint64(payload[1:], reqID)
-	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.ChecksumIEEE(payload))
-	return frame
+	frame, t := e.put(codec.Frame(dim, payloadHeader, 64))
+	h := codec.Encoder(frame[frameHeader:frameHeader], 0) // fills the reserved payload header in place
+	h.U8(&t)
+	h.U64(&reqID)
+	return codec.Seal(frame)
 }
 
 // encoder is every message's encode entry: put walks the message's body
-// onto the codec and names its type byte. The codec travels by value, here
-// and through the decode table, so it never leaves the stack.
+// onto the cursor and names its type byte. The cursor travels by value,
+// here and through the decode table, so it never leaves the stack.
 type encoder interface {
-	put(codec) ([]byte, byte)
+	put(codec.Cursor) ([]byte, byte)
 }
 
 // decoders maps a type byte to the function that walks that message's body
 // off the wire; a nil entry is an unknown type. Insert and delete requests
 // share UpdateReq: the type byte is the Delete flag.
-var decoders = [256]func(codec) (any, error){
-	msgPing:         func(c codec) (any, error) { return Ping{}, c.end() },
-	msgPong:         func(c codec) (any, error) { var m Pong; m.walk(&c); return m, c.end() },
-	msgKNNReq:       func(c codec) (any, error) { var m KNNReq; m.walk(&c); return m, c.end() },
-	msgKNNResp:      func(c codec) (any, error) { var m KNNResp; m.walk(&c); return m, c.end() },
-	msgRangeReq:     func(c codec) (any, error) { var m RangeReq; m.walk(&c); return m, c.end() },
-	msgRangeResp:    func(c codec) (any, error) { var m RangeResp; m.walk(&c); return m, c.end() },
-	msgInsertReq:    func(c codec) (any, error) { var m UpdateReq; m.walk(&c); return m, c.end() },
-	msgDeleteReq:    func(c codec) (any, error) { m := UpdateReq{Delete: true}; m.walk(&c); return m, c.end() },
-	msgUpdateResp:   func(c codec) (any, error) { var m UpdateResp; m.walk(&c); return m, c.end() },
-	msgJoinReq:      func(c codec) (any, error) { var m JoinReq; m.walk(&c); return m, c.end() },
-	msgAggReq:       func(c codec) (any, error) { var m AggReq; m.walk(&c); return m, c.end() },
-	msgAggResp:      func(c codec) (any, error) { var m AggResp; m.walk(&c); return m, c.end() },
-	msgIngestReq:    func(c codec) (any, error) { var m IngestReq; m.walk(&c); return m, c.end() },
-	msgExpireReq:    func(c codec) (any, error) { var m ExpireReq; m.walk(&c); return m, c.end() },
-	msgExpireResp:   func(c codec) (any, error) { var m ExpireResp; m.walk(&c); return m, c.end() },
-	msgStatsReq:     func(c codec) (any, error) { return StatsReq{}, c.end() },
-	msgStatsResp:    func(c codec) (any, error) { var m StatsResp; m.walk(&c); return m, c.end() },
-	msgErr:          func(c codec) (any, error) { m := new(RemoteError); m.walk(&c); return m, c.end() },
-	msgCellSnapReq:  func(c codec) (any, error) { var m CellSnapshotReq; m.walk(&c); return m, c.end() },
-	msgCellSnapResp: func(c codec) (any, error) { var m CellSnapshotResp; m.walk(&c); return m, c.end() },
-	msgResyncReq:    func(c codec) (any, error) { var m ResyncReq; m.walk(&c); return m, c.end() },
-	msgResyncResp:   func(c codec) (any, error) { var m ResyncResp; m.walk(&c); return m, c.end() },
-	msgAggCellsReq:  func(c codec) (any, error) { var m AggCellsReq; m.walk(&c); return m, c.end() },
-	msgCellSumReq:   func(c codec) (any, error) { var m CellChecksumReq; m.walk(&c); return m, c.end() },
-	msgCellSumResp:  func(c codec) (any, error) { var m CellChecksumResp; m.walk(&c); return m, c.end() },
-	msgMigBeginReq:  func(c codec) (any, error) { var m MigrateBegin; m.walk(&c); return m, c.end() },
-	msgMigCommitReq: func(c codec) (any, error) { var m MigrateCommit; m.walk(&c); return m, c.end() },
-	msgMigResp:      func(c codec) (any, error) { var m MigrateResp; m.walk(&c); return m, c.end() },
+var decoders = [256]func(codec.Cursor) (any, error){
+	msgPing:         func(c codec.Cursor) (any, error) { return Ping{}, c.End() },
+	msgPong:         func(c codec.Cursor) (any, error) { var m Pong; m.walk(&c); return m, c.End() },
+	msgKNNReq:       func(c codec.Cursor) (any, error) { var m KNNReq; m.walk(&c); return m, c.End() },
+	msgKNNResp:      func(c codec.Cursor) (any, error) { var m KNNResp; m.walk(&c); return m, c.End() },
+	msgRangeReq:     func(c codec.Cursor) (any, error) { var m RangeReq; m.walk(&c); return m, c.End() },
+	msgRangeResp:    func(c codec.Cursor) (any, error) { var m RangeResp; m.walk(&c); return m, c.End() },
+	msgInsertReq:    func(c codec.Cursor) (any, error) { var m UpdateReq; m.walk(&c); return m, c.End() },
+	msgDeleteReq:    func(c codec.Cursor) (any, error) { m := UpdateReq{Delete: true}; m.walk(&c); return m, c.End() },
+	msgUpdateResp:   func(c codec.Cursor) (any, error) { var m UpdateResp; m.walk(&c); return m, c.End() },
+	msgJoinReq:      func(c codec.Cursor) (any, error) { var m JoinReq; m.walk(&c); return m, c.End() },
+	msgAggReq:       func(c codec.Cursor) (any, error) { var m AggReq; m.walk(&c); return m, c.End() },
+	msgAggResp:      func(c codec.Cursor) (any, error) { var m AggResp; m.walk(&c); return m, c.End() },
+	msgIngestReq:    func(c codec.Cursor) (any, error) { var m IngestReq; m.walk(&c); return m, c.End() },
+	msgExpireReq:    func(c codec.Cursor) (any, error) { var m ExpireReq; m.walk(&c); return m, c.End() },
+	msgExpireResp:   func(c codec.Cursor) (any, error) { var m ExpireResp; m.walk(&c); return m, c.End() },
+	msgStatsReq:     func(c codec.Cursor) (any, error) { return StatsReq{}, c.End() },
+	msgStatsResp:    func(c codec.Cursor) (any, error) { var m StatsResp; m.walk(&c); return m, c.End() },
+	msgErr:          func(c codec.Cursor) (any, error) { m := new(RemoteError); m.walk(&c); return m, c.End() },
+	msgCellSnapReq:  func(c codec.Cursor) (any, error) { var m CellSnapshotReq; m.walk(&c); return m, c.End() },
+	msgCellSnapResp: func(c codec.Cursor) (any, error) { var m CellSnapshotResp; m.walk(&c); return m, c.End() },
+	msgResyncReq:    func(c codec.Cursor) (any, error) { var m ResyncReq; m.walk(&c); return m, c.End() },
+	msgResyncResp:   func(c codec.Cursor) (any, error) { var m ResyncResp; m.walk(&c); return m, c.End() },
+	msgAggCellsReq:  func(c codec.Cursor) (any, error) { var m AggCellsReq; m.walk(&c); return m, c.End() },
+	msgCellSumReq:   func(c codec.Cursor) (any, error) { var m CellChecksumReq; m.walk(&c); return m, c.End() },
+	msgCellSumResp:  func(c codec.Cursor) (any, error) { var m CellChecksumResp; m.walk(&c); return m, c.End() },
+	msgMigBeginReq:  func(c codec.Cursor) (any, error) { var m MigrateBegin; m.walk(&c); return m, c.End() },
+	msgMigCommitReq: func(c codec.Cursor) (any, error) { var m MigrateCommit; m.walk(&c); return m, c.End() },
+	msgMigResp:      func(c codec.Cursor) (any, error) { var m MigrateResp; m.walk(&c); return m, c.End() },
 }
 
 // ReadFrame reads one length-prefixed frame and returns its CRC-validated
 // payload.
 func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [frameHeader]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	length := binary.LittleEndian.Uint32(hdr[:4])
-	if length > maxFramePayload {
-		return nil, fmt.Errorf("%w: frame payload %d bytes exceeds cap %d", ErrWire, length, maxFramePayload)
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, err
-	}
-	if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(hdr[4:8]); got != want {
-		return nil, fmt.Errorf("%w: frame CRC %08x, want %08x", ErrWire, got, want)
-	}
-	return payload, nil
+	return codec.ReadFrame(r, maxFramePayload, ErrWire)
 }
 
 // DecodePayload parses a CRC-validated frame payload for a connection of
@@ -537,507 +512,237 @@ func DecodePayload(payload []byte, dim int) (reqID uint64, m any, err error) {
 	if dim < 1 || dim > 1<<16-1 {
 		return 0, nil, fmt.Errorf("%w: impossible dimension %d", ErrWire, dim)
 	}
-	if len(payload) < payloadHeader {
-		return 0, nil, fmt.Errorf("%w: payload %d bytes, want >= %d", ErrWire, len(payload), payloadHeader)
-	}
-	t := payload[0]
-	reqID = binary.LittleEndian.Uint64(payload[1:payloadHeader])
+	c := codec.Decoder(payload, dim, ErrWire)
+	var t uint8
+	c.U8(&t)
+	c.U64(&reqID)
 	decode := decoders[t]
-	if decode == nil {
-		return reqID, nil, fmt.Errorf("%w: unknown message type 0x%02x", ErrWire, t)
+	if decode == nil && c.Err == nil {
+		c.Fail("unknown message type 0x%02x", t)
 	}
-	m, err = decode(codec{buf: payload[payloadHeader:], dec: true, dim: dim})
+	if c.Err != nil {
+		return reqID, nil, c.Err
+	}
+	m, err = decode(c)
 	if err != nil {
 		return reqID, nil, err
 	}
 	return reqID, m, nil
 }
 
-// Message walks. Each message states its body layout exactly once, as a
-// walk over the codec's primitives: the same statements append the fields
-// when encoding and read-and-check them when decoding, so the two directions
-// cannot drift and every validity rule lives beside the field it guards.
+// Message walks: each message states its body layout once, for both
+// directions, with its validity rules beside the fields they guard.
 
-func (Ping) put(c codec) ([]byte, byte)     { return c.buf, msgPing }
-func (StatsReq) put(c codec) ([]byte, byte) { return c.buf, msgStatsReq }
+func (Ping) put(c codec.Cursor) ([]byte, byte)     { return c.Buf, msgPing }
+func (StatsReq) put(c codec.Cursor) ([]byte, byte) { return c.Buf, msgStatsReq }
 
-func (m Pong) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgPong }
-func (m *Pong) walk(c *codec) {
-	c.flag(&m.Ready)
-	c.i64(&m.Size)
-	c.flag(&m.Synced)
-	c.u64(&m.SyncGen)
+func (m Pong) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgPong }
+func (m *Pong) walk(c *codec.Cursor) {
+	c.Flag(&m.Ready)
+	c.I64(&m.Size)
+	c.Flag(&m.Synced)
+	c.U64(&m.SyncGen)
 }
 
-func (m KNNReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgKNNReq }
-func (m *KNNReq) walk(c *codec) {
-	c.int(&m.K)
-	c.points(&m.Points)
-	if c.dec && (m.K < 1 || m.K > 1<<20) {
-		c.fail("knn k=%d out of range", m.K)
+func (m KNNReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgKNNReq }
+func (m *KNNReq) walk(c *codec.Cursor) {
+	c.Int(&m.K)
+	c.Points(&m.Points)
+	if c.Dec && (m.K < 1 || m.K > 1<<20) {
+		c.Fail("knn k=%d out of range", m.K)
 	}
 }
 
-func (m KNNResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgKNNResp }
-func (m *KNNResp) walk(c *codec) {
-	for i := range seq(c, &m.Results, 4) {
-		for j := range seq(c, &m.Results[i], 12+8*c.dim) {
+func (m KNNResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgKNNResp }
+func (m *KNNResp) walk(c *codec.Cursor) {
+	for i := range codec.Seq(c, &m.Results, 4) {
+		for j := range codec.Seq(c, &m.Results[i], 12+8*c.Dim) {
 			x := &m.Results[i][j]
-			c.i32(&x.ID)
-			c.f64(&x.Dist2)
-			c.point(&x.P)
+			c.I32(&x.ID)
+			c.F64(&x.Dist2)
+			c.Point(&x.P)
 		}
 	}
 }
 
-func (m RangeReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgRangeReq }
-func (m *RangeReq) walk(c *codec)             { c.boxes(&m.Boxes) }
+func (m RangeReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgRangeReq }
+func (m *RangeReq) walk(c *codec.Cursor)             { c.Boxes(&m.Boxes) }
 
-func (m RangeResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgRangeResp }
-func (m *RangeResp) walk(c *codec) {
-	for i := range seq(c, &m.Results, 4) {
-		c.items(&m.Results[i])
+func (m RangeResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgRangeResp }
+func (m *RangeResp) walk(c *codec.Cursor) {
+	for i := range codec.Seq(c, &m.Results, 4) {
+		c.Items(&m.Results[i])
 	}
 }
 
-func (m UpdateReq) put(c codec) ([]byte, byte) {
+func (m UpdateReq) put(c codec.Cursor) ([]byte, byte) {
 	m.walk(&c)
 	if m.Delete {
-		return c.buf, msgDeleteReq
+		return c.Buf, msgDeleteReq
 	}
-	return c.buf, msgInsertReq
+	return c.Buf, msgInsertReq
 }
-func (m *UpdateReq) walk(c *codec) { c.items(&m.Items) }
+func (m *UpdateReq) walk(c *codec.Cursor) { c.Items(&m.Items) }
 
-func (m UpdateResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgUpdateResp }
-func (m *UpdateResp) walk(c *codec)             { c.int(&m.Applied) }
+func (m UpdateResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgUpdateResp }
+func (m *UpdateResp) walk(c *codec.Cursor)             { c.Int(&m.Applied) }
 
-func (m JoinReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgJoinReq }
-func (m *JoinReq) walk(c *codec) {
-	c.f64(&m.Radius)
-	if c.dec && (math.IsNaN(m.Radius) || math.IsInf(m.Radius, 0) || m.Radius < 0) {
-		c.fail("join radius %v out of range", m.Radius)
+func (m JoinReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgJoinReq }
+func (m *JoinReq) walk(c *codec.Cursor) {
+	c.F64(&m.Radius)
+	if c.Dec && (math.IsNaN(m.Radius) || math.IsInf(m.Radius, 0) || m.Radius < 0) {
+		c.Fail("join radius %v out of range", m.Radius)
 	}
-	c.points(&m.Points)
+	c.Points(&m.Points)
 }
 
-func (m AggReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggReq }
-func (m *AggReq) walk(c *codec)             { c.boxes(&m.Boxes) }
+func (m AggReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgAggReq }
+func (m *AggReq) walk(c *codec.Cursor)             { c.Boxes(&m.Boxes) }
 
-func (m AggResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggResp }
-func (m *AggResp) walk(c *codec) {
-	for i := range seq(c, &m.Results, 8+3*c.dim) {
+func (m AggResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgAggResp }
+func (m *AggResp) walk(c *codec.Cursor) {
+	for i := range codec.Seq(c, &m.Results, 8+3*c.Dim) {
 		a := &m.Results[i]
-		c.nonneg(&a.Count, "aggregate count")
-		if c.dec && c.err == nil {
-			a.Sums = make([]mathx.ExactSum, c.dim)
+		c.Nonneg(&a.Count, "aggregate count")
+		if c.Dec && c.Err == nil {
+			a.Sums = make([]mathx.ExactSum, c.Dim)
 		}
 		for d := range a.Sums {
-			c.exactSum(&a.Sums[d])
+			exactSum(c, &a.Sums[d])
 		}
 	}
 }
 
-func (m IngestReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgIngestReq }
-func (m *IngestReq) walk(c *codec)             { c.timedItems(&m.Items, &m.ExpireAts) }
+func (m IngestReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgIngestReq }
+func (m *IngestReq) walk(c *codec.Cursor)             { c.TimedItems(&m.Items, &m.ExpireAts) }
 
-func (m ExpireReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgExpireReq }
-func (m *ExpireReq) walk(c *codec)             { c.i64(&m.Now) }
+func (m ExpireReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgExpireReq }
+func (m *ExpireReq) walk(c *codec.Cursor)             { c.I64(&m.Now) }
 
-func (m ExpireResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgExpireResp }
-func (m *ExpireResp) walk(c *codec)             { c.nonneg(&m.Expired, "expired count") }
+func (m ExpireResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgExpireResp }
+func (m *ExpireResp) walk(c *codec.Cursor)             { c.Nonneg(&m.Expired, "expired count") }
 
-func (m StatsResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgStatsResp }
-func (m *StatsResp) walk(c *codec) {
-	for i := range seq(c, &m.Kinds, 13) {
+func (m StatsResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgStatsResp }
+func (m *StatsResp) walk(c *codec.Cursor) {
+	for i := range codec.Seq(c, &m.Kinds, 13) {
 		k := &m.Kinds[i]
 		n := uint8(len(k.Kind))
-		c.u8(&n)
-		c.str(&k.Kind, int(n))
-		c.nonneg(&k.Max, "histogram max")
-		for j := range seq(c, &k.Buckets, 16) {
-			c.nonneg(&k.Buckets[j].Low, "histogram bucket")
-			c.nonneg(&k.Buckets[j].Count, "histogram bucket")
+		c.U8(&n)
+		c.Str(&k.Kind, int(n))
+		c.Nonneg(&k.Max, "histogram max")
+		for j := range codec.Seq(c, &k.Buckets, 16) {
+			c.Nonneg(&k.Buckets[j].Low, "histogram bucket")
+			c.Nonneg(&k.Buckets[j].Count, "histogram bucket")
 		}
 	}
 }
 
-func (m *RemoteError) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgErr }
-func (m *RemoteError) walk(c *codec) {
-	c.u16(&m.Code)
-	c.str(&m.Msg, c.count(len(m.Msg), 1))
+func (m *RemoteError) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgErr }
+func (m *RemoteError) walk(c *codec.Cursor) {
+	c.U16(&m.Code)
+	c.Str(&m.Msg, c.Count(len(m.Msg)))
 }
 
-func (m CellSnapshotReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSnapReq }
-func (m *CellSnapshotReq) walk(c *codec) {
-	c.cell(&m.Cell)
-	c.box(&m.Box)
-	c.u64(&m.Offset)
-	c.int(&m.Limit)
+func (m CellSnapshotReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgCellSnapReq }
+func (m *CellSnapshotReq) walk(c *codec.Cursor) {
+	cell(c, &m.Cell)
+	c.Box(&m.Box)
+	c.U64(&m.Offset)
+	c.Int(&m.Limit)
 }
 
-func (m CellSnapshotResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSnapResp }
-func (m *CellSnapshotResp) walk(c *codec) {
-	c.u64(&m.Total)
-	c.timedItems(&m.Items, &m.ExpireAts)
-	c.timedItems(&m.Orphans, &m.OrphanAts)
-	if c.dec && uint64(len(m.Items)) > m.Total {
-		c.fail("snapshot page %d items exceeds total %d", len(m.Items), m.Total)
+func (m CellSnapshotResp) put(c codec.Cursor) ([]byte, byte) {
+	m.walk(&c)
+	return c.Buf, msgCellSnapResp
+}
+func (m *CellSnapshotResp) walk(c *codec.Cursor) {
+	c.U64(&m.Total)
+	c.TimedItems(&m.Items, &m.ExpireAts)
+	c.TimedItems(&m.Orphans, &m.OrphanAts)
+	if c.Dec && uint64(len(m.Items)) > m.Total {
+		c.Fail("snapshot page %d items exceeds total %d", len(m.Items), m.Total)
 	}
 }
 
-func (m ResyncReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgResyncReq }
-func (m *ResyncReq) walk(c *codec)             { c.flag(&m.Evidenced) }
+func (m ResyncReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgResyncReq }
+func (m *ResyncReq) walk(c *codec.Cursor)             { c.Flag(&m.Evidenced) }
 
-func (m ResyncResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgResyncResp }
-func (m *ResyncResp) walk(c *codec) {
-	c.flag(&m.Started)
-	c.u64(&m.Target)
+func (m ResyncResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgResyncResp }
+func (m *ResyncResp) walk(c *codec.Cursor) {
+	c.Flag(&m.Started)
+	c.U64(&m.Target)
 }
 
-func (m AggCellsReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgAggCellsReq }
-func (m *AggCellsReq) walk(c *codec) {
-	c.box(&m.Box)
-	c.boxes(&m.Cells)
+func (m AggCellsReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgAggCellsReq }
+func (m *AggCellsReq) walk(c *codec.Cursor) {
+	c.Box(&m.Box)
+	c.Boxes(&m.Cells)
 }
 
 // Cells and Boxes travel interleaved, one (cell, box) record per entry.
-func (m CellChecksumReq) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSumReq }
-func (m *CellChecksumReq) walk(c *codec) {
-	n := len(seq(c, &m.Cells, 4+16*c.dim))
-	if c.dec {
+func (m CellChecksumReq) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgCellSumReq }
+func (m *CellChecksumReq) walk(c *codec.Cursor) {
+	n := len(codec.Seq(c, &m.Cells, 4+16*c.Dim))
+	if c.Dec {
 		m.Boxes = make([]geom.Box, n)
 	}
 	for i := range m.Cells {
-		c.cell(&m.Cells[i])
-		c.box(&m.Boxes[i])
+		cell(c, &m.Cells[i])
+		c.Box(&m.Boxes[i])
 	}
 }
 
-func (m CellChecksumResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgCellSumResp }
-func (m *CellChecksumResp) walk(c *codec) {
-	for i := range seq(c, &m.Sums, 16) {
-		c.u64(&m.Sums[i].Count)
-		c.u64(&m.Sums[i].Digest)
+func (m CellChecksumResp) put(c codec.Cursor) ([]byte, byte) {
+	m.walk(&c)
+	return c.Buf, msgCellSumResp
+}
+func (m *CellChecksumResp) walk(c *codec.Cursor) {
+	for i := range codec.Seq(c, &m.Sums, 16) {
+		c.U64(&m.Sums[i].Count)
+		c.U64(&m.Sums[i].Digest)
 	}
 }
 
-func (m MigrateBegin) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigBeginReq }
-func (m *MigrateBegin) walk(c *codec) {
-	c.epoch(&m.Epoch)
-	c.cell(&m.Cell)
-	c.box(&m.Box)
-	c.str(&m.Source, c.count(len(m.Source), 1))
-	c.int(&m.PageSize)
+func (m MigrateBegin) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgMigBeginReq }
+func (m *MigrateBegin) walk(c *codec.Cursor) {
+	epoch(c, &m.Epoch)
+	cell(c, &m.Cell)
+	c.Box(&m.Box)
+	c.Str(&m.Source, c.Count(len(m.Source)))
+	c.Int(&m.PageSize)
 }
 
-func (m MigrateCommit) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigCommitReq }
-func (m *MigrateCommit) walk(c *codec) {
-	c.epoch(&m.Epoch)
-	c.cell(&m.Cell)
-	for i := range seq(c, &m.Ops, c.itemSize()+9) {
+func (m MigrateCommit) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgMigCommitReq }
+func (m *MigrateCommit) walk(c *codec.Cursor) {
+	epoch(c, &m.Epoch)
+	cell(c, &m.Cell)
+	for i := range codec.Seq(c, &m.Ops, codec.ItemSize(c.Dim)+9) {
 		op := &m.Ops[i]
-		c.flag(&op.Delete)
-		c.item(&op.Item)
-		c.i64(&op.ExpireAt)
+		c.Flag(&op.Delete)
+		c.Item(&op.Item)
+		c.I64(&op.ExpireAt)
 	}
 }
 
-func (m MigrateResp) put(c codec) ([]byte, byte) { m.walk(&c); return c.buf, msgMigResp }
-func (m *MigrateResp) walk(c *codec) {
-	c.u64(&m.Staged)
-	c.flag(&m.Changed)
-}
-
-// codec is the bidirectional cursor the walks run over. Encoding (dec
-// false) every primitive appends its field to buf and nothing can fail.
-// Decoding, buf is the message body and off the read position: every
-// primitive reads its field, checks it, records the first error in err and
-// from then on no-ops leaving zero values behind — so walks read
-// straight-line without per-field error plumbing, never index past the input
-// and never allocate for a count the remaining bytes cannot back. Validity
-// rules are decode-only: the encoder writes what it is given.
-type codec struct {
-	buf []byte
-	off int
-	dec bool
-	dim int
-	err error
-}
-
-// fail records the first decode error.
-func (c *codec) fail(format string, args ...any) {
-	if c.err == nil {
-		c.err = fmt.Errorf("%w: %s", ErrWire, fmt.Sprintf(format, args...))
-	}
-}
-
-// end closes a decode: the first error, or unread bytes after the message.
-func (c *codec) end() error {
-	if c.left() != 0 {
-		c.fail("%d trailing bytes after the message", c.left())
-	}
-	return c.err
-}
-
-// take consumes the next n body bytes (decode only); nil after any error.
-func (c *codec) take(n int) []byte {
-	if c.err != nil {
-		return nil
-	}
-	if c.left() < n {
-		c.fail("truncated body (want %d more bytes, have %d)", n, c.left())
-		return nil
-	}
-	c.off += n
-	return c.buf[c.off-n : c.off]
-}
-
-// left is the unread body length (decode only).
-func (c *codec) left() int { return len(c.buf) - c.off }
-
-// The fixed-width primitives. Encoding only ever reads the message — a
-// router fans one request's slices out to several replicas at once. The
-// encode half appends to c.buf in place (not through
-// binary.LittleEndian.AppendUintN, which returns a fresh slice header): an
-// in-place append that does not grow stores only the new length, so the hot
-// path writes no pointer and pays no GC write barrier.
-
-func (c *codec) u8(v *uint8) {
-	if c.dec {
-		*v = uint8(c.get(1))
-	} else {
-		c.buf = append(c.buf, *v)
-	}
-}
-
-func (c *codec) u16(v *uint16) {
-	if c.dec {
-		*v = uint16(c.get(2))
-	} else {
-		c.buf = append(c.buf, byte(*v), byte(*v>>8))
-	}
-}
-
-func (c *codec) u32(v *uint32) {
-	if c.dec {
-		*v = uint32(c.get(4))
-	} else {
-		c.put32(*v)
-	}
-}
-
-func (c *codec) u64(v *uint64) {
-	if c.dec {
-		*v = c.get(8)
-	} else {
-		c.put64(*v)
-	}
-}
-
-func (c *codec) put32(v uint32) {
-	c.buf = append(c.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func (c *codec) put64(v uint64) {
-	c.buf = append(c.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24), byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-// get reads an n-byte little-endian unsigned integer; 0 after any error.
-func (c *codec) get(n int) uint64 {
-	switch b := c.take(n); len(b) {
-	case 1:
-		return uint64(b[0])
-	case 2:
-		return uint64(binary.LittleEndian.Uint16(b))
-	case 4:
-		return uint64(binary.LittleEndian.Uint32(b))
-	case 8:
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (c *codec) i32(v *int32) {
-	if c.dec {
-		*v = int32(c.get(4))
-	} else {
-		c.put32(uint32(*v))
-	}
-}
-
-// int is a non-negative int field that travels as a uint32.
-func (c *codec) int(v *int) {
-	if c.dec {
-		*v = int(c.get(4))
-	} else {
-		c.put32(uint32(*v))
-	}
-}
-
-func (c *codec) i64(v *int64) {
-	if c.dec {
-		*v = int64(c.get(8))
-	} else {
-		c.put64(uint64(*v))
-	}
-}
-
-func (c *codec) f64(v *float64) {
-	if c.dec {
-		*v = math.Float64frombits(c.get(8))
-	} else {
-		c.put64(math.Float64bits(*v))
-	}
-}
-
-// flag is a bool as one byte; any value but 0 or 1 is malformed.
-func (c *codec) flag(v *bool) {
-	if c.dec {
-		b := c.get(1)
-		if b > 1 {
-			c.fail("flag byte %d", b)
-		}
-		*v = b == 1
-	} else if *v {
-		c.buf = append(c.buf, 1)
-	} else {
-		c.buf = append(c.buf, 0)
-	}
-}
-
-// nonneg is an int64 count or bound that must not decode negative.
-func (c *codec) nonneg(v *int64, what string) {
-	c.i64(v)
-	if c.dec && *v < 0 {
-		c.fail("negative %s", what)
-	}
+func (m MigrateResp) put(c codec.Cursor) ([]byte, byte) { m.walk(&c); return c.Buf, msgMigResp }
+func (m *MigrateResp) walk(c *codec.Cursor) {
+	c.U64(&m.Staged)
+	c.Flag(&m.Changed)
 }
 
 // cell is a partition cell id: uint32 on the wire, at most 1<<20.
-func (c *codec) cell(v *int) {
-	c.int(v)
-	if c.dec && *v > 1<<20 {
-		c.fail("cell id %d out of range", *v)
+func cell(c *codec.Cursor, v *int) {
+	c.Int(v)
+	if c.Dec && *v > 1<<20 {
+		c.Fail("cell id %d out of range", *v)
 	}
 }
 
 // epoch is a placement epoch; epochs start at 1, so 0 is malformed.
-func (c *codec) epoch(v *uint64) {
-	c.u64(v)
-	if c.dec && *v == 0 {
-		c.fail("migration epoch 0 (epochs start at 1)")
-	}
-}
-
-// count walks a uint32 element count. elemSize is the fewest bytes one
-// element occupies: decoding, the count is checked against the bytes
-// actually remaining before the caller allocates, so a corrupted count can
-// neither over-allocate nor mask trailing garbage; encoding, the same figure
-// reserves the elements' room in one step.
-func (c *codec) count(n, elemSize int) int {
-	u := uint32(n)
-	c.u32(&u)
-	if !c.dec {
-		c.buf = slices.Grow(c.buf, n*elemSize)
-		return n
-	}
-	if c.err == nil && int64(u)*int64(elemSize) > int64(c.left()) {
-		c.fail("count %d × %d bytes exceeds remaining %d", u, elemSize, c.left())
-	}
-	if c.err != nil {
-		return 0
-	}
-	return int(u)
-}
-
-// seq walks a list's uint32 count and, decoding, allocates the list; the
-// caller ranges over the result to walk each element in place.
-func seq[T any](c *codec, s *[]T, elemSize int) []T {
-	n := c.count(len(*s), elemSize)
-	if c.dec {
-		*s = make([]T, n)
-	}
-	return *s
-}
-
-// str is n raw bytes of text; the length travels separately.
-func (c *codec) str(s *string, n int) {
-	if !c.dec {
-		c.buf = append(c.buf, *s...)
-	} else {
-		*s = string(c.take(n))
-	}
-}
-
-// point is dim float64 coordinates.
-func (c *codec) point(p *geom.Point) {
-	if !c.dec {
-		for _, v := range *p {
-			c.put64(math.Float64bits(v))
-		}
-	} else if b := c.take(8 * c.dim); b != nil {
-		q := make(geom.Point, c.dim)
-		for i := range q {
-			q[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-		}
-		*p = q
-	}
-}
-
-// box is a lo point then a hi point with lo <= hi on every axis (±Inf
-// faces are legal: a partition's outer cells have them).
-func (c *codec) box(b *geom.Box) {
-	c.point(&b.Lo)
-	c.point(&b.Hi)
-	if c.dec && c.err == nil {
-		for ax := range b.Lo {
-			if !(b.Lo[ax] <= b.Hi[ax]) {
-				c.fail("inverted or NaN box on axis %d", ax)
-				return
-			}
-		}
-	}
-}
-
-func (c *codec) points(s *[]geom.Point) {
-	for i := range seq(c, s, 8*c.dim) {
-		c.point(&(*s)[i])
-	}
-}
-
-func (c *codec) boxes(s *[]geom.Box) {
-	for i := range seq(c, s, 16*c.dim) {
-		c.box(&(*s)[i])
-	}
-}
-
-// itemSize is the encoded size of one item (matches the persist layout:
-// id, priority, coordinates).
-func (c *codec) itemSize() int { return 4 + 8 + 8*c.dim }
-
-func (c *codec) item(it *core.Item) {
-	c.i32(&it.ID)
-	c.f64(&it.Priority)
-	c.point(&it.P)
-}
-
-func (c *codec) items(s *[]core.Item) {
-	for i := range seq(c, s, c.itemSize()) {
-		c.item(&(*s)[i])
-	}
-}
-
-// timedItems is a counted list of (item, expireAt int64) records held as
-// parallel slices; UntrackedDeadline marks an item with no TTL entry.
-func (c *codec) timedItems(items *[]core.Item, ats *[]int64) {
-	n := len(seq(c, items, c.itemSize()+8))
-	if c.dec {
-		*ats = make([]int64, n)
-	}
-	for i := range *items {
-		c.item(&(*items)[i])
-		c.i64(&(*ats)[i])
+func epoch(c *codec.Cursor, v *uint64) {
+	c.U64(v)
+	if c.Dec && *v == 0 {
+		c.Fail("migration epoch 0 (epochs start at 1)")
 	}
 }
 
@@ -1046,36 +751,29 @@ func (c *codec) timedItems(items *[]core.Item, ats *[]int64) {
 // decode→encode is byte-identical: raw index strictly ascending —
 // positive-accumulator words sort before negative ones because of the index
 // high bit — and no zero words.
-func (c *codec) exactSum(s *mathx.ExactSum) {
+func exactSum(c *codec.Cursor, s *mathx.ExactSum) {
 	var terms []mathx.SumTerm
 	var flags uint8
-	if !c.dec {
+	if !c.Dec {
 		terms, flags = s.Terms()
 	}
-	c.u8(&flags)
+	c.U8(&flags)
 	n := uint16(len(terms))
-	c.u16(&n)
-	if c.dec {
-		if 10*int(n) > c.left() {
-			c.fail("%d sum terms exceed remaining %d bytes", n, c.left())
-			return
-		}
-		terms = make([]mathx.SumTerm, n)
-	}
+	c.U16(&n)
 	prev := -1
-	for i := range terms {
+	for i := range codec.List(c, &terms, int(n), 10) {
 		t := &terms[i]
-		c.u16(&t.Index)
-		c.u64(&t.Word)
-		if c.dec && (int(t.Index) <= prev || t.Word == 0) {
-			c.fail("non-canonical aggregate sum terms")
+		c.U16(&t.Index)
+		c.U64(&t.Word)
+		if c.Dec && (int(t.Index) <= prev || t.Word == 0) {
+			c.Fail("non-canonical aggregate sum terms")
 		}
 		prev = int(t.Index)
 	}
-	if c.dec && c.err == nil {
+	if c.Dec && c.Err == nil {
 		sum, ok := mathx.SumFromTerms(terms, flags)
 		if !ok {
-			c.fail("invalid aggregate sum terms")
+			c.Fail("invalid aggregate sum terms")
 		}
 		*s = sum
 	}
