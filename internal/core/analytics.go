@@ -127,7 +127,7 @@ func (t *Tree) topSubtrees(want int) []NodeID {
 func (w *walker) joinPair(id NodeID, probe *Tree, pid NodeID, r2 float64, out *[]JoinPair) {
 	nd := w.t.nd(id)
 	pnd := probe.nd(pid)
-	if boxDist2(nd.box, pnd.box) > r2 {
+	if boxDist2(w.t.box(id), probe.box(pid)) > r2 {
 		return
 	}
 	if nd.leaf && pnd.leaf {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -19,42 +20,39 @@ const Nil NodeID = -1
 
 // node is one kd-tree node. Master placement and replication are logical:
 // the node lives once in the arena, `module` names its master PIM module,
-// and `copies` lists the other modules holding replicas under the dual-way
-// caching scheme. Every access path in the package checks locality against
-// these fields and meters a hop when the executing module lacks a copy.
+// and its row of the tree's copy-set slab names the other modules holding
+// replicas under the dual-way caching scheme. Every access path in the
+// package checks locality against these and meters a hop when the
+// executing module lacks a copy. A node's cell box lives in the tree's box
+// slab (Tree.box), so the struct itself holds no coordinates; its fields
+// are ordered widest first so it packs into 96 bytes (TestNodeLayout).
 type node struct {
-	axis   int32
-	split  float64
-	parent NodeID
-	left   NodeID
-	right  NodeID
-
+	split float64
 	// count is the approximate subtree-size counter (exact immediately
 	// after (re)construction). Balance and grouping decisions read it.
 	count counter.Approx
-	// exact is the true subtree size, maintained as an unmetered shadow for
-	// invariant checks and experiments that compare against ground truth.
-	exact int32
-
-	box  geom.Box
-	leaf bool
-	pts  []Item // leaf bucket (leaf only)
-
 	// maxPri/maxPriID carry the priority-search augmentation: the maximum
 	// (Priority, ID) pair stored in the subtree. Maintained at
 	// (re)construction; the augmentation is for static use (§6.1).
-	maxPri   float64
-	maxPriID int32
+	maxPri float64
+	pts    []Item // leaf bucket (leaf only)
 
-	group    int16 // log-star group index: 0 .. L
+	axis   int32
+	parent NodeID
+	left   NodeID
+	right  NodeID
+	// exact is the true subtree size, maintained as an unmetered shadow for
+	// invariant checks and experiments that compare against ground truth.
+	exact    int32
+	maxPriID int32
 	module   int32 // master module
 	compRoot NodeID
-	// copies lists modules holding replicas of this node (master excluded;
-	// Group 0 nodes are implicitly replicated everywhere).
-	copies []int32
 	// chargedCopies records how many copy-slots of space this node is
 	// currently charged for, so unplace stays correct across group changes.
 	chargedCopies int32
+
+	group int16 // log-star group index: 0 .. L
+	leaf  bool
 	// unfinished marks a component root whose intra-group caching is
 	// pending under delayed Group-1 construction.
 	unfinished bool
@@ -82,6 +80,18 @@ type Tree struct {
 	pendingFree []NodeID
 	root        NodeID
 	size        int
+
+	// boxes is the box slab: row id holds node id's cell, its Dim lower
+	// corner coordinates then its Dim upper ones. copySets is the copy-set
+	// slab: row id is a bitset of copyWords words over the modules holding
+	// a replica of node id (master excluded; Group 0's full replication is
+	// implicit and its row empty). Both hold a row for every slot of the
+	// arena's capacity, and a freed slot's rows are zero.
+	boxes     []float64
+	copySets  []uint64
+	copyWords int
+	// cell holds a rebuilt subtree's cell while its old root is dismantled.
+	cell []float64
 
 	// H[j] is the group threshold: H[0] = P, H[j] = log^(j) P. A node with
 	// subtree size in [H[j], H[j-1]) is in group j; sizes >= P are group 0.
@@ -172,6 +182,8 @@ func New(cfg Config, mach *pim.Machine) *Tree {
 		G:    g,
 		rng:  rand.New(rand.NewSource(cfg.Seed ^ 0x7e46a1)),
 		salt: pim.Mix64(uint64(cfg.Seed) + 0x9cc5),
+
+		copyWords: (p + 63) / 64,
 	}
 	t.H = make([]float64, l+1)
 	t.H[0] = float64(p)
@@ -225,6 +237,54 @@ func (t *Tree) SpaceWords() int64 { return t.spaceWords }
 // nd returns the node for id. The id must be live.
 func (t *Tree) nd(id NodeID) *node { return &t.nodes[id] }
 
+// boxRow returns node id's row of the box slab: its cell's Dim lower
+// corner coordinates, then its Dim upper ones.
+func (t *Tree) boxRow(id NodeID) []float64 {
+	w := 2 * t.cfg.Dim
+	o := int(id) * w
+	return t.boxes[o : o+w : o+w]
+}
+
+// box returns node id's cell as a view into the box slab. The view
+// allocates nothing, and writes through it change the cell. It is valid
+// until the arena next grows.
+func (t *Tree) box(id NodeID) geom.Box {
+	row, d := t.boxRow(id), t.cfg.Dim
+	return geom.Box{Lo: row[:d:d], Hi: row[d:]}
+}
+
+// copyRow returns node id's row of the copy-set slab; bit m set means
+// module m holds a replica, so ascending module order is bit order.
+func (t *Tree) copyRow(id NodeID) []uint64 {
+	o := int(id) * t.copyWords
+	return t.copySets[o : o+t.copyWords : o+t.copyWords]
+}
+
+// setBit adds module mod to the bitset mask.
+func setBit(mask []uint64, mod int32) { mask[mod>>6] |= 1 << (mod & 63) }
+
+// hasBit reports whether module mod is in the bitset mask.
+func hasBit(mask []uint64, mod int32) bool { return mask[mod>>6]&(1<<(mod&63)) != 0 }
+
+// popcount returns the number of modules in the bitset mask.
+func popcount(mask []uint64) int {
+	n := 0
+	for _, w := range mask {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendModules appends the modules of the bitset mask to dst, ascending.
+func appendModules(dst []int32, mask []uint64) []int32 {
+	for k, w := range mask {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(k*64+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
 // alloc creates a node and returns its id, reusing freed slots.
 func (t *Tree) alloc() NodeID {
 	if n := len(t.freeL); n > 0 {
@@ -234,7 +294,24 @@ func (t *Tree) alloc() NodeID {
 		return id
 	}
 	t.nodes = append(t.nodes, node{parent: Nil, left: Nil, right: Nil, compRoot: Nil, module: -1})
+	t.growSlabs()
 	return NodeID(len(t.nodes) - 1)
+}
+
+// growSlabs extends the box and copy-set slabs to a row per slot of the
+// arena's capacity, so they grow exactly when the arena does.
+func (t *Tree) growSlabs() {
+	rows := cap(t.nodes)
+	if need := rows * 2 * t.cfg.Dim; len(t.boxes) < need {
+		boxes := make([]float64, need)
+		copy(boxes, t.boxes)
+		t.boxes = boxes
+	}
+	if need := rows * t.copyWords; len(t.copySets) < need {
+		sets := make([]uint64, need)
+		copy(sets, t.copySets)
+		t.copySets = sets
+	}
 }
 
 // groupOf maps a subtree size to its log-star group index, clamped to the
@@ -263,15 +340,7 @@ func (t *Tree) isLocal(id NodeID, mod int32) bool {
 	if nd.group == 0 {
 		return true
 	}
-	if nd.module == mod {
-		return true
-	}
-	for _, c := range nd.copies {
-		if c == mod {
-			return true
-		}
-	}
-	return false
+	return nd.module == mod || hasBit(t.copyRow(id), mod)
 }
 
 // hashModule places a master node: a salted hash of the node id, the
@@ -367,12 +436,15 @@ func (t *Tree) CheckInvariants() error {
 		if nd.group > 0 && nd.module < 0 {
 			return 0, fmt.Errorf("node %d has no master module", id)
 		}
+		if err := t.checkCopyRow(id); err != nil {
+			return 0, err
+		}
 		if nd.leaf {
 			if int32(len(nd.pts)) != nd.exact {
 				return 0, fmt.Errorf("leaf %d exact %d != len(pts) %d", id, nd.exact, len(nd.pts))
 			}
 			for _, it := range nd.pts {
-				if !nd.box.Contains(it.P) {
+				if !t.box(id).Contains(it.P) {
 					return 0, fmt.Errorf("leaf %d box misses item %d", id, it.ID)
 				}
 			}
@@ -401,12 +473,60 @@ func (t *Tree) CheckInvariants() error {
 	if int(total) != t.size {
 		return fmt.Errorf("tree size %d != stored points %d", t.size, total)
 	}
+	if err := t.checkSlabs(); err != nil {
+		return err
+	}
 	return t.checkCaching()
 }
 
+// checkCopyRow validates live node id's copy-set row against its
+// placement: Group 0's row is empty (its replication is implicit), any
+// other row excludes the master and, with the master, accounts for every
+// charged copy slot.
+func (t *Tree) checkCopyRow(id NodeID) error {
+	nd, row := t.nd(id), t.copyRow(id)
+	if nd.group == 0 {
+		if n := popcount(row); n != 0 {
+			return fmt.Errorf("group-0 node %d lists %d explicit replicas", id, n)
+		}
+		return nil
+	}
+	if hasBit(row, nd.module) {
+		return fmt.Errorf("node %d lists its master module %d as a replica", id, nd.module)
+	}
+	if n := popcount(row); int32(1+n) != nd.chargedCopies {
+		return fmt.Errorf("node %d has %d replicas but is charged for %d copies", id, n, nd.chargedCopies)
+	}
+	return nil
+}
+
+// checkSlabs validates that the box and copy-set slabs hold a row for
+// every slot of the arena's capacity and that every slot not holding a
+// live node has zero rows.
+func (t *Tree) checkSlabs() error {
+	rows := cap(t.nodes)
+	if len(t.boxes) != rows*2*t.cfg.Dim || len(t.copySets) != rows*t.copyWords {
+		return fmt.Errorf("slabs hold %d box and %d copy-set words for %d slots", len(t.boxes), len(t.copySets), rows)
+	}
+	for id := NodeID(0); int(id) < rows; id++ {
+		if int(id) < len(t.nodes) && !t.nd(id).dead {
+			continue
+		}
+		for _, v := range t.boxRow(id) {
+			if v != 0 {
+				return fmt.Errorf("free slot %d keeps a box row", id)
+			}
+		}
+		if popcount(t.copyRow(id)) != 0 {
+			return fmt.Errorf("free slot %d keeps a copy-set row", id)
+		}
+	}
+	return nil
+}
+
 // checkCaching validates the dual-way caching layout: within each cached
-// component, every node's replica list is strictly ascending and its set
-// equals the master modules of its in-component ancestors and descendants.
+// component, every node's replica set equals the master modules of its
+// in-component ancestors and descendants.
 func (t *Tree) checkCaching() error {
 	var rec func(id NodeID) error
 	rec = func(id NodeID) error {
@@ -435,13 +555,8 @@ func (t *Tree) checkCaching() error {
 			desc(id)
 			delete(want, nd.module)
 			have := map[int32]bool{}
-			for i, c := range nd.copies {
-				if i > 0 && c <= nd.copies[i-1] {
-					return fmt.Errorf("node %d (group %d) replicas %v not strictly ascending", id, nd.group, nd.copies)
-				}
-				if c != nd.module {
-					have[c] = true
-				}
+			for _, c := range appendModules(nil, t.copyRow(id)) {
+				have[c] = true
 			}
 			for m := range want {
 				if !have[m] {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +22,6 @@ type bnode struct {
 	axis  int32
 	split float64
 	l, r  *bnode
-	box   geom.Box
 	pts   []Item
 	size  int
 	// maxPri/maxPriID track the maximum (Priority, ID) pair in the subtree
@@ -39,25 +37,36 @@ type bnode struct {
 // large subtrees recurse in parallel). Ownership of items passes to the
 // tree.
 func buildExactB(items []Item, leafSize int, ops *int64) *bnode {
-	return buildExact(items, make([]float64, len(items)), leafSize, ops)
+	if len(items) == 0 {
+		return nil
+	}
+	return buildExact(items, make([]float64, len(items)), scratchBox(len(items[0].P)), leafSize, ops)
+}
+
+// scratchBox returns a fresh dim-dimensional box backed by one allocation.
+func scratchBox(dim int) geom.Box {
+	buf := make([]float64, 2*dim)
+	return geom.Box{Lo: buf[:dim:dim], Hi: buf[dim:]}
 }
 
 // buildExact is buildExactB's recursion. coords is exactSplit's scratch,
 // one slot per item: each half of a split recurses on its own half of it,
-// so the parallel fork shares no scratch.
-func buildExact(items []Item, coords []float64, leafSize int, ops *int64) *bnode {
+// so the parallel fork shares no scratch. box is the scratch for a node's
+// tight bounding box, which only chooses its split: the recursion reuses
+// it, and a parallel fork hands its right half a fresh one.
+func buildExact(items []Item, coords []float64, box geom.Box, leafSize int, ops *int64) *bnode {
 	n := len(items)
 	if n == 0 {
 		return nil
 	}
 	atomic.AddInt64(ops, int64(n))
-	box := itemsBox(items)
 	if n <= leafSize {
-		return leafB(items, box)
+		return leafB(items)
 	}
+	itemsBox(items, box)
 	axis, split, ok := exactSplit(items, box, coords)
 	if !ok {
-		return leafB(items, box)
+		return leafB(items)
 	}
 	i, j := 0, n-1
 	for i <= j {
@@ -71,19 +80,18 @@ func buildExact(items []Item, coords []float64, leafSize int, ops *int64) *bnode
 	var l, r *bnode
 	if n >= buildParGrain {
 		parallel.Do(
-			func() { l = buildExact(items[:i], coords[:i], leafSize, ops) },
-			func() { r = buildExact(items[i:], coords[i:], leafSize, ops) },
+			func() { l = buildExact(items[:i], coords[:i], box, leafSize, ops) },
+			func() { r = buildExact(items[i:], coords[i:], scratchBox(len(box.Lo)), leafSize, ops) },
 		)
 	} else {
-		l = buildExact(items[:i], coords[:i], leafSize, ops)
-		r = buildExact(items[i:], coords[i:], leafSize, ops)
+		l = buildExact(items[:i], coords[:i], box, leafSize, ops)
+		r = buildExact(items[i:], coords[i:], box, leafSize, ops)
 	}
 	b := &bnode{
 		axis:  int32(axis),
 		split: split,
 		l:     l,
 		r:     r,
-		box:   unionBox(l.box, r.box),
 		size:  n,
 	}
 	b.maxPri, b.maxPriID = l.maxPri, l.maxPriID
@@ -93,8 +101,8 @@ func buildExact(items []Item, coords []float64, leafSize int, ops *int64) *bnode
 	return b
 }
 
-func leafB(items []Item, box geom.Box) *bnode {
-	b := &bnode{box: box, pts: ownItems(items), size: len(items)}
+func leafB(items []Item) *bnode {
+	b := &bnode{pts: ownItems(items), size: len(items)}
 	b.maxPri, b.maxPriID = items[0].Priority, items[0].ID
 	for _, it := range items[1:] {
 		if priLess(b.maxPri, b.maxPriID, it.Priority, it.ID) {
@@ -121,33 +129,43 @@ func ownItems(items []Item) []Item {
 	return out
 }
 
-// itemsBox computes the tight bounding box. Above the fork threshold the
-// chunk boxes merge under a mutex in arbitrary order, which is safe for
-// determinism: float64 min/max is exact and commutative, so the merged box
-// is bit-identical to the sequential scan's.
-func itemsBox(items []Item) geom.Box {
-	if len(items) >= buildParGrain {
-		var mu sync.Mutex
-		var out geom.Box
-		first := true
-		parallel.ForChunked(len(items), func(lo, hi int) {
-			b := itemsBoxSeq(items[lo:hi])
-			mu.Lock()
-			if first {
-				out, first = b, false
-			} else {
-				out = unionBox(out, b)
-			}
-			mu.Unlock()
-		})
-		return out
+// itemsBox writes the tight bounding box of items into box. Above the fork
+// threshold the chunk boxes merge under a mutex in arbitrary order, which
+// is safe for determinism: float64 min/max is exact and commutative, so
+// the merged box is bit-identical to the sequential scan's.
+func itemsBox(items []Item, box geom.Box) {
+	if len(items) < buildParGrain {
+		itemsBoxSeq(items, box)
+		return
 	}
-	return itemsBoxSeq(items)
+	var mu sync.Mutex
+	first := true
+	parallel.ForChunked(len(items), func(lo, hi int) {
+		b := scratchBox(len(box.Lo))
+		itemsBoxSeq(items[lo:hi], b)
+		mu.Lock()
+		defer mu.Unlock()
+		if first {
+			copy(box.Lo, b.Lo)
+			copy(box.Hi, b.Hi)
+			first = false
+			return
+		}
+		for d := range box.Lo {
+			if b.Lo[d] < box.Lo[d] {
+				box.Lo[d] = b.Lo[d]
+			}
+			if b.Hi[d] > box.Hi[d] {
+				box.Hi[d] = b.Hi[d]
+			}
+		}
+	})
 }
 
-func itemsBoxSeq(items []Item) geom.Box {
-	lo := items[0].P.Clone()
-	hi := items[0].P.Clone()
+func itemsBoxSeq(items []Item, box geom.Box) {
+	copy(box.Lo, items[0].P)
+	copy(box.Hi, items[0].P)
+	lo, hi := box.Lo, box.Hi
 	for _, it := range items[1:] {
 		for d := range it.P {
 			if it.P[d] < lo[d] {
@@ -158,37 +176,32 @@ func itemsBoxSeq(items []Item) geom.Box {
 			}
 		}
 	}
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-func unionBox(a, b geom.Box) geom.Box {
-	u := a.Clone()
-	for d := range u.Lo {
-		if b.Lo[d] < u.Lo[d] {
-			u.Lo[d] = b.Lo[d]
-		}
-		if b.Hi[d] > u.Hi[d] {
-			u.Hi[d] = b.Hi[d]
-		}
-	}
-	return u
 }
 
 // exactSplit finds the object-median split value, guaranteeing both sides
-// of a (v < split) partition are non-empty. Axes are tried widest-first;
-// when duplicate coordinates make one axis's median split lopsided, the
-// axis with the most even partition wins. ok is false when all points are
-// identical. coords is scratch of at least len(items) slots.
+// of a (v < split) partition are non-empty. Axes are tried widest-first,
+// equal widths in axis order; when duplicate coordinates make one axis's
+// median split lopsided, the axis with the most even partition wins. ok is
+// false when all points are identical. coords is scratch of at least
+// len(items) slots.
 func exactSplit(items []Item, box geom.Box, coords []float64) (axis int, split float64, ok bool) {
 	type axisWidth struct {
 		axis  int
 		width float64
 	}
-	dims := make([]axisWidth, len(box.Lo))
-	for d := range box.Lo {
-		dims[d] = axisWidth{d, box.Hi[d] - box.Lo[d]}
+	// An insertion sort into a fixed array orders the axes without
+	// allocating for up to 16 dimensions.
+	var buf [16]axisWidth
+	dims := buf[:0]
+	if len(box.Lo) > len(buf) {
+		dims = make([]axisWidth, 0, len(box.Lo))
 	}
-	sort.Slice(dims, func(i, j int) bool { return dims[i].width > dims[j].width })
+	for d := range box.Lo {
+		dims = append(dims, axisWidth{d, box.Hi[d] - box.Lo[d]})
+		for j := len(dims) - 1; j > 0 && dims[j].width > dims[j-1].width; j-- {
+			dims[j], dims[j-1] = dims[j-1], dims[j]
+		}
+	}
 	n := len(items)
 	coords = coords[:n]
 	bestSkew := n + 1
@@ -212,11 +225,12 @@ func exactSplit(items []Item, box geom.Box, coords []float64) (axis int, split f
 				next, hasNext = c, true
 			}
 		}
-		cands := []float64{v}
+		cands := [2]float64{v, next}
+		nc := 1
 		if hasNext {
-			cands = append(cands, next)
+			nc = 2
 		}
-		for _, cand := range cands {
+		for _, cand := range cands[:nc] {
 			left := 0
 			for _, c := range coords {
 				if c < cand {
@@ -290,17 +304,29 @@ func quickMedian(coords []float64) float64 {
 // given cell) rather than tight bounding boxes: cells are invariant under
 // later insertions, so dynamic updates never need to propagate box changes
 // to replicas — which is what keeps the paper's update communication bound.
-// Groups, masters, and caching are assigned afterwards by decorate.
+// The root's cell is copied from cell, and every child's is its parent's
+// cut at the parent's split, written straight into the box slab. Groups,
+// masters, and caching are assigned afterwards by decorate.
 func (t *Tree) graft(b *bnode, parent NodeID, cell geom.Box) NodeID {
 	if b == nil {
 		return Nil
 	}
 	id := t.alloc()
+	box := t.box(id)
+	copy(box.Lo, cell.Lo)
+	copy(box.Hi, cell.Hi)
+	t.graftAt(id, b, parent)
+	return id
+}
+
+// graftAt fills the allocated slot id, whose cell is already in the slab,
+// from b, and grafts b's children below it. Slots are allocated in
+// preorder.
+func (t *Tree) graftAt(id NodeID, b *bnode, parent NodeID) {
 	nd := t.nd(id)
 	nd.parent = parent
 	nd.axis = b.axis
 	nd.split = b.split
-	nd.box = cell
 	nd.exact = int32(b.size)
 	nd.count.Set(float64(b.size))
 	nd.maxPri, nd.maxPriID = b.maxPri, b.maxPriID
@@ -308,12 +334,16 @@ func (t *Tree) graft(b *bnode, parent NodeID, cell geom.Box) NodeID {
 		nd.leaf = true
 		nd.pts = b.pts
 		t.chargePointSpace(int64(len(b.pts)))
-		return id
+		return
 	}
-	lc, rc := geom.SplitBox(cell, int(b.axis), b.split)
-	l := t.graft(b.l, id, lc)
-	r := t.graft(b.r, id, rc)
+	l := t.alloc()
+	copy(t.boxRow(l), t.boxRow(id))
+	t.box(l).Hi[b.axis] = b.split
+	t.graftAt(l, b.l, id)
+	r := t.alloc()
+	copy(t.boxRow(r), t.boxRow(id))
+	t.box(r).Lo[b.axis] = b.split
+	t.graftAt(r, b.r, id)
 	nd = t.nd(id) // re-fetch: grafting children may grow the arena
 	nd.left, nd.right = l, r
-	return id
 }

@@ -139,6 +139,7 @@ func (s *sketchNode) route(p []float64) int {
 // create fewer).
 func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
 	next := 0
+	box := scratchBox(len(sample[0].P))
 	var rec func(items []Item, coords []float64, slots int) *sketchNode
 	rec = func(items []Item, coords []float64, slots int) *sketchNode {
 		*ops += int64(len(items))
@@ -147,7 +148,7 @@ func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
 			next++
 			return b
 		}
-		box := itemsBox(items)
+		itemsBox(items, box)
 		axis, split, ok := exactSplit(items, box, coords)
 		if !ok {
 			b := &sketchNode{bucket: next}
@@ -193,7 +194,6 @@ func stitchSketch(s *sketchNode, parts []*bnode) *bnode {
 		split: s.split,
 		l:     l,
 		r:     r,
-		box:   unionBox(l.box, r.box),
 		size:  l.size + r.size,
 	}
 	b.maxPri, b.maxPriID = l.maxPri, l.maxPriID

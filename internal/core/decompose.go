@@ -96,13 +96,15 @@ type compWalk struct {
 
 // placement is a component's placement before its refresh, aligned with
 // its members: member i had master module[i], was charged for charged[i]
-// copy slots, and held the replicas copies[span[i]:span[i+1]].
+// copy slots, and had the copy-set row replicas(i), a copy of its row
+// in the tree's slab.
 type placement struct {
 	module, charged []int32
-	copies, span    []int32
+	rows            []uint64
+	words           int
 }
 
-func (p *placement) replicas(i int) []int32 { return p.copies[p.span[i]:p.span[i+1]] }
+func (p *placement) replicas(i int) []uint64 { return p.rows[i*p.words : (i+1)*p.words] }
 
 // componentMembers walks the maximal same-group connected subtree rooted at
 // root into w: its members in BFS order (so chunking groups nearby nodes)
@@ -146,14 +148,13 @@ func (t *Tree) refreshComponent(root NodeID, r *pim.Round, batchS int) []NodeID 
 	prev := &s.prev
 	prev.module = slices.Grow(prev.module[:0], len(members))[:len(members)]
 	prev.charged = slices.Grow(prev.charged[:0], len(members))[:len(members)]
-	prev.copies = prev.copies[:0]
-	prev.span = append(prev.span[:0], 0)
+	prev.words = t.copyWords
+	prev.rows = prev.rows[:0]
 	for i, id := range members {
 		nd := t.nd(id)
 		prev.module[i] = nd.module
 		prev.charged[i] = nd.chargedCopies
-		prev.copies = append(prev.copies, nd.copies...)
-		prev.span = append(prev.span, int32(len(prev.copies)))
+		prev.rows = append(prev.rows, t.copyRow(id)...)
 		t.unplace(id)
 	}
 
@@ -251,13 +252,12 @@ var buildCaching = (*Tree).buildCachingDiff
 func (t *Tree) buildCachingDiff(w *compWalk, prev *placement, r *pim.Round) {
 	members, parents := w.members, w.parents
 	n := len(members)
-	words := (t.mach.P() + 63) / 64
+	words := t.copyWords
 	masks := slices.Grow(t.place.masks[:0], 2*n*words)[:2*n*words]
 	t.place.masks = masks
 	clear(masks)
 	anc := func(i int) []uint64 { return masks[i*words : (i+1)*words] }
 	desc := func(i int) []uint64 { return masks[(n+i)*words : (n+i+1)*words] }
-	setBit := func(mask []uint64, mod int32) { mask[mod>>6] |= 1 << (mod & 63) }
 	// Top-down: a member's ancestors are its parent's plus the parent; BFS
 	// order puts every parent before its children.
 	for i := 1; i < n; i++ {
@@ -275,23 +275,17 @@ func (t *Tree) buildCachingDiff(w *compWalk, prev *placement, r *pim.Round) {
 		}
 		setBit(pd, t.nd(members[i]).module)
 	}
-	// Materialize each member's copies, ascending, in its own backing
-	// array: the set bits of ancestors | descendants, minus its master.
+	// Each member's copy-set row is ancestors | descendants, minus its
+	// master.
 	var spaceCopies int64
 	for i, id := range members {
 		nd := t.nd(id)
-		a, d := anc(i), desc(i)
-		nd.copies = nd.copies[:0]
-		for k := range a {
-			set := a[k] | d[k]
-			if k == int(nd.module>>6) {
-				set &^= 1 << (nd.module & 63)
-			}
-			for ; set != 0; set &= set - 1 {
-				nd.copies = append(nd.copies, int32(k*64+bits.TrailingZeros64(set)))
-			}
+		a, d, row := anc(i), desc(i), t.copyRow(id)
+		for k := range row {
+			row[k] = a[k] | d[k]
 		}
-		nd.chargedCopies = int32(1 + len(nd.copies))
+		row[nd.module>>6] &^= 1 << (nd.module & 63)
+		nd.chargedCopies = int32(1 + popcount(row))
 		spaceCopies += int64(nd.chargedCopies)
 	}
 	t.chargeNodeSpace(spaceCopies)
@@ -302,8 +296,9 @@ func (t *Tree) buildCachingDiff(w *compWalk, prev *placement, r *pim.Round) {
 	// transfer sequence stays deterministic.
 	for i, id := range members {
 		nd := t.nd(id)
+		row := t.copyRow(id)
 		var pm int32 = -1
-		var pc []int32
+		var pc []uint64
 		if prev != nil {
 			pm = prev.module[i]
 			pc = prev.replicas(i)
@@ -311,33 +306,26 @@ func (t *Tree) buildCachingDiff(w *compWalk, prev *placement, r *pim.Round) {
 		if pm != nd.module {
 			r.Transfer(int(nd.module), nodeWords(t.cfg.Dim))
 		}
-		had := func(m int32) bool {
-			if m == pm {
-				return true
+		// Ship the copies the member's previous master and replicas lacked.
+		for k, w := range row {
+			if pc != nil {
+				w &^= pc[k]
 			}
-			for _, x := range pc {
-				if x == m {
-					return true
-				}
+			if pm >= 0 && k == int(pm>>6) {
+				w &^= 1 << (pm & 63)
 			}
-			return false
-		}
-		for _, m := range nd.copies {
-			if !had(m) {
-				r.Transfer(int(m), nodeWords(t.cfg.Dim))
+			for ; w != 0; w &= w - 1 {
+				r.Transfer(k*64+bits.TrailingZeros64(w), nodeWords(t.cfg.Dim))
 			}
 		}
 		// Invalidation words for copies that went away.
-		for _, m := range pc {
-			still := m == nd.module
-			for _, x := range nd.copies {
-				if x == m {
-					still = true
-					break
-				}
+		for k, w := range pc {
+			w &^= row[k]
+			if k == int(nd.module>>6) {
+				w &^= 1 << (nd.module & 63)
 			}
-			if !still {
-				r.Transfer(int(m), 1)
+			for ; w != 0; w &= w - 1 {
+				r.Transfer(k*64+bits.TrailingZeros64(w), 1)
 			}
 		}
 	}
@@ -352,7 +340,7 @@ func (t *Tree) unplace(id NodeID) {
 	}
 	t.unchargeNodeSpace(int64(nd.chargedCopies))
 	nd.chargedCopies = 0
-	nd.copies = nd.copies[:0]
+	clear(t.copyRow(id))
 	nd.module = -1
 	if nd.unfinished {
 		nd.unfinished = false
@@ -445,7 +433,7 @@ func (t *Tree) dismantle(id NodeID) {
 	}
 	nd.dead = true
 	nd.pts = nil
-	nd.copies = nil
+	clear(t.boxRow(id)) // unplace cleared its copy-set row
 	t.pendingFree = append(t.pendingFree, id)
 }
 

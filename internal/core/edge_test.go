@@ -146,8 +146,11 @@ func TestNewPanicsOnBadDim(t *testing.T) {
 	New(Config{}, pim.NewMachine(2, 1<<16))
 }
 
+// TestDimensionSweep checks structure, leaf routing and kNN in 1 to 5
+// dimensions and in 20, above the 16 axes exactSplit orders without
+// allocating.
 func TestDimensionSweep(t *testing.T) {
-	for dim := 1; dim <= 5; dim++ {
+	for _, dim := range []int{1, 2, 3, 4, 5, 20} {
 		tree, items := testTree(t, 2000, dim, 8, int64(dim))
 		if err := tree.CheckInvariants(); err != nil {
 			t.Fatalf("dim %d: %v", dim, err)

@@ -62,7 +62,7 @@ func (w *walker) nearest(id NodeID, q geom.Point, best *heapx.KBest, shrink2 flo
 // tie-break a cell at exactly the bound can still hold a displacing
 // candidate.
 func (w *walker) nearer(id NodeID, q geom.Point, best *heapx.KBest, shrink2 float64) {
-	if w.t.nd(id).box.Dist2ToPoint(q)*shrink2 <= best.Bound() {
+	if w.t.box(id).Dist2ToPoint(q)*shrink2 <= best.Bound() {
 		w.nearest(id, q, best, shrink2)
 	}
 }

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"pimkd/internal/geom"
 	"pimkd/internal/parallel"
@@ -14,14 +14,49 @@ import (
 	"pimkd/internal/workload"
 )
 
+// TestNodeLayout pins the arena's node at 96 bytes or less, and checks
+// that the box and copy-set slabs hold a row per slot of the arena's
+// capacity, with free slots' rows zero, as a tree is built, churned and
+// partly rebuilt at P = 130 (three copy-set words a row).
+func TestNodeLayout(t *testing.T) {
+	if size := unsafe.Sizeof(node{}); size > 96 {
+		t.Errorf("node is %d bytes, want ≤ 96", size)
+	}
+	const dim, p = 3, 130
+	tree := New(Config{Dim: dim, Seed: 5, LeafSize: 4}, pim.NewMachine(p, 1<<20))
+	items := makeTestItems(workload.Uniform(1<<12, dim, 5), 0)
+	steps := []func(){
+		func() { tree.Build(items) },
+		func() { tree.BatchInsert(makeTestItems(workload.Hotspot(2048, dim, 1e-3, 6), 1<<12)) },
+		func() { tree.BatchDelete(items[:3000]) },
+		func() { tree.BatchInsert(makeTestItems(workload.Uniform(100, dim, 7), 1<<13)) },
+	}
+	for i, step := range steps {
+		step()
+		rows := cap(tree.nodes)
+		if got := len(tree.boxes); got != rows*2*dim {
+			t.Fatalf("step %d: box slab holds %d floats for %d slots of %d dimensions", i, got, rows, dim)
+		}
+		if got := len(tree.copySets); got != rows*((p+63)/64) {
+			t.Fatalf("step %d: copy-set slab holds %d words for %d slots at P = %d", i, got, rows, p)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	if tree.OpStats.Rebuilds == 0 {
+		t.Error("no step rebuilt a subtree, so no slot was freed")
+	}
+}
+
 // TestBuildAndChurnAllocs gates the host garbage of the two batch paths
 // that end in node placement and caching, at n = 2^12 and P = 64: a Build
-// allocates at most 4.5 times per point, and a 2048-point insert batch
+// allocates at most 1.5 times per point, and a 2048-point insert batch
 // followed by its delete batch at most 8 times per update op.
 func TestBuildAndChurnAllocs(t *testing.T) {
 	const (
 		n, p, batch = 1 << 12, 64, 2048
-		maxPerPoint = 4.5
+		maxPerPoint = 1.5
 		maxPerOp    = 8
 	)
 	cfg := Config{Dim: 2, Seed: 11}
@@ -56,8 +91,8 @@ func TestBuildAndChurnAllocs(t *testing.T) {
 // TestCachingReference runs twin trees through a Build, eight update
 // batches and a final FlushDelayed, one with the bitset caching pass and
 // one with the map-based pass it replaced, and requires the same placement
-// and meters after every step: each live node's master, replica list (order
-// included) and charged copies, the tree's space, and the machine's totals
+// and meters after every step: each live node's master, replica set and
+// charged copies, the tree's space, and the machine's totals
 // and per-module loads. P = 65 and 130 need more than one mask word. The
 // 64-point batches leave delayed Group-1 components, and at P = 7 with
 // ChunkSize 4 they overflow the backlog, so a refresh flushes it from
@@ -144,9 +179,10 @@ func sameCaching(a, b *Tree) error {
 		if x.dead {
 			continue
 		}
-		if x.module != y.module || x.chargedCopies != y.chargedCopies || x.compRoot != y.compRoot || !slices.Equal(x.copies, y.copies) {
+		xc, yc := appendModules(nil, a.copyRow(NodeID(id))), appendModules(nil, b.copyRow(NodeID(id)))
+		if x.module != y.module || x.chargedCopies != y.chargedCopies || x.compRoot != y.compRoot || !slices.Equal(xc, yc) {
 			return fmt.Errorf("node %d: module %d, copies %v, charged %d, compRoot %d; reference: module %d, copies %v, charged %d, compRoot %d",
-				id, x.module, x.copies, x.chargedCopies, x.compRoot, y.module, y.copies, y.chargedCopies, y.compRoot)
+				id, x.module, xc, x.chargedCopies, x.compRoot, y.module, yc, y.chargedCopies, y.compRoot)
 		}
 	}
 	if a.SpaceWords() != b.SpaceWords() {
@@ -166,9 +202,7 @@ func referenceCaching(t *Tree, w *compWalk, prev *placement, r *pim.Round) {
 		prevModule = prev.module
 		prevCopies = make([][]int32, len(w.members))
 		for i := range prevCopies {
-			if pc := prev.replicas(i); len(pc) > 0 {
-				prevCopies[i] = append([]int32(nil), pc...)
-			}
+			prevCopies[i] = appendModules(nil, prev.replicas(i))
 		}
 	}
 	t.buildCachingDiffMap(w.members[0], w.members, prevModule, prevCopies, r)
@@ -219,11 +253,9 @@ func (t *Tree) buildCachingDiffMap(root NodeID, members []NodeID, prevModule []i
 		ancestors = ancestors[:len(ancestors)-1]
 		stack = stack[:len(stack)-1]
 	}
-	// Materialize each member's copy set in parallel. Copies are sorted
-	// ascending — ranging over the map here used to bake Go's randomized
-	// iteration order into nd.copies, quietly breaking run-to-run
-	// reproducibility of every later loop over the replica list. Space
-	// charges accumulate atomically and post once.
+	// Materialize each member's copy set in parallel, into its copy-set
+	// row, whose bit order is ascending module order. Space charges
+	// accumulate atomically and post once.
 	var spaceCopies atomic.Int64
 	parallel.ForChunked(len(members), func(lo, hi int) {
 		var charged int64
@@ -231,13 +263,13 @@ func (t *Tree) buildCachingDiffMap(root NodeID, members []NodeID, prevModule []i
 			nd := t.nd(id)
 			set := copySets[id]
 			delete(set, nd.module)
-			nd.copies = nd.copies[:0]
+			row := t.copyRow(id)
+			clear(row)
 			for m := range set {
-				nd.copies = append(nd.copies, m)
+				setBit(row, m)
 			}
-			sort.Slice(nd.copies, func(a, b int) bool { return nd.copies[a] < nd.copies[b] })
-			nd.chargedCopies = int32(1 + len(nd.copies))
-			charged += int64(1 + len(nd.copies))
+			nd.chargedCopies = int32(1 + len(set))
+			charged += int64(1 + len(set))
 		}
 		spaceCopies.Add(charged)
 	})
@@ -249,6 +281,7 @@ func (t *Tree) buildCachingDiffMap(root NodeID, members []NodeID, prevModule []i
 	// transfer sequence stays deterministic.
 	for i, id := range members {
 		nd := t.nd(id)
+		copies := appendModules(nil, t.copyRow(id))
 		var pm int32 = -1
 		var pc []int32
 		if prevModule != nil {
@@ -269,7 +302,7 @@ func (t *Tree) buildCachingDiffMap(root NodeID, members []NodeID, prevModule []i
 			}
 			return false
 		}
-		for _, m := range nd.copies {
+		for _, m := range copies {
 			if !had(m) {
 				r.Transfer(int(m), nodeWords(t.cfg.Dim))
 			}
@@ -277,7 +310,7 @@ func (t *Tree) buildCachingDiffMap(root NodeID, members []NodeID, prevModule []i
 		// Invalidation words for copies that went away.
 		for _, m := range pc {
 			still := m == nd.module
-			for _, x := range nd.copies {
+			for _, x := range copies {
 				if x == m {
 					still = true
 					break

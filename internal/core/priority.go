@@ -74,7 +74,7 @@ func (w *walker) higher(id NodeID, q *Item, best *Dependent) {
 // and its cell is closer than the best found so far.
 func (w *walker) higherIn(id NodeID, q *Item, best *Dependent) {
 	nd := w.t.nd(id)
-	if !priLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || nd.box.Dist2ToPoint(q.P) >= best.Dist {
+	if !priLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || w.t.box(id).Dist2ToPoint(q.P) >= best.Dist {
 		return
 	}
 	w.higher(id, q, best)

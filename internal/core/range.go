@@ -98,11 +98,11 @@ func (g *region) has(p geom.Point) bool {
 // counts a subtree g covers from its exact size after touching the
 // subtree's root alone.
 func (w *walker) inRegion(id NodeID, g *region, hit func(Item)) int {
-	nd := w.t.nd(id)
-	if !g.meets(nd.box) {
+	nd, cell := w.t.nd(id), w.t.box(id)
+	if !g.meets(cell) {
 		return 0
 	}
-	if hit == nil && g.covers(nd.box) {
+	if hit == nil && g.covers(cell) {
 		w.touch(id)
 		return int(nd.exact)
 	}

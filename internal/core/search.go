@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"pimkd/internal/geom"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
@@ -461,9 +463,12 @@ func (t *Tree) meterCounterWrite(id NodeID, r *pim.Round) {
 	}
 	r.Transfer(int(nd.module), 1)
 	r.ModuleWork(int(nd.module), 1)
-	for _, m := range nd.copies {
-		r.Transfer(int(m), 1)
-		r.ModuleWork(int(m), 1)
+	for k, w := range t.copyRow(id) {
+		for ; w != 0; w &= w - 1 {
+			m := k*64 + bits.TrailingZeros64(w)
+			r.Transfer(m, 1)
+			r.ModuleWork(m, 1)
+		}
 	}
 }
 

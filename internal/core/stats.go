@@ -43,13 +43,10 @@ func (t *Tree) DecompositionStats() []GroupStat {
 		g := int(nd.group)
 		st := &stats[g]
 		st.Nodes++
-		switch {
-		case nd.group == 0:
+		if nd.group == 0 {
 			st.Copies += p
-		case len(nd.copies) > 0:
-			st.Copies += int64(1 + len(nd.copies))
-		default:
-			st.Copies++
+		} else {
+			st.Copies += int64(1 + popcount(t.copyRow(id)))
 		}
 		isRoot := nd.parent == Nil || t.nd(nd.parent).group != nd.group
 		if isRoot {
@@ -145,7 +142,7 @@ func (t *Tree) SampleComponent(group int) []ComponentNode {
 		if p := w.parents[i]; p >= 0 {
 			depth[i] = depth[p] + 1
 		}
-		copies := append([]int32(nil), nd.copies...)
+		copies := appendModules(nil, t.copyRow(id))
 		out = append(out, ComponentNode{ID: id, Depth: depth[i], Master: nd.module, Copies: copies, Leaf: nd.leaf})
 	}
 	return out

@@ -280,7 +280,6 @@ func (t *Tree) maximalSet(cand map[NodeID]bool) []NodeID {
 func (t *Tree) rebuildSubtree(v NodeID, r *pim.Round, batchS int) {
 	vn := t.nd(v)
 	parent := vn.parent
-	cell := vn.box.Clone()
 	wasLeft := parent != Nil && t.nd(parent).left == v
 	oldGroup := vn.group
 
@@ -301,6 +300,8 @@ func (t *Tree) rebuildSubtree(v NodeID, r *pim.Round, batchS int) {
 	items = t.gatherItems(v, items, r)
 	t.OpStats.Rebuilds++
 	t.OpStats.RebuiltPoints += int64(len(items))
+	// The replacement takes over v's cell, which dismantling v clears.
+	t.cell = append(t.cell[:0], t.boxRow(v)...)
 	t.dismantle(v)
 
 	var ops int64
@@ -316,7 +317,8 @@ func (t *Tree) rebuildSubtree(v NodeID, r *pim.Round, batchS int) {
 		r.CPUWork(int64(len(items) * (mathx.CeilLog2(p) + 1)))
 		r.ChargeAll(0, ops/int64(p)+1)
 	}
-	id := t.graft(b, parent, cell)
+	d := t.cfg.Dim
+	id := t.graft(b, parent, geom.Box{Lo: t.cell[:d], Hi: t.cell[d:]})
 	if parent == Nil {
 		t.root = id
 	} else if wasLeft {

@@ -213,13 +213,3 @@ func UniverseBox(dim int) Box {
 	}
 	return Box{Lo: lo, Hi: hi}
 }
-
-// SplitBox cuts b by the hyperplane (axis, value) and returns the left
-// (coordinates <= value meet the left box's Hi) and right halves.
-func SplitBox(b Box, axis int, value float64) (left, right Box) {
-	left = b.Clone()
-	right = b.Clone()
-	left.Hi[axis] = value
-	right.Lo[axis] = value
-	return left, right
-}

@@ -157,18 +157,6 @@ func TestBoundingBox(t *testing.T) {
 	}
 }
 
-func TestSplitBox(t *testing.T) {
-	b := NewBox(Point{0, 0}, Point{1, 1})
-	l, r := SplitBox(b, 0, 0.3)
-	if l.Hi[0] != 0.3 || r.Lo[0] != 0.3 {
-		t.Fatalf("split boxes %v %v", l, r)
-	}
-	// Splitting must not mutate the original.
-	if b.Hi[0] != 1 || b.Lo[0] != 0 {
-		t.Fatal("SplitBox mutated input")
-	}
-}
-
 func TestUniverseBox(t *testing.T) {
 	u := UniverseBox(2)
 	if !u.Contains(Point{1e300, -1e300}) {

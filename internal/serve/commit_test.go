@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -184,5 +185,52 @@ func TestWALFailureRefusesEveryWriteKind(t *testing.T) {
 	// after them are two more.
 	if got := m1.TotalBatches - m0.TotalBatches; got != int64(len(writes))+2 {
 		t.Errorf("total batches rose by %d, want %d", got, len(writes)+2)
+	}
+}
+
+// TestFilterUniqueInBatchDuplicates runs a set-semantics insert batch with
+// in-batch duplicates through filterUnique: the same item twice, an ID
+// reused with another point, a point reused with another ID, an item equal
+// in ID and point but not priority, and an already stored item. Exactly
+// the first occurrence of each new item survives, in batch order. A
+// randomized batch drawn from a few IDs and points must match the
+// all-pairs filter the index replaced.
+func TestFilterUniqueInBatchDuplicates(t *testing.T) {
+	svc, pts := newTestService(t, 100, Config{})
+	defer svc.Close()
+	a := core.Item{ID: 900, P: geom.Point{0.1, 0.2}}
+	samePointNewID := core.Item{ID: 901, P: geom.Point{0.1, 0.2}}
+	sameIDNewPoint := core.Item{ID: 900, P: geom.Point{0.3, 0.4}}
+	newPriority := core.Item{ID: 900, P: geom.Point{0.1, 0.2}, Priority: 1}
+	stored := core.Item{ID: 7, P: pts[7]}
+	batch := []core.Item{a, a, sameIDNewPoint, samePointNewID, stored, sameIDNewPoint, a, newPriority, samePointNewID}
+	want := []core.Item{a, sameIDNewPoint, samePointNewID, newPriority}
+	if got := svc.filterUnique(batch); !reflect.DeepEqual(got, want) {
+		t.Fatalf("filterUnique = %v, want %v", got, want)
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	batch = batch[:0]
+	for i := 0; i < 500; i++ {
+		id := int32(rng.Intn(6))
+		p := geom.Point{float64(rng.Intn(4)) / 4, 0.5}
+		if rng.Intn(10) == 0 {
+			p = pts[id] // the stored item with this ID
+		}
+		batch = append(batch, core.Item{ID: id, P: p})
+	}
+	present := svc.tree.Contains(batch)
+	var ref []core.Item
+	for i, it := range batch {
+		dup := present[i]
+		for _, r := range ref {
+			dup = dup || core.ItemEq(r, it)
+		}
+		if !dup {
+			ref = append(ref, it)
+		}
+	}
+	if got := svc.filterUnique(batch); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("filterUnique = %v, want the all-pairs filter's %v", got, ref)
 	}
 }

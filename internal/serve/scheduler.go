@@ -345,25 +345,32 @@ func (s *Service) commit(dels, inss []core.Item) error {
 
 // filterUnique narrows a set-semantics write batch to the items that are
 // genuinely new: not already stored (exact ID + coordinates match) and not
-// duplicated within the batch. Only that subset is committed, so recovery
-// never replays an insert that execution skipped.
+// duplicated within the batch. Only that subset is committed, in
+// first-occurrence order, so recovery never replays an insert that
+// execution skipped.
 func (s *Service) filterUnique(items []core.Item) []core.Item {
 	present := s.tree.Contains(items)
 	applied := make([]core.Item, 0, len(items))
+	// Equal items share an ID, so an item is checked only against the
+	// accepted items of its own ID: newest[id] is 1 + the index in applied
+	// of the newest one, and older[i] that of the one accepted before
+	// applied[i] (0 = none).
+	newest := make(map[int32]int, len(items))
+	older := make([]int, 0, len(items))
 	for i, it := range items {
 		if present[i] {
 			continue
 		}
-		dup := false
-		for _, a := range applied {
-			if core.ItemEq(a, it) {
-				dup = true
-				break
-			}
+		j := newest[it.ID]
+		for j > 0 && !core.ItemEq(applied[j-1], it) {
+			j = older[j-1]
 		}
-		if !dup {
-			applied = append(applied, it)
+		if j > 0 {
+			continue
 		}
+		older = append(older, newest[it.ID])
+		applied = append(applied, it)
+		newest[it.ID] = len(applied)
 	}
 	return applied
 }
