@@ -131,7 +131,7 @@ func (w *walker) joinPair(id NodeID, probe *Tree, pid NodeID, r2 float64, out *[
 		return
 	}
 	if nd.leaf && pnd.leaf {
-		w.leaves++
+		w.r.leaves++
 		work := int64(len(nd.pts)) * int64(len(pnd.pts))
 		if w.touch(id) {
 			w.r.CPUWork(work)

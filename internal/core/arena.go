@@ -123,6 +123,9 @@ type Tree struct {
 	// the arena's capacity and cleared per batch, so a batch allocates
 	// nothing in proportion to the tree.
 	visits []atomic.Int32
+	// tallies are the walks' per-chunk meters (walker.r), one per chunk of
+	// the widest walk so far, reused by every walk.
+	tallies []*walkTally
 	// scratch holds LeafSearch's per-module wave buffers, reused across
 	// waves and batches.
 	scratch searchScratch
@@ -152,8 +155,8 @@ type OpStats struct {
 	// Hops, NodesVisited, LeavesTouched and Reported total the walkers of
 	// the irregular traversals (kNN/ANN, range, radius, aggregate, priority
 	// search, joins): off-chip hops of query state, node touches, leaf
-	// buckets scanned, and answer items produced. Walkers add to them
-	// atomically, once per query; read them between batches.
+	// buckets scanned, and answer items produced. A walk adds to them
+	// atomically, once per chunk of queries; read them between batches.
 	Hops, NodesVisited, LeavesTouched, Reported int64
 }
 

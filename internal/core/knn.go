@@ -28,14 +28,40 @@ func (t *Tree) ANN(qs []geom.Point, k int, eps float64) [][]heapx.Candidate {
 	}
 	shrink2 := (1 + eps) * (1 + eps)
 	leaves := t.LeafSearch(qs)
+	// Every query answers min(k, size) candidates.
+	want := min(k, t.size)
 	t.walk("core/knn:backtrack", len(qs), leaves, func(i int, w walker) {
-		q, best := qs[i], heapx.NewKBest(k)
+		q, best := qs[i], w.r.kbest(k)
 		w.nearest(leaves[i], q, best, shrink2)
 		w.backtrack(leaves[i], func(sib NodeID) { w.nearer(sib, q, best, shrink2) })
-		res[i] = best.Sorted()
+		res[i] = w.r.answers(i, want, best)
 		w.done(len(res[i]))
 	})
 	return res
+}
+
+// kbest returns the chunk's candidate set, empty, for k neighbours. It
+// allocates only when k differs from the last query's: a batch may mix k.
+func (tl *walkTally) kbest(k int) *heapx.KBest {
+	if tl.best == nil || tl.best.K() != k {
+		tl.best = heapx.NewKBest(k)
+	}
+	tl.best.Reset()
+	return tl.best
+}
+
+// answers drains best into the chunk's answer slab and returns query i's
+// answers as a slice of it that cannot grow into the next query's. When
+// the slab has no room left it is replaced by one sized for the rest of
+// the chunk at want answers a query, so a chunk whose queries all answer
+// want candidates allocates one slab of exactly (hi-lo)·want.
+func (tl *walkTally) answers(i, want int, best *heapx.KBest) []heapx.Candidate {
+	if cap(tl.slab)-len(tl.slab) < best.Len() {
+		tl.slab = make([]heapx.Candidate, 0, (tl.hi-i)*want)
+	}
+	lo := len(tl.slab)
+	tl.slab = best.SortedInto(tl.slab)
+	return tl.slab[lo:len(tl.slab):len(tl.slab)]
 }
 
 // nearest scans leaf id into best, or touches internal node id and explores

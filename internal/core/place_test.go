@@ -88,6 +88,22 @@ func TestBuildAndChurnAllocs(t *testing.T) {
 	t.Logf("%.2f mallocs per built point, %.2f per update op", perPoint, perOp)
 }
 
+// TestKNNAllocs gates the host garbage of a kNN batch at n = 2^12, P = 64,
+// 4096 queries and k = 8: at most 1.5 allocations per query. A chunk of
+// queries shares one candidate heap and one answer slab, and its walkers
+// meter into a tally the tree keeps between walks.
+func TestKNNAllocs(t *testing.T) {
+	const n, queries, k, maxPerQuery = 1 << 12, 4096, 8, 1.5
+	tree := New(Config{Dim: 2, Seed: 11}, pim.NewMachine(64, 1<<20))
+	tree.Build(makeTestItems(workload.Uniform(n, 2, 11), 0))
+	qs := workload.Uniform(queries, 2, 13)
+	perQuery := testing.AllocsPerRun(4, func() { tree.KNN(qs, k) }) / queries
+	if perQuery > maxPerQuery {
+		t.Errorf("kNN allocates %.2f times per query, want ≤ %v", perQuery, maxPerQuery)
+	}
+	t.Logf("%.2f mallocs per kNN query", perQuery)
+}
+
 // TestCachingReference runs twin trees through a Build, eight update
 // batches and a final FlushDelayed, one with the bitset caching pass and
 // one with the map-based pass it replaced, and requires the same placement

@@ -308,8 +308,9 @@ func (t *Tree) rebuildSubtree(v NodeID, r *pim.Round, batchS int) {
 	b := buildExactB(items, t.cfg.LeafSize, &ops)
 	p := t.mach.P()
 	if len(items) <= mathx.MaxInt(1024, 4*p*t.cfg.LeafSize) {
-		// Small rebuild: run on a single (hash-chosen) module.
-		mod := t.mach.Hash(t.salt ^ uint64(t.epoch)*0x9e3779b97f4a7c15)
+		// Small rebuild: run on a single module, hash-chosen per batch
+		// and subtree so a batch's small rebuilds spread over the modules.
+		mod := t.mach.Hash(pim.Mix64(t.salt^uint64(t.epoch)*0x9e3779b97f4a7c15) ^ uint64(v))
 		r.ModuleWork(mod, ops)
 	} else {
 		// Large rebuild: distributed construction — the CPU routes points

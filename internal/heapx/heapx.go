@@ -46,6 +46,9 @@ func NewKBest(k int) *KBest {
 	return &KBest{k: k, heap: make([]Candidate, 0, k)}
 }
 
+// K returns the set's capacity k.
+func (b *KBest) K() int { return b.k }
+
 // Reset empties the set, retaining capacity.
 func (b *KBest) Reset() { b.heap = b.heap[:0] }
 
@@ -100,7 +103,16 @@ func (b *KBest) Items() []Candidate { return b.heap }
 // Sorted returns the held candidates in ascending canonical (Dist2, ID)
 // order, consuming the heap (the set is empty afterwards).
 func (b *KBest) Sorted() []Candidate {
-	out := make([]Candidate, len(b.heap))
+	return b.SortedInto(make([]Candidate, 0, len(b.heap)))
+}
+
+// SortedInto appends the held candidates to dst in ascending canonical
+// (Dist2, ID) order and returns the extended slice, consuming the heap as
+// Sorted does. It allocates nothing when dst has room for Len candidates.
+func (b *KBest) SortedInto(dst []Candidate) []Candidate {
+	lo := len(dst)
+	dst = append(dst, b.heap...)
+	out := dst[lo:]
 	for i := len(b.heap) - 1; i >= 0; i-- {
 		out[i] = b.heap[0]
 		last := len(b.heap) - 1
@@ -110,7 +122,7 @@ func (b *KBest) Sorted() []Candidate {
 			b.siftDown(0)
 		}
 	}
-	return out
+	return dst
 }
 
 func (b *KBest) siftUp(i int) {

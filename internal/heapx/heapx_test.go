@@ -36,6 +36,36 @@ func TestKBestKeepsSmallest(t *testing.T) {
 	}
 }
 
+// TestKBestSortedInto: SortedInto appends exactly what Sorted returns,
+// leaves dst's earlier candidates alone, consumes the heap, and stays in
+// dst's array when it has room.
+func TestKBestSortedInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		k := 1 + rng.Intn(10)
+		a, b := NewKBest(k), NewKBest(k)
+		for i, n := 0, 1+rng.Intn(40); i < n; i++ {
+			d := float64(rng.Intn(20))
+			a.Offer(d, int32(i))
+			b.Offer(d, int32(i))
+		}
+		want := a.Sorted()
+		dst := append(make([]Candidate, 0, 1+k), Candidate{Dist2: -1, ID: -1})
+		got := b.SortedInto(dst)
+		if &got[0] != &dst[0] {
+			t.Fatal("SortedInto left a slab that had room")
+		}
+		if got[0].ID != -1 || len(got) != 1+len(want) || b.Len() != 0 {
+			t.Fatalf("SortedInto returned %v, heap left %d", got, b.Len())
+		}
+		for i, c := range want {
+			if g := got[1+i]; g.Dist2 != c.Dist2 || g.ID != c.ID {
+				t.Fatalf("SortedInto[%d] = %+v, Sorted %+v", i, g, c)
+			}
+		}
+	}
+}
+
 func TestKBestBound(t *testing.T) {
 	b := NewKBest(2)
 	if b.Bound() != maxFloat {

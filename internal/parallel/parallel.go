@@ -31,7 +31,7 @@ const grain = 2048
 func Procs() int { return runtime.GOMAXPROCS(0) }
 
 // chunkSpans is the shared chunking rule behind every blocked primitive
-// (ForChunked, ReduceInt, MaxInt, PrefixSum, CountingSortByKey): it
+// (ForChunks, ReduceInt, MaxInt, PrefixSum, CountingSortByKey): it
 // partitions [0, n) into `count` contiguous chunks of `size` iterations
 // (the last chunk may be short). count == 1 means "run sequentially".
 func chunkSpans(n int) (size, count int) {
@@ -51,11 +51,19 @@ func chunkSpans(n int) (size, count int) {
 	return size, count
 }
 
-// forChunks runs body(c, lo, hi) for every chunk of the chunkSpans layout,
-// in parallel across chunks, and returns the chunk count. Blocked
-// primitives that need per-chunk partial results use the chunk index c to
-// write into preallocated slots, keeping the combine step deterministic.
-func forChunks(n int, body func(c, lo, hi int)) int {
+// Chunks returns the number of chunks ForChunks splits [0, n) into under
+// the current GOMAXPROCS: the length of the per-chunk slots a caller
+// preallocates.
+func Chunks(n int) int {
+	_, count := chunkSpans(n)
+	return count
+}
+
+// ForChunks runs body(c, lo, hi) for every chunk of [0, n), in parallel
+// across chunks, and returns the chunk count; c runs over [0, Chunks(n)).
+// Callers that need per-chunk partial results use c to write into
+// preallocated slots, keeping the combine step deterministic.
+func ForChunks(n int, body func(c, lo, hi int)) int {
 	size, count := chunkSpans(n)
 	switch count {
 	case 0:
@@ -94,7 +102,7 @@ func For(n int, body func(i int)) {
 // ForChunked partitions [0, n) into contiguous chunks and runs body(lo, hi)
 // on each chunk, in parallel across chunks.
 func ForChunked(n int, body func(lo, hi int)) {
-	forChunks(n, func(_, lo, hi int) { body(lo, hi) })
+	ForChunks(n, func(_, lo, hi int) { body(lo, hi) })
 }
 
 // Do runs the given thunks concurrently and waits for all of them. It is the
@@ -131,7 +139,7 @@ func ReduceInt(n int, f func(i int) int) int {
 		return s
 	}
 	partials := make([]int, count)
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		s := 0
 		for i := lo; i < hi; i++ {
 			s += f(i)
@@ -162,7 +170,7 @@ func MaxInt(n int, f func(i int) int) int {
 		return m
 	}
 	partials := make([]int, count)
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		m := f(lo)
 		for i := lo + 1; i < hi; i++ {
 			if v := f(i); v > m {
@@ -198,7 +206,7 @@ func PrefixSum(xs []int) int {
 		return total
 	}
 	sums := make([]int, count)
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		s := 0
 		for i := lo; i < hi; i++ {
 			s += xs[i]
@@ -210,7 +218,7 @@ func PrefixSum(xs []int) int {
 		sums[c] = total
 		total += v
 	}
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		run := sums[c]
 		for i := lo; i < hi; i++ {
 			v := xs[i]
@@ -357,7 +365,7 @@ func CountingSortByKey[T any](items []T, buckets int, key func(t T) int) (sorted
 		return countingSortSeq(items, buckets, key)
 	}
 	keys := make([]int32, n)
-	forChunks(n, func(_, lo, hi int) {
+	ForChunks(n, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			keys[i] = int32(key(items[i]))
 		}
@@ -366,7 +374,7 @@ func CountingSortByKey[T any](items []T, buckets int, key func(t T) int) (sorted
 	// prefix sum over this bucket-major layout yields, in one shot, every
 	// (bucket, chunk) write cursor and hence the stable placement.
 	flat := make([]int, buckets*count)
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			flat[int(keys[i])*count+c]++
 		}
@@ -379,7 +387,7 @@ func CountingSortByKey[T any](items []T, buckets int, key func(t T) int) (sorted
 	}
 	offsets[buckets] = n
 	sorted = make([]T, n)
-	forChunks(n, func(c, lo, hi int) {
+	ForChunks(n, func(c, lo, hi int) {
 		cur := make([]int, buckets)
 		for b := 0; b < buckets; b++ {
 			cur[b] = flat[b*count+c]

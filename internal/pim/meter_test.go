@@ -66,6 +66,63 @@ func TestChargeAllEqualsPerModuleLoop(t *testing.T) {
 	}
 }
 
+// TestTallyFoldEqualsRoundMeters meters one round's traffic from four
+// goroutines twice: straight into the round, and into one tally per
+// goroutine that each folds once at its end. Both must meter the same
+// totals, per-module loads and records, and a reset tally folds nothing.
+func TestTallyFoldEqualsRoundMeters(t *testing.T) {
+	const workers = 4
+	traffic := func(g, p int, transfer, work func(mod int, n int64), cpu func(int64)) {
+		for i := 0; i < 50; i++ {
+			mod := (g*13 + i*7) % p
+			transfer(mod, int64(i%5))
+			work(mod, int64(g+1))
+			cpu(int64(i % 2))
+		}
+	}
+	for _, p := range []int{1, 7, 64} {
+		run := func(meter func(r *Round, g int)) (Snapshot, []RoundRecord) {
+			m := NewMachine(p, 16)
+			obs := &recordingObserver{}
+			m.SetObserver(obs)
+			for round := 0; round < 2; round++ {
+				m.RunRound(func(r *Round) {
+					var wg sync.WaitGroup
+					wg.Add(workers)
+					for g := 0; g < workers; g++ {
+						go func(g int) {
+							defer wg.Done()
+							meter(r, g)
+						}(g)
+					}
+					wg.Wait()
+				})
+			}
+			recs := obs.records()
+			for i := range recs {
+				recs[i].Start, recs[i].Wall = time.Time{}, 0
+			}
+			return m.SnapshotStats(), recs
+		}
+		snap, recs := run(func(r *Round, g int) {
+			tl := NewTally(p)
+			traffic(g, p, tl.Transfer, tl.ModuleWork, tl.CPUWork)
+			r.Fold(tl)
+			tl.Reset()
+			r.Fold(tl)
+		})
+		wantSnap, wantRecs := run(func(r *Round, g int) {
+			traffic(g, p, r.Transfer, r.ModuleWork, r.CPUWork)
+		})
+		if !reflect.DeepEqual(snap, wantSnap) {
+			t.Errorf("P=%d: folded tallies meter %+v, the round's meters %+v", p, snap, wantSnap)
+		}
+		if !reflect.DeepEqual(recs, wantRecs) {
+			t.Errorf("P=%d: folded tallies record %+v, the round's meters %+v", p, recs, wantRecs)
+		}
+	}
+}
+
 func TestMachineTotalsMoveAtFinish(t *testing.T) {
 	// The last module's program blocks after metering, once every other
 	// module's program has metered. Until the round finishes, the machine

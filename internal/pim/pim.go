@@ -23,7 +23,8 @@
 // at the barrier, in the same pass that takes the per-module maxima. The
 // machine-wide totals therefore move only at round boundaries, and a
 // metering call costs one uncontended add however many workers share the
-// round. Round.ChargeAll charges all P modules with one call.
+// round. Round.ChargeAll charges all P modules with one call, and
+// Round.Fold adds a Tally, a worker's private meters, in one call.
 package pim
 
 import (
@@ -490,6 +491,57 @@ func (r *Round) Transfer(mod int, words int64) {
 // meters into the round only, until Finish.
 func (r *Round) ModuleWork(mod int, n int64) { r.modWork[mod].Add(n) }
 
+// Tally is a private set of round meters: P module work words, P module
+// communication words and CPU work, written without atomics by one
+// goroutine. A parallel traversal gives each of its chunks a tally and
+// folds it into the round once, when the chunk ends (Round.Fold), instead
+// of adding to the round's shared meters at every node touch. Its metering
+// methods charge exactly what the Round methods of the same name would.
+type Tally struct {
+	work, comm []int64
+	cpu        int64
+}
+
+// NewTally returns an empty tally for a machine of p modules.
+func NewTally(p int) *Tally {
+	return &Tally{work: make([]int64, p), comm: make([]int64, p)}
+}
+
+// Reset empties the tally.
+func (t *Tally) Reset() {
+	clear(t.work)
+	clear(t.comm)
+	t.cpu = 0
+}
+
+// Transfer logs words moved between the CPU and module mod.
+func (t *Tally) Transfer(mod int, words int64) { t.comm[mod] += words }
+
+// ModuleWork logs n units of PIM-core work on module mod.
+func (t *Tally) ModuleWork(mod int, n int64) { t.work[mod] += n }
+
+// CPUWork logs n units of CPU computation.
+func (t *Tally) CPUWork(n int64) { t.cpu += n }
+
+// Fold adds everything t metered to the round; like Transfer and
+// ModuleWork it meters into the round only, until Finish. Concurrent Folds
+// of distinct tallies are safe. t is left as it was.
+func (r *Round) Fold(t *Tally) {
+	for i, w := range t.work {
+		if w != 0 {
+			r.modWork[i].Add(w)
+		}
+	}
+	for i, c := range t.comm {
+		if c != 0 {
+			r.modComm[i].Add(c)
+		}
+	}
+	if t.cpu != 0 {
+		r.cpuW.Add(t.cpu)
+	}
+}
+
 // ChargeAll charges every module words of off-chip communication and work
 // units of PIM work in O(1): a broadcast to all P modules, or a computation
 // spread evenly over them. It meters exactly what a loop of Transfer(m,
@@ -521,24 +573,12 @@ func (c *ModuleCtx) Work(n int64) { c.r.modWork[c.mod].Add(n) }
 // writing results into a staging buffer the CPU reads).
 func (c *ModuleCtx) Transfer(words int64) { c.r.Transfer(c.mod, words) }
 
-// FaultKind classifies a contained module fault. The machine injects no
-// faults, so FaultPanic is the only kind.
-type FaultKind int
-
-// FaultPanic is a panic recovered from a module program: a bug, whose
-// program may have had partial side effects.
-const FaultPanic FaultKind = 0
-
 // ModuleFault is a panic recovered from a module program. OnModules
 // re-raises it, as a panic value, on the goroutine driving the round once
 // every module program of the run has returned, so a buggy program never
 // kills the process from a worker goroutine and callers (the serving
 // layer's batch executor) can recover it.
 type ModuleFault struct {
-	// Kind is always FaultPanic and Injected always false; both stay for
-	// callers that check them.
-	Kind     FaultKind
-	Injected bool
 	// Module is the id of the module whose program panicked.
 	Module int
 	// Reason is the recovered panic value.
@@ -646,7 +686,7 @@ func (run *moduleRun) work() {
 func (run *moduleRun) runSlot(s *moduleSlot) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.fault = &ModuleFault{Kind: FaultPanic, Module: s.ctx.mod, Reason: p, Stack: debug.Stack()}
+			s.fault = &ModuleFault{Module: s.ctx.mod, Reason: p, Stack: debug.Stack()}
 		}
 	}()
 	run.fn(&s.ctx)

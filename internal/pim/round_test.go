@@ -32,7 +32,7 @@ func TestModulePanicOthersStillRun(t *testing.T) {
 	if !errors.As(err, &mf) {
 		t.Fatalf("expected *ModuleFault, got %v", err)
 	}
-	if mf.Kind != FaultPanic || mf.Module != k || mf.Injected {
+	if mf.Module != k {
 		t.Fatalf("wrong fault: %+v", mf)
 	}
 	for mod := range ran {
