@@ -46,11 +46,10 @@ func DPCShared(pts []geom.Point, par DPCParams, seed int64) (DPCResult, DPCShare
 	}
 
 	// Priority-search kd-tree for dependent points.
-	prItems := make([]prioritykd.Item, n)
-	for i, p := range pts {
-		prItems[i] = prioritykd.Item{P: p, Priority: float64(res.Density[i]), ID: int32(i)}
+	for i := range items {
+		items[i].Priority = float64(res.Density[i])
 	}
-	pt := prioritykd.New(prItems, 8)
+	pt := prioritykd.New(items, 8)
 	for i := range pts {
 		id, d2 := pt.NearestHigher(pts[i], float64(res.Density[i]), int32(i))
 		res.DependentID[i] = id

@@ -18,20 +18,13 @@
 package core
 
 import (
-	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/mathx"
 )
 
-// Item is a point plus an opaque identifier, the unit stored in the tree.
-// Priority is an optional augmentation used by the priority-search variant
-// (§6.1): internal nodes track the maximum (Priority, ID) pair of their
-// subtree, enabling nearest-higher-priority queries for density peak
-// clustering. Leave it zero when unused.
-type Item struct {
-	P        geom.Point
-	ID       int32
-	Priority float64
-}
+// Item is a point plus an opaque identifier, the unit stored in the tree;
+// see kd.Item. Priority feeds the priority-search augmentation (§6.1).
+type Item = kd.Item
 
 // Config parameterizes a PIM-kd-tree.
 type Config struct {

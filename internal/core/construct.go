@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
 	"pimkd/internal/pim"
@@ -58,14 +59,13 @@ func (t *Tree) Build(items []Item) {
 	for i := range sample {
 		sample[i] = own[t.rng.Intn(n)]
 	}
-	var sketchOps int64
-	sk, buckets := buildSketch(sample, p, &sketchOps)
+	sk, buckets, sketchOps := kd.BuildSketch(sample, p, kd.ExactSplit)
 	depth := mathx.CeilLog2(buckets) + 1
 	// Stable parallel scatter: bucket b's slice holds its points in input
 	// order, exactly as the sequential append loop produced, so the
 	// per-module builds (and their metered costs) are unchanged.
 	scattered, offs := parallel.CountingSortByKey(own, buckets, func(it Item) int {
-		return sk.route(it.P)
+		return sk.Route(it.P)
 	})
 	parts := make([][]Item, buckets)
 	for m := 0; m < buckets; m++ {
@@ -113,94 +113,21 @@ func (t *Tree) Build(items []Item) {
 	})
 }
 
-// sketchNode is a node of the in-cache construction sketch; bucket leaves
-// (l == nil) name the module bucket their subspace maps to.
-type sketchNode struct {
-	axis   int32
-	split  float64
-	l, r   *sketchNode
-	bucket int
-}
-
-func (s *sketchNode) route(p []float64) int {
-	for s.l != nil {
-		if p[s.axis] < s.split {
-			s = s.l
-		} else {
-			s = s.r
-		}
-	}
-	return s.bucket
-}
-
-// buildSketch builds a sketch with up to `slots` bucket leaves over the
-// sample, splitting object-medians on the widest axis. It returns the
-// sketch and the number of buckets actually created (degenerate samples
-// create fewer).
-func buildSketch(sample []Item, slots int, ops *int64) (*sketchNode, int) {
-	next := 0
-	box := scratchBox(len(sample[0].P))
-	var rec func(items []Item, coords []float64, slots int) *sketchNode
-	rec = func(items []Item, coords []float64, slots int) *sketchNode {
-		*ops += int64(len(items))
-		if slots == 1 || len(items) < 2 {
-			b := &sketchNode{bucket: next}
-			next++
-			return b
-		}
-		itemsBox(items, box)
-		axis, split, ok := exactSplit(items, box, coords)
-		if !ok {
-			b := &sketchNode{bucket: next}
-			next++
-			return b
-		}
-		i, j := 0, len(items)-1
-		for i <= j {
-			if items[i].P[axis] < split {
-				i++
-			} else {
-				items[i], items[j] = items[j], items[i]
-				j--
-			}
-		}
-		return &sketchNode{
-			axis:  int32(axis),
-			split: split,
-			l:     rec(items[:i], coords[:i], slots/2),
-			r:     rec(items[i:], coords[i:], slots-slots/2),
-		}
-	}
-	root := rec(sample, make([]float64, len(sample)), slots)
-	return root, next
-}
-
 // stitchSketch replaces the sketch's bucket leaves with the module-built
 // subtrees, collapsing empty sides and recomputing sizes and boxes.
-func stitchSketch(s *sketchNode, parts []*bnode) *bnode {
-	if s.l == nil {
-		return parts[s.bucket]
+func stitchSketch(s *kd.Sketch, parts []*bnode) *bnode {
+	if s.L == nil {
+		return parts[s.Bucket]
 	}
-	l := stitchSketch(s.l, parts)
-	r := stitchSketch(s.r, parts)
+	l := stitchSketch(s.L, parts)
+	r := stitchSketch(s.R, parts)
 	if l == nil {
 		return r
 	}
 	if r == nil {
 		return l
 	}
-	b := &bnode{
-		axis:  s.axis,
-		split: s.split,
-		l:     l,
-		r:     r,
-		size:  l.size + r.size,
-	}
-	b.maxPri, b.maxPriID = l.maxPri, l.maxPriID
-	if priLess(b.maxPri, b.maxPriID, r.maxPri, r.maxPriID) {
-		b.maxPri, b.maxPriID = r.maxPri, r.maxPriID
-	}
-	return b
+	return joinB(s.Axis, s.Split, l, r)
 }
 
 func countB(b *bnode) int {

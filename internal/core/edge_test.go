@@ -147,7 +147,7 @@ func TestNewPanicsOnBadDim(t *testing.T) {
 }
 
 // TestDimensionSweep checks structure, leaf routing and kNN in 1 to 5
-// dimensions and in 20, above the 16 axes exactSplit orders without
+// dimensions and in 20, above the 16 axes kd.ExactSplit orders without
 // allocating.
 func TestDimensionSweep(t *testing.T) {
 	for _, dim := range []int{1, 2, 3, 4, 5, 20} {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/pim"
 )
 
@@ -14,8 +15,8 @@ type PartitionedTree struct {
 	mach     *pim.Machine
 	dim      int
 	leafSize int
-	top      *sketchNode // CPU-resident routing levels
-	subs     []*bnode    // subs[m] lives on module m
+	top      *kd.Sketch // CPU-resident routing levels
+	subs     []*bnode   // subs[m] lives on module m
 }
 
 // NewPartitioned builds a partitioned tree over items on machine mach.
@@ -30,12 +31,11 @@ func NewPartitioned(dim, leafSize int, mach *pim.Machine, items []Item) *Partiti
 		return pt
 	}
 	p := mach.P()
-	var ops int64
-	top, buckets := buildSketch(own, p, &ops)
+	top, buckets, ops := kd.BuildSketch(own, p, kd.ExactSplit)
 	pt.top = top
 	parts := make([][]Item, buckets)
 	for _, it := range own {
-		b := top.route(it.P)
+		b := top.Route(it.P)
 		parts[b] = append(parts[b], it)
 	}
 	mach.CPUPhase(ops+int64(len(own)), int64(len(own)/p+1))
@@ -71,7 +71,7 @@ func (pt *PartitionedTree) LeafSearch(qs []geom.Point) []int {
 	p := pt.mach.P()
 	perMod := make([][]int, len(pt.subs))
 	for i, q := range qs {
-		b := pt.top.route(q)
+		b := pt.top.Route(q)
 		perMod[b] = append(perMod[b], i)
 	}
 	pt.mach.CPUPhase(int64(len(qs)), int64(len(qs)/p+1))

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 )
 
 // Dependent is the result of one nearest-higher-priority query: the ID of
@@ -52,7 +53,7 @@ func (w *walker) higher(id NodeID, q *Item, best *Dependent) {
 	nd := w.t.nd(id)
 	if nd.leaf {
 		for _, it := range w.scan(id) {
-			if !priLess(q.Priority, q.ID, it.Priority, it.ID) {
+			if !kd.PriLess(q.Priority, q.ID, it.Priority, it.ID) {
 				continue
 			}
 			if d2 := geom.Dist2(q.P, it.P); d2 < best.Dist {
@@ -74,7 +75,7 @@ func (w *walker) higher(id NodeID, q *Item, best *Dependent) {
 // and its cell is closer than the best found so far.
 func (w *walker) higherIn(id NodeID, q *Item, best *Dependent) {
 	nd := w.t.nd(id)
-	if !priLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || w.t.box(id).Dist2ToPoint(q.P) >= best.Dist {
+	if !kd.PriLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || w.t.box(id).Dist2ToPoint(q.P) >= best.Dist {
 		return
 	}
 	w.higher(id, q, best)

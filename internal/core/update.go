@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
 	"pimkd/internal/pim"
@@ -64,7 +65,7 @@ func (t *Tree) BatchInsert(items []Item) {
 			// Overflow is a monotone condition under appends (len only
 			// grows; an indivisible leaf only becomes divisible), so the
 			// final-state check equals the old per-append check.
-			if len(nd.pts) > t.cfg.LeafSize && !t.indivisibleLeaf(leafID) {
+			if len(nd.pts) > t.cfg.LeafSize && !kd.Indivisible(nd.pts) {
 				overflow[leafID] = true
 			}
 		}
@@ -234,22 +235,8 @@ func (t *Tree) balanceViolated(id NodeID) bool {
 	if nd.stuck {
 		return false
 	}
-	return !t.indivisibleLeaf(bigID)
-}
-
-// indivisibleLeaf reports whether id is a leaf whose points are all
-// identical.
-func (t *Tree) indivisibleLeaf(id NodeID) bool {
-	nd := t.nd(id)
-	if !nd.leaf || len(nd.pts) == 0 {
-		return false
-	}
-	for _, it := range nd.pts[1:] {
-		if !it.P.Equal(nd.pts[0].P) {
-			return false
-		}
-	}
-	return true
+	bn := t.nd(bigID)
+	return !bn.leaf || !kd.Indivisible(bn.pts)
 }
 
 // maximalSet drops every candidate that has a strict ancestor in the set,

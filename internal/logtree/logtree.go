@@ -19,9 +19,12 @@ import (
 type Forest struct {
 	cfg    pkdtree.Config
 	levels []*pkdtree.Tree // levels[i] is nil or holds ~2^i·LeafSize items
-	dead   map[int32]bool  // tombstoned item IDs
-	size   int             // live item count
-	Meter  Meter
+	// tomb maps each tombstoned ID to the point of its dead resident copy.
+	// The forest holds at most one resident copy per ID: re-inserting a
+	// tombstoned ID first purges the dead copy.
+	tomb  map[int32]geom.Point
+	size  int // live item count
+	Meter Meter
 }
 
 // Meter aggregates the forest's cost metrics (the underlying static trees'
@@ -39,7 +42,7 @@ type Meter struct {
 
 // New creates an empty forest; cfg configures the static trees.
 func New(cfg pkdtree.Config) *Forest {
-	return &Forest{cfg: cfg, dead: make(map[int32]bool)}
+	return &Forest{cfg: cfg, tomb: make(map[int32]geom.Point)}
 }
 
 // Size returns the number of live items.
@@ -58,15 +61,14 @@ func (f *Forest) NodeVisits() int64 {
 }
 
 // BatchInsert inserts items, cascading merges so that level i holds either
-// nothing or a static tree of roughly 2^i · batch granularity.
+// nothing or a static tree of roughly 2^i · batch granularity. An item's
+// ID must not be live in the forest already; a tombstoned ID may return.
 func (f *Forest) BatchInsert(items []Item) {
 	if len(items) == 0 {
 		return
 	}
-	pending := make([]pkdtree.Item, len(items))
-	for i, it := range items {
-		pending[i] = pkdtree.Item(it)
-	}
+	f.purge(items)
+	pending := append([]Item(nil), items...)
 	f.size += len(items)
 	level := 0
 	for {
@@ -103,18 +105,49 @@ func maxInt(a, b int) int {
 // Item mirrors pkdtree.Item for the public API of the forest.
 type Item = pkdtree.Item
 
-// BatchDelete tombstones the given item IDs; a global rebuild compacts the
+// purge physically removes the dead resident copy of every tombstoned ID
+// that items re-insert, so the tombstone cannot hide the new copy and the
+// dead copy cannot come back to life.
+func (f *Forest) purge(items []Item) {
+	var gone []Item
+	for _, it := range items {
+		if p, ok := f.tomb[it.ID]; ok {
+			gone = append(gone, Item{P: p, ID: it.ID})
+			delete(f.tomb, it.ID)
+		}
+	}
+	if len(gone) == 0 {
+		return
+	}
+	for i, t := range f.levels {
+		if t != nil {
+			t.BatchDelete(gone)
+			if t.Size() == 0 {
+				f.levels[i] = nil
+			}
+		}
+	}
+}
+
+// BatchDelete tombstones the given items (matched by coordinates + ID);
+// items not live in the forest are ignored. A global rebuild compacts the
 // forest once tombstones reach half the stored items.
 func (f *Forest) BatchDelete(items []Item) {
 	for _, it := range items {
-		if !f.dead[it.ID] {
-			f.dead[it.ID] = true
+		if f.Contains(it) {
+			f.tomb[it.ID] = it.P
 			f.size--
 		}
 	}
-	if len(f.dead) > f.size {
+	if len(f.tomb) > f.size {
 		f.compact()
 	}
+}
+
+// dead reports whether id is tombstoned.
+func (f *Forest) dead(id int32) bool {
+	_, ok := f.tomb[id]
+	return ok
 }
 
 // compact rebuilds the whole forest without tombstoned items.
@@ -125,13 +158,13 @@ func (f *Forest) compact() {
 			continue
 		}
 		for _, it := range t.Items() {
-			if !f.dead[it.ID] {
+			if !f.dead(it.ID) {
 				live = append(live, it)
 			}
 		}
 	}
 	f.levels = nil
-	f.dead = make(map[int32]bool)
+	f.tomb = make(map[int32]geom.Point)
 	f.size = 0
 	f.Meter.GlobalRebuilds++
 	if len(live) > 0 {
@@ -151,7 +184,7 @@ func (f *Forest) LeafSearch(q geom.Point) (items []Item, depth int) {
 		pts, d := t.LeafSearch(q)
 		depth += d
 		for _, it := range pts {
-			if !f.dead[it.ID] {
+			if !f.dead(it.ID) {
 				items = append(items, it)
 			}
 		}
@@ -161,7 +194,7 @@ func (f *Forest) LeafSearch(q geom.Point) (items []Item, depth int) {
 
 // Contains reports whether the item is live in the forest.
 func (f *Forest) Contains(it Item) bool {
-	if f.dead[it.ID] {
+	if f.dead(it.ID) {
 		return false
 	}
 	for _, t := range f.levels {
@@ -182,9 +215,9 @@ func (f *Forest) KNN(q geom.Point, k int) []heapx.Candidate {
 		f.Meter.TreesTouched++
 		// Over-fetch by the live tombstone count so dead candidates can
 		// never crowd out a live true neighbor.
-		fetch := k + len(f.dead)
+		fetch := k + len(f.tomb)
 		for _, c := range t.KNN(q, fetch) {
-			if !f.dead[c.ID] {
+			if !f.dead(c.ID) {
 				best.Offer(c.Dist2, c.ID)
 			}
 		}
@@ -201,7 +234,7 @@ func (f *Forest) RangeReport(box geom.Box) []Item {
 		}
 		f.Meter.TreesTouched++
 		for _, it := range t.RangeReport(box) {
-			if !f.dead[it.ID] {
+			if !f.dead(it.ID) {
 				out = append(out, it)
 			}
 		}

@@ -2,6 +2,7 @@ package logtree
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 
@@ -144,4 +145,134 @@ func bruteKNNIDs(items []Item, q geom.Point, k int) []float64 {
 	}
 	sort.Float64s(ds)
 	return ds[:k]
+}
+
+// TestLiveSetMatchesLedger drives mixed batches (fresh inserts, re-inserts
+// of deleted IDs at their old or a new point, deletes of live items,
+// already-deleted items, never-inserted IDs and live IDs at a wrong point)
+// and checks after every batch that the forest's live multiset equals a
+// brute-force ledger: Size, a full-space RangeReport, Contains and KNN.
+func TestLiveSetMatchesLedger(t *testing.T) {
+	// The smallest case: an absent delete must not count, and a deleted
+	// item that comes back must be found again.
+	f := New(pkdtree.Config{Dim: 2, Seed: 1})
+	items := makeItems(workload.Uniform(100, 2, 1), 0)
+	f.BatchInsert(items)
+	f.BatchDelete([]Item{{P: geom.Point{0.5, 0.5}, ID: 1000}})
+	if f.Size() != 100 {
+		t.Fatalf("deleting an absent ID: size %d, want 100", f.Size())
+	}
+	f.BatchDelete(items[5:6])
+	f.BatchInsert(items[5:6])
+	if !f.Contains(items[5]) {
+		t.Fatal("re-inserted item 5 is not found")
+	}
+	if got := f.KNN(items[5].P, 1); len(got) != 1 || got[0].ID != 5 || got[0].Dist2 != 0 {
+		t.Fatalf("KNN at item 5's point: %+v", got)
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	f = New(pkdtree.Config{Dim: 2, Seed: 2})
+	ledger := map[int32]geom.Point{}
+	var gone []Item // deleted, not yet re-inserted
+	next := int32(0)
+	for step := 0; step < 60; step++ {
+		if rng.Intn(2) == 0 || len(ledger) == 0 {
+			var batch []Item
+			for i := rng.Intn(80) + 1; i > 0; i-- {
+				if len(gone) > 0 && rng.Intn(3) == 0 {
+					j := rng.Intn(len(gone))
+					it := gone[j]
+					gone = append(gone[:j], gone[j+1:]...)
+					if rng.Intn(2) == 0 {
+						it.P = geom.Point{rng.Float64(), rng.Float64()}
+					}
+					batch = append(batch, it)
+					continue
+				}
+				batch = append(batch, Item{P: geom.Point{rng.Float64(), rng.Float64()}, ID: next})
+				next++
+			}
+			f.BatchInsert(batch)
+			for _, it := range batch {
+				ledger[it.ID] = it.P
+			}
+		} else {
+			var batch []Item
+			for i := rng.Intn(60) + 1; i > 0; i-- {
+				switch rng.Intn(4) {
+				case 0: // never inserted
+					batch = append(batch, Item{P: geom.Point{rng.Float64(), rng.Float64()}, ID: 1<<20 + int32(rng.Intn(100))})
+				case 1: // already deleted, or a live ID at a wrong point
+					if len(gone) > 0 && rng.Intn(2) == 0 {
+						batch = append(batch, gone[rng.Intn(len(gone))])
+					} else {
+						batch = append(batch, Item{P: geom.Point{2, 2}, ID: int32(rng.Intn(int(next) + 1))})
+					}
+				default: // live
+					id := int32(rng.Intn(int(next) + 1))
+					if p, ok := ledger[id]; ok {
+						batch = append(batch, Item{P: p, ID: id})
+					}
+				}
+			}
+			f.BatchDelete(batch)
+			for _, it := range batch {
+				if p, ok := ledger[it.ID]; ok && p.Equal(it.P) {
+					delete(ledger, it.ID)
+					gone = append(gone, it)
+				}
+			}
+		}
+		checkLedger(t, step, f, ledger, gone, rng)
+	}
+}
+
+func checkLedger(t *testing.T, step int, f *Forest, ledger map[int32]geom.Point, gone []Item, rng *rand.Rand) {
+	t.Helper()
+	if f.Size() != len(ledger) {
+		t.Fatalf("step %d: size %d, ledger %d", step, f.Size(), len(ledger))
+	}
+	got := f.RangeReport(geom.NewBox(geom.Point{-1, -1}, geom.Point{3, 3}))
+	if len(got) != len(ledger) {
+		t.Fatalf("step %d: full-space range reports %d items, ledger %d", step, len(got), len(ledger))
+	}
+	seen := map[int32]bool{}
+	for _, it := range got {
+		if p, ok := ledger[it.ID]; !ok || !p.Equal(it.P) || seen[it.ID] {
+			t.Fatalf("step %d: reported item %d at %v is not live once in the ledger", step, it.ID, it.P)
+		}
+		seen[it.ID] = true
+	}
+	for id, p := range ledger {
+		if !f.Contains(Item{P: p, ID: id}) {
+			t.Fatalf("step %d: live item %d not found", step, id)
+		}
+	}
+	for _, it := range gone {
+		if _, back := ledger[it.ID]; !back && f.Contains(it) {
+			t.Fatalf("step %d: deleted item %d still found", step, it.ID)
+		}
+	}
+	live := make([]Item, 0, len(ledger))
+	for id, p := range ledger {
+		live = append(live, Item{P: p, ID: id})
+	}
+	k := 4
+	if len(live) < k {
+		k = len(live)
+	}
+	for i := 0; i < 5; i++ {
+		q := geom.Point{rng.Float64(), rng.Float64()}
+		res := f.KNN(q, k)
+		want := bruteKNNIDs(live, q, k)
+		if len(res) != k {
+			t.Fatalf("step %d: KNN returned %d, want %d", step, len(res), k)
+		}
+		for r := range res {
+			if res[r].Dist2 != want[r] {
+				t.Fatalf("step %d: KNN rank %d dist² %g, want %g", step, r, res[r].Dist2, want[r])
+			}
+		}
+	}
 }

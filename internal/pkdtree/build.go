@@ -2,11 +2,10 @@ package pkdtree
 
 import (
 	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/parallel"
 	"pimkd/internal/pim"
 )
@@ -25,16 +24,8 @@ func (t *Tree) buildSeeded(items []Item, seed uint64) *node {
 	if n == 0 {
 		return nil
 	}
-	atomic.AddInt64(&t.Meter.PointOps, int64(n))
-	if n*t.cfg.Dim > t.cfg.CacheM {
-		// This pass streams the working set through the cache.
-		atomic.AddInt64(&t.Meter.CacheXfers, int64(n))
-	}
-	if n <= t.cfg.LeafSize {
-		return newLeaf(items)
-	}
-	box := itemsBox(items)
-	if _, w := box.LongestAxis(); w == 0 {
+	t.meterPass(n)
+	if n <= t.cfg.LeafSize || kd.Indivisible(items) {
 		// All points identical: an oversized leaf is the only legal shape.
 		return newLeaf(items)
 	}
@@ -55,18 +46,13 @@ func (t *Tree) buildSeeded(items []Item, seed uint64) *node {
 	for i := range sample {
 		sample[i] = items[rng.Intn(n)]
 	}
-
-	sk := buildSkeleton(sample, h)
-	if sk == nil {
-		return t.buildExact(items, box)
-	}
+	sk, nb, _ := kd.BuildSketch(sample, 1<<h, kd.MedianSplit)
 
 	// Flush all items through the skeleton into buckets with a stable
 	// parallel scatter (bucket contents and order match the sequential
 	// append loop exactly).
-	nb := countBuckets(sk)
 	scattered, offs := parallel.CountingSortByKey(items, nb, func(it Item) int {
-		return sk.route(it.P)
+		return sk.Route(it.P)
 	})
 	buckets := make([][]Item, nb)
 	for b := 0; b < nb; b++ {
@@ -77,7 +63,7 @@ func (t *Tree) buildSeeded(items []Item, seed uint64) *node {
 		if len(b) == n {
 			// No progress (heavy duplicates defeated the sample): fall back
 			// to the exact object-median build.
-			return t.buildExact(items, box)
+			return t.buildExact(items)
 		}
 	}
 
@@ -90,166 +76,35 @@ func (t *Tree) buildSeeded(items []Item, seed uint64) *node {
 	return t.assemble(sk, built)
 }
 
+// meterPass charges a construction or rebuild pass over n points: n point
+// operations, plus n streaming transfers when the working set exceeds the
+// cache.
+func (t *Tree) meterPass(n int) {
+	atomic.AddInt64(&t.Meter.PointOps, int64(n))
+	if n*t.cfg.Dim > t.cfg.CacheM {
+		atomic.AddInt64(&t.Meter.CacheXfers, int64(n))
+	}
+}
+
 // newLeaf wraps items into a leaf node (items must be non-empty). The
 // bucket copies the input so that later appends to one leaf can never
 // scribble over a sibling leaf sharing the same partition backing array.
 func newLeaf(items []Item) *node {
 	pts := make([]Item, len(items))
 	copy(pts, items)
-	return &node{size: len(pts), box: itemsBox(pts), pts: pts}
-}
-
-// itemsBox computes the tight bounding box, scanning chunks in parallel
-// for large inputs; float64 min/max merges are exact and commutative, so
-// the result is bit-identical to the sequential scan.
-func itemsBox(items []Item) geom.Box {
-	if len(items) >= 4096 {
-		var mu sync.Mutex
-		var out geom.Box
-		first := true
-		parallel.ForChunked(len(items), func(lo, hi int) {
-			b := itemsBoxSeq(items[lo:hi])
-			mu.Lock()
-			if first {
-				out, first = b, false
-			} else {
-				out = unionBox(out, b)
-			}
-			mu.Unlock()
-		})
-		return out
-	}
-	return itemsBoxSeq(items)
-}
-
-func itemsBoxSeq(items []Item) geom.Box {
-	lo := items[0].P.Clone()
-	hi := items[0].P.Clone()
-	for _, it := range items[1:] {
-		for d := range it.P {
-			if it.P[d] < lo[d] {
-				lo[d] = it.P[d]
-			}
-			if it.P[d] > hi[d] {
-				hi[d] = it.P[d]
-			}
-		}
-	}
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// skel is a treelet skeleton node. Leaf skeleton nodes (l == nil) are bucket
-// slots identified by bucket.
-type skel struct {
-	axis   int
-	split  float64
-	l, r   *skel
-	bucket int
-}
-
-func (s *skel) route(p geom.Point) int {
-	for s.l != nil {
-		if routeLeft(p[s.axis], s.split) {
-			s = s.l
-		} else {
-			s = s.r
-		}
-	}
-	return s.bucket
-}
-
-func countBuckets(s *skel) int {
-	next := 0
-	var number func(s *skel)
-	number = func(s *skel) {
-		if s.l == nil {
-			s.bucket = next
-			next++
-			return
-		}
-		number(s.l)
-		number(s.r)
-	}
-	number(s)
-	return next
-}
-
-// buildSkeleton builds h levels of splits from the sample. It returns nil if
-// no valid split exists at the top (degenerate sample).
-func buildSkeleton(sample []Item, h int) *skel {
-	if h == 0 || len(sample) < 2 {
-		return &skel{}
-	}
-	box := itemsBox(sample)
-	axis, split, ok := medianSplit(sample, box)
-	if !ok {
-		return &skel{}
-	}
-	var left, right []Item
-	for _, it := range sample {
-		if routeLeft(it.P[axis], split) {
-			left = append(left, it)
-		} else {
-			right = append(right, it)
-		}
-	}
-	return &skel{
-		axis:  axis,
-		split: split,
-		l:     buildSkeleton(left, h-1),
-		r:     buildSkeleton(right, h-1),
-	}
-}
-
-// medianSplit picks the widest positive-width axis of box and the sample
-// median along it, adjusted so both sides of the split are non-empty under
-// the (v < split → left) routing rule. ok is false when every axis is
-// degenerate.
-func medianSplit(sample []Item, box geom.Box) (axis int, split float64, ok bool) {
-	type axisWidth struct {
-		axis  int
-		width float64
-	}
-	dims := make([]axisWidth, len(box.Lo))
-	for d := range box.Lo {
-		dims[d] = axisWidth{d, box.Hi[d] - box.Lo[d]}
-	}
-	sort.Slice(dims, func(i, j int) bool { return dims[i].width > dims[j].width })
-
-	coords := make([]float64, len(sample))
-	for _, aw := range dims {
-		if aw.width <= 0 {
-			break
-		}
-		a := aw.axis
-		for i, it := range sample {
-			coords[i] = it.P[a]
-		}
-		parallel.SortFloat64s(coords)
-		v := coords[len(coords)/2]
-		if v > coords[0] {
-			return a, v, true
-		}
-		// The lower half is all duplicates of the minimum; move the split
-		// to the first strictly larger value.
-		for _, c := range coords {
-			if c > v {
-				return a, c, true
-			}
-		}
-		// Whole sample identical on this axis; try the next-widest axis.
-	}
-	return 0, 0, false
+	box := kd.NewBox(len(pts[0].P))
+	kd.Box(pts, box)
+	return &node{size: len(pts), box: box, pts: pts}
 }
 
 // assemble turns a routed skeleton plus built bucket subtrees into real
 // nodes, dropping empty sides and exactly rebuilding any α-violating join.
-func (t *Tree) assemble(s *skel, built []*node) *node {
-	if s.l == nil {
-		return built[s.bucket]
+func (t *Tree) assemble(s *kd.Sketch, built []*node) *node {
+	if s.L == nil {
+		return built[s.Bucket]
 	}
-	l := t.assemble(s.l, built)
-	r := t.assemble(s.r, built)
+	l := t.assemble(s.L, built)
+	r := t.assemble(s.R, built)
 	if l == nil {
 		return r
 	}
@@ -260,22 +115,21 @@ func (t *Tree) assemble(s *skel, built []*node) *node {
 		items := make([]Item, 0, l.size+r.size)
 		items = collect(l, items)
 		items = collect(r, items)
-		box := itemsBox(items)
 		atomic.AddInt64(&t.Meter.PointOps, int64(len(items)))
-		return t.buildExact(items, box)
+		return t.buildExact(items)
 	}
-	return &node{
-		axis:  int32(s.axis),
-		split: s.split,
-		left:  l,
-		right: r,
-		size:  l.size + r.size,
-		box:   unionBox(l.box, r.box),
-	}
+	return join(s.Axis, s.Split, l, r)
+}
+
+// join makes the split node over l and r.
+func join(axis int32, split float64, l, r *node) *node {
+	return &node{axis: axis, split: split, left: l, right: r, size: l.size + r.size, box: unionBox(l.box, r.box)}
 }
 
 func unionBox(a, b geom.Box) geom.Box {
-	u := a.Clone()
+	u := kd.NewBox(len(a.Lo))
+	copy(u.Lo, a.Lo)
+	copy(u.Hi, a.Hi)
 	for d := range u.Lo {
 		if b.Lo[d] < u.Lo[d] {
 			u.Lo[d] = b.Lo[d]
@@ -298,117 +152,16 @@ func collect(nd *node, out []Item) []Item {
 	return collect(nd.right, out)
 }
 
-// buildExact is the deterministic object-median build used as the fallback
-// for degenerate data and for rebalancing rebuilds of small subtrees. It
-// guarantees progress on any input (identical points become one leaf).
-func (t *Tree) buildExact(items []Item, box geom.Box) *node {
-	n := len(items)
-	if n == 0 {
-		return nil
-	}
-	atomic.AddInt64(&t.Meter.PointOps, int64(n))
-	if n*t.cfg.Dim > t.cfg.CacheM {
-		atomic.AddInt64(&t.Meter.CacheXfers, int64(n))
-	}
-	if n <= t.cfg.LeafSize {
+// buildExact is the deterministic object-median build (kd.Build) used as
+// the fallback for degenerate data and for rebalancing rebuilds of small
+// subtrees. It guarantees progress on any input (identical points become
+// one leaf), and meters a pass over each node's points.
+func (t *Tree) buildExact(items []Item) *node {
+	return kd.Build(items, t.cfg.LeafSize, func(items []Item) *node {
+		t.meterPass(len(items))
 		return newLeaf(items)
-	}
-	axis, split, ok := exactSplit(items, box)
-	if !ok {
-		return newLeaf(items)
-	}
-	// Partition in place: < split left, >= split right.
-	i, j := 0, n-1
-	for i <= j {
-		if routeLeft(items[i].P[axis], split) {
-			i++
-		} else {
-			items[i], items[j] = items[j], items[i]
-			j--
-		}
-	}
-	left := items[:i]
-	right := items[i:]
-	var l, r *node
-	if n >= 4096 {
-		parallel.Do(
-			func() { l = t.buildExact(left, itemsBox(left)) },
-			func() { r = t.buildExact(right, itemsBox(right)) },
-		)
-	} else {
-		l = t.buildExact(left, itemsBox(left))
-		r = t.buildExact(right, itemsBox(right))
-	}
-	return &node{
-		axis:  int32(axis),
-		split: split,
-		left:  l,
-		right: r,
-		size:  n,
-		box:   unionBox(l.box, r.box),
-	}
-}
-
-// exactSplit finds the object-median split, guaranteeing both sides
-// non-empty. Axes are tried widest-first; when duplicate coordinates make
-// the median split lopsided on one axis, the axis whose split is closest to
-// an even partition wins. ok is false when all points are identical.
-func exactSplit(items []Item, box geom.Box) (axis int, split float64, ok bool) {
-	type axisWidth struct {
-		axis  int
-		width float64
-	}
-	dims := make([]axisWidth, len(box.Lo))
-	for d := range box.Lo {
-		dims[d] = axisWidth{d, box.Hi[d] - box.Lo[d]}
-	}
-	sort.Slice(dims, func(i, j int) bool { return dims[i].width > dims[j].width })
-	n := len(items)
-	coords := make([]float64, n)
-	bestSkew := n + 1
-	for _, aw := range dims {
-		if aw.width <= 0 {
-			break
-		}
-		a := aw.axis
-		parallel.For(n, func(i int) {
-			coords[i] = items[i].P[a]
-		})
-		parallel.SortFloat64s(coords)
-		// Two candidate cuts bracket the ideal n/2: the median value and
-		// the next distinct value above it. With duplicates, the balanced
-		// cut can be either (every value between two consecutive distinct
-		// coordinates induces the same partition).
-		v := coords[n/2]
-		for _, cand := range []float64{v, nextDistinct(coords, v)} {
-			left := sort.SearchFloat64s(coords, cand)
-			if left < 1 || left > n-1 {
-				continue
-			}
-			skew := left - n/2
-			if skew < 0 {
-				skew = -skew
-			}
-			if skew < bestSkew {
-				bestSkew, axis, split, ok = skew, a, cand, true
-			}
-		}
-		if ok && bestSkew <= n/16 {
-			// Near-even split on the widest viable axis: good enough.
-			break
-		}
-	}
-	return axis, split, ok
-}
-
-// nextDistinct returns the smallest value in the sorted slice strictly
-// greater than v (or v itself when none exists).
-func nextDistinct(sorted []float64, v float64) float64 {
-	i := sort.SearchFloat64s(sorted, v)
-	for ; i < len(sorted); i++ {
-		if sorted[i] > v {
-			return sorted[i]
-		}
-	}
-	return v
+	}, func(axis int, split float64, l, r *node, n int) *node {
+		t.meterPass(n)
+		return join(int32(axis), split, l, r)
+	})
 }

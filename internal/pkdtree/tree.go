@@ -23,13 +23,12 @@ import (
 	"math/rand"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 )
 
-// Item is a point with an opaque identifier, the unit stored in the tree.
-type Item struct {
-	P  geom.Point
-	ID int32
-}
+// Item is a point with an opaque identifier, the unit stored in the tree
+// (kd.Item; the baseline leaves Priority unused).
+type Item = kd.Item
 
 // Meter accumulates the shared-memory cost metrics of a Tree.
 type Meter struct {
@@ -160,23 +159,7 @@ func height(nd *node) int {
 }
 
 // Items returns all stored items (in tree order). It is O(n).
-func (t *Tree) Items() []Item {
-	out := make([]Item, 0, t.Size())
-	var walk func(nd *node)
-	walk = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		if nd.leaf() {
-			out = append(out, nd.pts...)
-			return
-		}
-		walk(nd.left)
-		walk(nd.right)
-	}
-	walk(t.root)
-	return out
-}
+func (t *Tree) Items() []Item { return collect(t.root, make([]Item, 0, t.Size())) }
 
 // CellInfo describes one tree node for structural analysis (the
 // kNN-friendliness checks of the paper's Appendix A examine cell shapes
@@ -257,32 +240,14 @@ func (t *Tree) CheckInvariants() error {
 // carrying more than half the multiplicity) are like that.
 func (t *Tree) forcedImbalance(nd *node) bool {
 	items := collect(nd, nil)
-	box := itemsBox(items)
-	axis, split, ok := exactSplit(items, box)
+	box := kd.NewBox(t.cfg.Dim)
+	kd.Box(items, box)
+	axis, split, ok := kd.ExactSplit(items, box, make([]float64, len(items)))
 	if !ok {
 		return true // all points identical: indivisible
 	}
-	left := 0
-	for _, it := range items {
-		if it.P[axis] < split {
-			left++
-		}
-	}
+	left := kd.Partition(items, axis, split)
 	return violated(left, len(items)-left, t.cfg.Alpha)
-}
-
-// indivisibleLeaf reports whether nd is a leaf whose points are all
-// identical.
-func indivisibleLeaf(nd *node) bool {
-	if nd == nil || !nd.leaf() || len(nd.pts) == 0 {
-		return false
-	}
-	for _, it := range nd.pts[1:] {
-		if !it.P.Equal(nd.pts[0].P) {
-			return false
-		}
-	}
-	return true
 }
 
 // violated reports whether child sizes (ls, rs) break the α-balance

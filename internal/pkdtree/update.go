@@ -2,6 +2,8 @@ package pkdtree
 
 import (
 	"sync/atomic"
+
+	"pimkd/internal/kd"
 )
 
 // BatchInsert inserts a batch of items using the scapegoat-style partial
@@ -117,7 +119,7 @@ func (t *Tree) rebuildViolations(nd *node) *node {
 		return nil
 	}
 	if nd.leaf() {
-		if len(nd.pts) > t.cfg.LeafSize && !indivisibleLeaf(nd) {
+		if len(nd.pts) > t.cfg.LeafSize && !kd.Indivisible(nd.pts) {
 			return t.rebuildSubtree(nd)
 		}
 		return nd

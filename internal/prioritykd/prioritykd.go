@@ -11,15 +11,13 @@ import (
 	"math"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 )
 
-// Item is a point with a priority and an opaque id. Queries look for the
-// nearest item strictly greater in (Priority, ID) lexicographic order.
-type Item struct {
-	P        geom.Point
-	Priority float64
-	ID       int32
-}
+// Item is a point with a priority and an opaque id (kd.Item). Queries look
+// for the nearest item strictly greater in (Priority, ID) lexicographic
+// order.
+type Item = kd.Item
 
 // Meter counts the structural work of queries and construction.
 type Meter struct {
@@ -33,7 +31,7 @@ type Meter struct {
 // Tree is a static priority-search kd-tree.
 type Tree struct {
 	root  *node
-	items []Item
+	size  int
 	Meter Meter
 }
 
@@ -44,152 +42,64 @@ type node struct {
 	box      geom.Box
 	maxPri   float64
 	maxPriID int32
-	idx      []int32 // leaf: indices into items
+	pts      []Item // leaf: its items, in input order
 }
 
-// New builds a tree over items with the given leaf bucket size (default 8
-// when leafSize <= 0). The items slice is retained (not copied) and must
-// not be mutated afterwards.
+// New builds a tree over a copy of items with the given leaf bucket size
+// (default 8 when leafSize <= 0).
 func New(items []Item, leafSize int) *Tree {
 	if leafSize <= 0 {
 		leafSize = 8
 	}
-	t := &Tree{items: items}
+	t := &Tree{size: len(items)}
 	if len(items) == 0 {
 		return t
 	}
-	idx := make([]int32, len(items))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	t.root = t.build(idx, leafSize)
+	pts := append([]Item(nil), items...)
+	t.root = t.build(pts, make([]Item, len(pts)), make([]float64, len(pts)), leafSize)
 	return t
 }
 
 // Size returns the number of stored items.
-func (t *Tree) Size() int { return len(t.items) }
+func (t *Tree) Size() int { return t.size }
 
-func (t *Tree) build(idx []int32, leafSize int) *node {
-	t.Meter.PointOps += int64(len(idx))
-	box := t.indexBox(idx)
-	nd := &node{box: box, maxPri: math.Inf(-1), maxPriID: -1}
-	for _, i := range idx {
-		it := t.items[i]
-		if priLess(nd.maxPri, nd.maxPriID, it.Priority, it.ID) {
+// build splits pts at kd.MedianSplit's cut. scratch and coords are
+// scratch of at least len(pts) slots.
+func (t *Tree) build(pts, scratch []Item, coords []float64, leafSize int) *node {
+	t.Meter.PointOps += int64(len(pts))
+	nd := &node{box: kd.NewBox(len(pts[0].P)), maxPri: math.Inf(-1), maxPriID: -1}
+	kd.Box(pts, nd.box)
+	for _, it := range pts {
+		if kd.PriLess(nd.maxPri, nd.maxPriID, it.Priority, it.ID) {
 			nd.maxPri, nd.maxPriID = it.Priority, it.ID
 		}
 	}
-	axis, width := box.LongestAxis()
-	if len(idx) <= leafSize || width <= 0 {
-		nd.idx = idx
+	if len(pts) <= leafSize {
+		nd.pts = pts
 		return nd
 	}
-	split := medianAbove(t.coords(idx, axis))
-	var left, right []int32
-	for _, id := range idx {
-		if t.items[id].P[axis] < split {
-			left = append(left, id)
+	axis, split, ok := kd.MedianSplit(pts, nd.box, coords)
+	if !ok {
+		nd.pts = pts
+		return nd
+	}
+	// A stable partition keeps every leaf in input order, which decides
+	// which of two equidistant items NearestHigher returns.
+	l, r := 0, 0
+	for _, it := range pts {
+		if it.P[axis] < split {
+			pts[l] = it
+			l++
 		} else {
-			right = append(right, id)
+			scratch[r] = it
+			r++
 		}
 	}
-	if len(left) == 0 || len(right) == 0 {
-		nd.idx = idx
-		return nd
-	}
+	copy(pts[l:], scratch[:r])
 	nd.axis, nd.split = axis, split
-	nd.l = t.build(left, leafSize)
-	nd.r = t.build(right, leafSize)
+	nd.l = t.build(pts[:l], scratch, coords, leafSize)
+	nd.r = t.build(pts[l:], scratch, coords, leafSize)
 	return nd
-}
-
-func (t *Tree) coords(idx []int32, axis int) []float64 {
-	out := make([]float64, len(idx))
-	for i, id := range idx {
-		out[i] = t.items[id].P[axis]
-	}
-	return out
-}
-
-func (t *Tree) indexBox(idx []int32) geom.Box {
-	lo := t.items[idx[0]].P.Clone()
-	hi := t.items[idx[0]].P.Clone()
-	for _, i := range idx[1:] {
-		p := t.items[i].P
-		for d := range lo {
-			if p[d] < lo[d] {
-				lo[d] = p[d]
-			}
-			if p[d] > hi[d] {
-				hi[d] = p[d]
-			}
-		}
-	}
-	return geom.Box{Lo: lo, Hi: hi}
-}
-
-// priLess orders (priority, id) pairs lexicographically.
-func priLess(p1 float64, id1 int32, p2 float64, id2 int32) bool {
-	if p1 != p2 {
-		return p1 < p2
-	}
-	return id1 < id2
-}
-
-// medianAbove returns the median value, bumped to the next distinct value
-// when the median equals the minimum (so a (v < split) partition always
-// makes progress); it returns the maximum when all values are equal (the
-// caller then falls back to a leaf).
-func medianAbove(coords []float64) float64 {
-	quickMedian(coords)
-	v := coords[len(coords)/2]
-	min, next := coords[0], math.Inf(1)
-	for _, x := range coords {
-		if x < min {
-			min = x
-		}
-	}
-	if v > min {
-		return v
-	}
-	for _, x := range coords {
-		if x > v && x < next {
-			next = x
-		}
-	}
-	if math.IsInf(next, 1) {
-		return v
-	}
-	return next
-}
-
-func quickMedian(c []float64) {
-	k := len(c) / 2
-	lo, hi := 0, len(c)-1
-	for lo < hi {
-		pivot := c[(lo+hi)/2]
-		i, j := lo, hi
-		for i <= j {
-			for c[i] < pivot {
-				i++
-			}
-			for c[j] > pivot {
-				j--
-			}
-			if i <= j {
-				c[i], c[j] = c[j], c[i]
-				i++
-				j--
-			}
-		}
-		if k <= j {
-			hi = j
-		} else if k >= i {
-			lo = i
-		} else {
-			return
-		}
-	}
 }
 
 // NearestHigher returns the id of the nearest stored item with
@@ -205,22 +115,21 @@ func (t *Tree) NearestHigher(q geom.Point, pri float64, id int32) (int32, float6
 		if nd == nil {
 			return
 		}
-		if !priLess(pri, id, nd.maxPri, nd.maxPriID) {
+		if !kd.PriLess(pri, id, nd.maxPri, nd.maxPriID) {
 			return
 		}
 		if nd.box.Dist2ToPoint(q) >= bestD2 {
 			return
 		}
 		t.Meter.NodeVisits++
-		if nd.idx != nil {
-			t.Meter.PointOps += int64(len(nd.idx))
-			for _, i := range nd.idx {
-				it := t.items[i]
-				if !priLess(pri, id, it.Priority, it.ID) {
+		if nd.pts != nil {
+			t.Meter.PointOps += int64(len(nd.pts))
+			for _, it := range nd.pts {
+				if !kd.PriLess(pri, id, it.Priority, it.ID) {
 					continue
 				}
 				if d2 := geom.Dist2(q, it.P); d2 < bestD2 {
-					bestD2, best = d2, i
+					bestD2, best = d2, it.ID
 				}
 			}
 			return
@@ -233,8 +142,5 @@ func (t *Tree) NearestHigher(q geom.Point, pri float64, id int32) (int32, float6
 		visit(far)
 	}
 	visit(t.root)
-	if best >= 0 {
-		return t.items[best].ID, bestD2
-	}
-	return -1, bestD2
+	return best, bestD2
 }
