@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 	"pimkd/internal/mathx"
 	"pimkd/internal/parallel"
 )
@@ -223,8 +224,8 @@ func (t *Tree) RangeAggregate(boxes []geom.Box) []BoxAggregate {
 		res[i].Sums = make([]mathx.ExactSum, t.cfg.Dim)
 	}
 	t.walk("core/range:aggregate", len(boxes), nil, func(i int, w walker) {
-		agg := &res[i]
-		agg.Count = int64(w.inRegion(t.root, &region{box: boxes[i]}, func(it Item) {
+		agg, g := &res[i], kd.InBox(boxes[i])
+		agg.Count = int64(w.inRegion(t.root, &g, func(it Item) {
 			for d := range it.P {
 				agg.Sums[d].Add(it.P[d])
 			}

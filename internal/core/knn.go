@@ -3,6 +3,7 @@ package core
 import (
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
+	"pimkd/internal/kd"
 )
 
 // KNN answers a batch of k-nearest-neighbor queries, returning for each
@@ -31,10 +32,10 @@ func (t *Tree) ANN(qs []geom.Point, k int, eps float64) [][]heapx.Candidate {
 	// Every query answers min(k, size) candidates.
 	want := min(k, t.size)
 	t.walk("core/knn:backtrack", len(qs), leaves, func(i int, w walker) {
-		q, best := qs[i], w.r.kbest(k)
-		w.nearest(leaves[i], q, best, shrink2)
-		w.backtrack(leaves[i], func(sib NodeID) { w.nearer(sib, q, best, shrink2) })
-		res[i] = w.r.answers(i, want, best)
+		s := kd.NewNearest(qs[i], w.r.kbest(k), shrink2)
+		w.nearest(leaves[i], &s)
+		w.backtrack(leaves[i], func(sib NodeID) { w.nearer(sib, &s) })
+		res[i] = w.r.answers(i, want, s.Best)
 		w.done(len(res[i]))
 	})
 	return res
@@ -64,31 +65,26 @@ func (tl *walkTally) answers(i, want int, best *heapx.KBest) []heapx.Candidate {
 	return tl.slab[lo:len(tl.slab):len(tl.slab)]
 }
 
-// nearest scans leaf id into best, or touches internal node id and explores
+// nearest scans leaf id into s, or touches internal node id and explores
 // its children depth-first, nearer child first.
-func (w *walker) nearest(id NodeID, q geom.Point, best *heapx.KBest, shrink2 float64) {
+func (w *walker) nearest(id NodeID, s *kd.Nearest) {
 	nd := w.t.nd(id)
 	if nd.leaf {
-		for _, it := range w.scan(id) {
-			best.OfferCand(heapx.Candidate{Dist2: geom.Dist2(q, it.P), ID: it.ID, P: it.P})
-		}
+		s.Scan(w.scan(id))
 		return
 	}
 	w.touch(id)
 	near, far := nd.left, nd.right
-	if q[nd.axis] >= nd.split {
+	if s.Q[nd.axis] >= nd.split {
 		near, far = far, near
 	}
-	w.nearer(near, q, best, shrink2)
-	w.nearer(far, q, best, shrink2)
+	w.nearer(near, s)
+	w.nearer(far, s)
 }
 
-// nearer explores the subtree at id only when its cell can still beat the
-// (ANN-shrunk) candidate bound. <= not <: with the canonical (dist2, id)
-// tie-break a cell at exactly the bound can still hold a displacing
-// candidate.
-func (w *walker) nearer(id NodeID, q geom.Point, best *heapx.KBest, shrink2 float64) {
-	if w.t.box(id).Dist2ToPoint(q)*shrink2 <= best.Bound() {
-		w.nearest(id, q, best, shrink2)
+// nearer explores the subtree at id only when its cell is worth it to s.
+func (w *walker) nearer(id NodeID, s *kd.Nearest) {
+	if s.Worth(w.t.box(id)) {
+		w.nearest(id, s)
 	}
 }

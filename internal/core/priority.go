@@ -28,17 +28,15 @@ func (t *Tree) DependentPoints(qs []Item) []Dependent {
 	res := make([]Dependent, len(qs))
 	pts := make([]geom.Point, len(qs))
 	for i := range qs {
-		res[i] = Dependent{ID: -1, Dist: math.Inf(1)}
 		pts[i] = qs[i].P
 	}
 	leaves := t.LeafSearch(pts)
 	t.walk("core/priority:dependent", len(qs), leaves, func(i int, w walker) {
-		// best.Dist holds the squared distance until the walk ends.
-		q, best := &qs[i], &res[i]
-		w.higher(leaves[i], q, best)
-		w.backtrack(leaves[i], func(sib NodeID) { w.higherIn(sib, q, best) })
-		best.Dist = math.Sqrt(best.Dist)
-		if best.ID < 0 {
+		h := kd.NewHigher(qs[i])
+		w.higher(leaves[i], &h)
+		w.backtrack(leaves[i], func(sib NodeID) { w.higherIn(sib, &h) })
+		res[i] = Dependent{ID: h.ID, Dist: math.Sqrt(h.D2)}
+		if h.ID < 0 {
 			w.done(0)
 		} else {
 			w.done(1)
@@ -47,36 +45,27 @@ func (t *Tree) DependentPoints(qs []Item) []Dependent {
 	return res
 }
 
-// higher scans leaf id for items above q, or touches internal node id and
-// explores its children, nearer child first.
-func (w *walker) higher(id NodeID, q *Item, best *Dependent) {
+// higher scans leaf id into h, or touches internal node id and explores
+// its children, nearer child first.
+func (w *walker) higher(id NodeID, h *kd.Higher) {
 	nd := w.t.nd(id)
 	if nd.leaf {
-		for _, it := range w.scan(id) {
-			if !kd.PriLess(q.Priority, q.ID, it.Priority, it.ID) {
-				continue
-			}
-			if d2 := geom.Dist2(q.P, it.P); d2 < best.Dist {
-				best.ID, best.Dist = it.ID, d2
-			}
-		}
+		h.Scan(w.scan(id))
 		return
 	}
 	w.touch(id)
 	near, far := nd.left, nd.right
-	if q.P[nd.axis] >= nd.split {
+	if h.Q.P[nd.axis] >= nd.split {
 		near, far = far, near
 	}
-	w.higherIn(near, q, best)
-	w.higherIn(far, q, best)
+	w.higherIn(near, h)
+	w.higherIn(far, h)
 }
 
-// higherIn explores the subtree at id only when it holds an item above q
-// and its cell is closer than the best found so far.
-func (w *walker) higherIn(id NodeID, q *Item, best *Dependent) {
+// higherIn explores the subtree at id only when it is worth it to h.
+func (w *walker) higherIn(id NodeID, h *kd.Higher) {
 	nd := w.t.nd(id)
-	if !kd.PriLess(q.Priority, q.ID, nd.maxPri, nd.maxPriID) || w.t.box(id).Dist2ToPoint(q.P) >= best.Dist {
-		return
+	if h.Worth(w.t.box(id), nd.maxPri, nd.maxPriID) {
+		w.higher(id, h)
 	}
-	w.higher(id, q, best)
 }

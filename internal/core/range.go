@@ -2,6 +2,7 @@ package core
 
 import (
 	"pimkd/internal/geom"
+	"pimkd/internal/kd"
 )
 
 // RangeReport answers a batch of orthogonal range queries, returning the
@@ -11,7 +12,8 @@ import (
 func (t *Tree) RangeReport(boxes []geom.Box) [][]Item {
 	res := make([][]Item, len(boxes))
 	t.walk("core/range:report", len(boxes), nil, func(i int, w walker) {
-		w.done(w.inRegion(t.root, &region{box: boxes[i]}, func(it Item) { res[i] = append(res[i], it) }))
+		g := kd.InBox(boxes[i])
+		w.done(w.inRegion(t.root, &g, func(it Item) { res[i] = append(res[i], it) }))
 	})
 	return res
 }
@@ -21,7 +23,8 @@ func (t *Tree) RangeReport(boxes []geom.Box) [][]Item {
 func (t *Tree) RangeCount(boxes []geom.Box) []int {
 	res := make([]int, len(boxes))
 	t.walk("core/range:count", len(boxes), nil, func(i int, w walker) {
-		res[i] = w.inRegion(t.root, &region{box: boxes[i]}, nil)
+		g := kd.InBox(boxes[i])
+		res[i] = w.inRegion(t.root, &g, nil)
 		w.done(res[i])
 	})
 	return res
@@ -33,7 +36,7 @@ func (t *Tree) RangeCount(boxes []geom.Box) []int {
 func (t *Tree) RadiusCount(centers []geom.Point, radius float64) []int {
 	res := make([]int, len(centers))
 	t.walk("core/range:radius-count", len(centers), nil, func(i int, w walker) {
-		g := ball(centers[i], radius)
+		g := kd.Ball(centers[i], radius)
 		res[i] = w.inRegion(t.root, &g, nil)
 		w.done(res[i])
 	})
@@ -45,64 +48,22 @@ func (t *Tree) RadiusCount(centers []geom.Point, radius float64) []int {
 func (t *Tree) RadiusReport(centers []geom.Point, radius float64) [][]Item {
 	res := make([][]Item, len(centers))
 	t.walk("core/range:radius-report", len(centers), nil, func(i int, w walker) {
-		g := ball(centers[i], radius)
+		g := kd.Ball(centers[i], radius)
 		w.done(w.inRegion(t.root, &g, func(it Item) { res[i] = append(res[i], it) }))
 	})
 	return res
-}
-
-// region is a range query's search region: the box, or the closed ball of
-// radius r (r2 squared) around c.
-type region struct {
-	box   geom.Box
-	ball  bool
-	c     geom.Point
-	r, r2 float64
-}
-
-// ball returns the closed ball of radius r around c. A negative or NaN
-// radius is the empty ball; squaring it would answer the |r|-ball instead.
-func ball(c geom.Point, r float64) region {
-	if !(r >= 0) {
-		return region{ball: true, c: c, r: -1, r2: -1}
-	}
-	return region{ball: true, c: c, r: r, r2: r * r}
-}
-
-// meets reports whether cell b may hold points of g.
-func (g *region) meets(b geom.Box) bool {
-	if g.ball {
-		return b.Dist2ToPoint(g.c) <= g.r2
-	}
-	return g.box.Intersects(b)
-}
-
-// covers reports whether cell b lies entirely inside g.
-func (g *region) covers(b geom.Box) bool {
-	if g.ball {
-		return b.InsideBall(g.c, g.r)
-	}
-	return g.box.ContainsBox(b)
-}
-
-// has reports whether point p lies in g.
-func (g *region) has(p geom.Point) bool {
-	if g.ball {
-		return geom.Dist2(g.c, p) <= g.r2
-	}
-	return g.box.Contains(p)
 }
 
 // inRegion walks the subtree at id and returns the number of its items
 // inside g, passing each to hit. Without a hit callback it only counts, and
 // counts a subtree g covers from its exact size after touching the
 // subtree's root alone.
-func (w *walker) inRegion(id NodeID, g *region, hit func(Item)) int {
+func (w *walker) inRegion(id NodeID, g *kd.Region, hit func(Item)) int {
 	nd, cell := w.t.nd(id), w.t.box(id)
-	if !g.meets(cell) {
+	if !g.Meets(cell) {
 		return 0
 	}
-	if hit == nil && g.covers(cell) {
+	if hit == nil && g.Covers(cell) {
 		w.touch(id)
 		return int(nd.exact)
 	}
@@ -112,7 +73,7 @@ func (w *walker) inRegion(id NodeID, g *region, hit func(Item)) int {
 	}
 	n := 0
 	for _, it := range w.scan(id) {
-		if g.has(it.P) {
+		if g.Has(it.P) {
 			n++
 			if hit != nil {
 				hit(it)

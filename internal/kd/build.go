@@ -47,15 +47,23 @@ func (b *builder[N]) build(items []Item, coords []float64, box geom.Box) N {
 	i := Partition(items, axis, split)
 	var l, r N
 	if n >= parGrain {
-		parallel.Do(
-			func() { l = b.build(items[:i], coords[:i], box) },
-			func() { r = b.build(items[i:], coords[i:], NewBox(len(box.Lo))) },
-		)
+		l, r = b.fork(items, coords, box, i)
 	} else {
 		l = b.build(items[:i], coords[:i], box)
 		r = b.build(items[i:], coords[i:], box)
 	}
 	return b.join(axis, split, l, r, n)
+}
+
+// fork builds the halves items[:i] and items[i:] in parallel. It is its
+// own method because the closures capture l and r, which moves them to the
+// heap: here only a forked call pays for that, not every node.
+func (b *builder[N]) fork(items []Item, coords []float64, box geom.Box, i int) (l, r N) {
+	parallel.Do(
+		func() { l = b.build(items[:i], coords[:i], box) },
+		func() { r = b.build(items[i:], coords[i:], NewBox(len(box.Lo))) },
+	)
+	return l, r
 }
 
 // Sketch is a node of a sample sketch: the top levels of a kd-tree built

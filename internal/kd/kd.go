@@ -2,15 +2,18 @@
 // (internal/core) and its shared-memory baselines (internal/pkdtree, which
 // internal/logtree builds on, and internal/prioritykd) share: the stored
 // item, the tight bounding box, the object-median splits, the in-place
-// partition, the exact build recursion and the sample sketch. The paper's
-// Algorithm 2 runs these same kernels on every module, and the Pkd-tree
-// runs them on the host; keeping one copy means a baseline row compares
-// algorithms, not two implementations of one split.
+// partition, the exact build recursion and the sample sketch; and the
+// query kernels: the box or ball search Region and the kNN and
+// nearest-higher leaf scans with their prunes. The paper's Algorithm 2
+// runs these same kernels on every module, and the Pkd-tree runs them on
+// the host; keeping one copy means a baseline row compares algorithms, not
+// two implementations of one split or one scan.
 //
 // Every kernel is deterministic: the parallel box and the parallel build
 // fork produce bit-identical results at any GOMAXPROCS. The trees keep
 // their own cost meters; Build calls a tree's node constructors once per
-// node, so a tree meters inside them.
+// node, so a tree meters inside them, and a tree's walk meters each node
+// it visits and each bucket it hands to a scan.
 package kd
 
 import (

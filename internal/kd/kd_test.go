@@ -258,6 +258,27 @@ func TestBuildShape(t *testing.T) {
 	}
 }
 
+// TestBuildAllocs checks that a build below the fork threshold allocates
+// its scratch (the coordinate slice, the box and the builder) and nothing
+// per node when the node constructors allocate nothing.
+func TestBuildAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	items := make([]Item, parGrain-1)
+	for i := range items {
+		items[i] = Item{P: geom.Point{rng.Float64(), rng.Float64()}, ID: int32(i)}
+	}
+	leaf := func(items []Item) int { return len(items) }
+	join := func(_ int, _ float64, l, r, _ int) int { return l + r }
+	var n int
+	allocs := testing.AllocsPerRun(20, func() { n = Build(items, 8, leaf, join) })
+	if n != len(items) {
+		t.Fatalf("built %d of %d items", n, len(items))
+	}
+	if allocs > 3 {
+		t.Errorf("a %d-item build allocates %.0f times, want at most 3", len(items), allocs)
+	}
+}
+
 func TestSketchRoutesSampleToBuckets(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 200; trial++ {

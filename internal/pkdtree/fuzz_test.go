@@ -1,23 +1,28 @@
 package pkdtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pimkd/internal/geom"
 )
 
 // FuzzBatchOps drives derived insert/delete/search sequences from raw fuzz
-// bytes, checking the structural invariants and membership semantics after
-// every step. `go test` runs the seed corpus; `go test -fuzz=FuzzBatchOps`
-// explores further.
+// bytes, checking the structural invariants, membership semantics and the
+// range queries after every step. `go test` runs the seed corpus; `go test
+// -fuzz=FuzzBatchOps` explores further.
 func FuzzBatchOps(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(50))
 	f.Add(int64(42), uint8(7), uint8(200))
 	f.Add(int64(-9), uint8(1), uint8(10))
 	f.Fuzz(func(t *testing.T, seed int64, steps, batchRaw uint8) {
 		rng := rand.New(rand.NewSource(seed))
+		// The range queries draw from their own stream, so they leave the
+		// update sequence a seed derives unchanged.
+		qrng := rand.New(rand.NewSource(^seed))
 		batch := int(batchRaw)%200 + 1
 		tree := New(Config{Dim: 2, Seed: seed}, nil)
 		ref := map[int32]geom.Point{}
@@ -52,6 +57,7 @@ func FuzzBatchOps(f *testing.F) {
 			if err := tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
+			checkRegions(t, tree, ref, qrng)
 		}
 		for id, p := range ref {
 			if !tree.Contains(Item{P: p, ID: id}) {
@@ -60,6 +66,55 @@ func FuzzBatchOps(f *testing.F) {
 			break // one membership probe per run keeps fuzzing fast
 		}
 	})
+}
+
+// checkRegions checks RangeCount, RangeReport, RadiusCount and
+// RadiusReport against a scan of ref on the quantized grid: a random box, a
+// box flat on one axis, a random ball, and balls of radius 0, -1 and NaN
+// around a grid point.
+func checkRegions(t *testing.T, tree *Tree, ref map[int32]geom.Point, rng *rand.Rand) {
+	t.Helper()
+	coord := func() float64 { return float64(rng.Intn(17)) / 16 }
+	box := geom.Box{Lo: geom.Point{coord(), coord()}, Hi: geom.Point{coord(), coord()}}
+	for d := range box.Lo {
+		if box.Lo[d] > box.Hi[d] {
+			box.Lo[d], box.Hi[d] = box.Hi[d], box.Lo[d]
+		}
+	}
+	flat := geom.Box{Lo: geom.Point{0, coord()}, Hi: geom.Point{1, 0}}
+	flat.Hi[1] = flat.Lo[1]
+	for _, b := range []geom.Box{box, flat} {
+		check(t, fmt.Sprintf("box %v", b), tree.RangeCount(b), tree.RangeReport(b), ref, b.Contains)
+	}
+	c := geom.Point{coord(), coord()}
+	for _, r := range []float64{coord() / 2, 0, -1, math.NaN()} {
+		in := func(p geom.Point) bool { return geom.Dist2(c, p) <= r*r && r >= 0 }
+		check(t, fmt.Sprintf("ball %v r %v", c, r), tree.RadiusCount(c, r), tree.RadiusReport(c, r), ref, in)
+	}
+}
+
+// check compares one region's count and report with the IDs in ref whose
+// points are in it.
+func check(t *testing.T, what string, count int, report []Item, ref map[int32]geom.Point, in func(geom.Point) bool) {
+	t.Helper()
+	var want []int32
+	for id, p := range ref {
+		if in(p) {
+			want = append(want, id)
+		}
+	}
+	got := make([]int32, len(report))
+	for i, it := range report {
+		if !it.P.Equal(ref[it.ID]) {
+			t.Fatalf("%s: reports item %d at %v, stored at %v", what, it.ID, it.P, ref[it.ID])
+		}
+		got[i] = it.ID
+	}
+	slices.Sort(want)
+	slices.Sort(got)
+	if count != len(want) || !slices.Equal(got, want) {
+		t.Fatalf("%s: count %d, report %v, want %v", what, count, got, want)
+	}
 }
 
 // FuzzKNNAgainstBrute checks exact kNN against brute force on fuzz-derived

@@ -266,3 +266,11 @@ func violated(ls, rs int, alpha float64) bool {
 // by construction, insertion, deletion, and search so routing stays
 // consistent across rebuilds.
 func routeLeft(v, split float64) bool { return v < split }
+
+// child returns the child of internal node nd that p routes to.
+func (nd *node) child(p geom.Point) *node {
+	if routeLeft(p[int(nd.axis)], nd.split) {
+		return nd.left
+	}
+	return nd.right
+}

@@ -28,11 +28,7 @@ func (t *Tree) BatchInsert(items []Item) {
 		for !nd.leaf() {
 			atomic.AddInt64(&t.Meter.NodeVisits, 1)
 			nd.size++
-			if routeLeft(it.P[int(nd.axis)], nd.split) {
-				nd = nd.left
-			} else {
-				nd = nd.right
-			}
+			nd = nd.child(it.P)
 			nd.box = nd.box.Expand(it.P)
 		}
 		atomic.AddInt64(&t.Meter.NodeVisits, 1)
@@ -61,50 +57,35 @@ func (t *Tree) BatchDelete(items []Item) {
 	}
 }
 
-// deleteOne removes one item; it returns true if the item was found.
-// Subtree sizes along the path are decremented only when the item exists,
-// which requires a find-first pass (metered as node visits as well).
+// deleteOne removes one item; it returns true if the item was found. The
+// metered pass routes to the leaf and scans it once; subtree sizes along
+// the path are decremented, by a second unmetered routing pass, only when
+// the item exists.
 func (t *Tree) deleteOne(it Item) bool {
-	// Pass 1: locate the leaf and confirm membership.
-	nd := t.root
-	for !nd.leaf() {
+	leaf := t.root
+	for !leaf.leaf() {
 		atomic.AddInt64(&t.Meter.NodeVisits, 1)
-		if routeLeft(it.P[int(nd.axis)], nd.split) {
-			nd = nd.left
-		} else {
-			nd = nd.right
-		}
+		leaf = leaf.child(it.P)
 	}
 	atomic.AddInt64(&t.Meter.NodeVisits, 1)
+	atomic.AddInt64(&t.Meter.PointOps, int64(len(leaf.pts)))
 	found := -1
-	for i, p := range nd.pts {
+	for i, p := range leaf.pts {
 		if p.ID == it.ID && p.P.Equal(it.P) {
 			found = i
 			break
 		}
 	}
-	atomic.AddInt64(&t.Meter.PointOps, int64(len(nd.pts)))
 	if found < 0 {
 		return false
 	}
-	// Pass 2: decrement sizes along the path and remove from the leaf.
-	nd = t.root
-	for !nd.leaf() {
+	for nd := t.root; nd != leaf; nd = nd.child(it.P) {
 		nd.size--
-		if routeLeft(it.P[int(nd.axis)], nd.split) {
-			nd = nd.left
-		} else {
-			nd = nd.right
-		}
 	}
-	nd.size--
-	for i, p := range nd.pts {
-		if p.ID == it.ID && p.P.Equal(it.P) {
-			nd.pts[i] = nd.pts[len(nd.pts)-1]
-			nd.pts = nd.pts[:len(nd.pts)-1]
-			break
-		}
-	}
+	leaf.size--
+	last := len(leaf.pts) - 1
+	leaf.pts[found] = leaf.pts[last]
+	leaf.pts = leaf.pts[:last]
 	return true
 }
 

@@ -108,39 +108,27 @@ func (t *Tree) build(pts, scratch []Item, coords []float64, leafSize int) *node 
 // augmentation cannot beat (pri, id) and whose cells cannot beat the
 // current best distance.
 func (t *Tree) NearestHigher(q geom.Point, pri float64, id int32) (int32, float64) {
-	best := int32(-1)
-	bestD2 := math.Inf(1)
-	var visit func(nd *node)
-	visit = func(nd *node) {
-		if nd == nil {
-			return
-		}
-		if !kd.PriLess(pri, id, nd.maxPri, nd.maxPriID) {
-			return
-		}
-		if nd.box.Dist2ToPoint(q) >= bestD2 {
-			return
-		}
-		t.Meter.NodeVisits++
-		if nd.pts != nil {
-			t.Meter.PointOps += int64(len(nd.pts))
-			for _, it := range nd.pts {
-				if !kd.PriLess(pri, id, it.Priority, it.ID) {
-					continue
-				}
-				if d2 := geom.Dist2(q, it.P); d2 < bestD2 {
-					bestD2, best = d2, it.ID
-				}
-			}
-			return
-		}
-		near, far := nd.l, nd.r
-		if q[nd.axis] >= nd.split {
-			near, far = far, near
-		}
-		visit(near)
-		visit(far)
+	h := kd.NewHigher(Item{P: q, Priority: pri, ID: id})
+	t.higher(t.root, &h)
+	return h.ID, h.D2
+}
+
+// higher scans nd into h when it is worth it to h: a leaf's bucket, or an
+// internal node's children, nearer child first.
+func (t *Tree) higher(nd *node, h *kd.Higher) {
+	if nd == nil || !h.Worth(nd.box, nd.maxPri, nd.maxPriID) {
+		return
 	}
-	visit(t.root)
-	return best, bestD2
+	t.Meter.NodeVisits++
+	if nd.pts != nil {
+		t.Meter.PointOps += int64(len(nd.pts))
+		h.Scan(nd.pts)
+		return
+	}
+	near, far := nd.l, nd.r
+	if h.Q.P[nd.axis] >= nd.split {
+		near, far = far, near
+	}
+	t.higher(near, h)
+	t.higher(far, h)
 }

@@ -13,6 +13,7 @@ import (
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/heapx"
+	"pimkd/internal/kd"
 )
 
 // ErrDegraded is returned when an exact answer (or a durable ack) requires
@@ -846,31 +847,29 @@ func dedupItems(items []core.Item) []core.Item {
 // Cross-replica duplicates are removed exactly — the replicated state is a
 // set keyed (ID, P).
 func (r *Router) Range(ctx context.Context, box geom.Box) ([]core.Item, Fanout, error) {
+	if box.Dim() != r.dim() {
+		return nil, Fanout{Shards: len(r.shards)}, fmt.Errorf("shard: box dimension %d, cluster dimension %d", box.Dim(), r.dim())
+	}
+	r.m.rangeRequests.Add(1)
+	return r.inRegion(ctx, kd.InBox(box), "range box", func(c context.Context, sh *shardHandle, _ []int) (any, error) {
+		return sh.client.Range(c, []geom.Box{box})
+	})
+}
+
+// inRegion reports every stored item in g across the cluster, canonically
+// sorted and deduplicated across replicas: the body of Range and Join.
+// Every cell g meets must be covered by an eligible replica, which answers
+// through query; otherwise ErrDegraded, whose message names g as what.
+func (r *Router) inRegion(ctx context.Context, g kd.Region, what string,
+	query func(c context.Context, sh *shardHandle, _ []int) (any, error)) ([]core.Item, Fanout, error) {
 	fan := Fanout{Shards: len(r.shards)}
 	lay := r.acquireLayout()
 	defer releaseLayout(lay)
-	if box.Dim() != lay.part.Dim() {
-		return nil, fan, fmt.Errorf("shard: box dimension %d, cluster dimension %d", box.Dim(), lay.part.Dim())
-	}
-	r.m.rangeRequests.Add(1)
-
-	var needed []int
-	for i := 0; i < lay.part.Cells(); i++ {
-		if !lay.part.Cell(i).Intersects(box) {
-			fan.Pruned++
-			r.m.pruned.Add(1)
-			continue
-		}
-		needed = append(needed, i)
-	}
-	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
-		func(c context.Context, sh *shardHandle, _ []int) (any, error) {
-			return sh.client.Range(c, []geom.Box{box})
-		})
+	resps, uncovered := r.coverCells(ctx, lay, r.meeting(lay, &g, &fan), map[int]bool{}, map[int]bool{}, true, query)
 	fan.Queried = len(resps)
 	if len(uncovered) > 0 {
 		r.m.degraded.Add(1)
-		return nil, fan, fmt.Errorf("%w: cell %d intersects range box and has no in-sync replica", ErrDegraded, uncovered[0])
+		return nil, fan, fmt.Errorf("%w: cell %d meets the %s and has no in-sync replica", ErrDegraded, uncovered[0], what)
 	}
 	var all []core.Item
 	for _, rp := range resps {
@@ -878,6 +877,21 @@ func (r *Router) Range(ctx context.Context, box geom.Box) ([]core.Item, Fanout, 
 	}
 	core.SortItems(all)
 	return dedupItems(all), fan, nil
+}
+
+// meeting returns the cells of lay that may hold points of g and counts
+// every other cell as pruned. Range, Join and Aggregate prune through it.
+func (r *Router) meeting(lay *layout, g *kd.Region, fan *Fanout) []int {
+	var needed []int
+	for i := 0; i < lay.part.Cells(); i++ {
+		if !g.Meets(lay.part.Cell(i)) {
+			fan.Pruned++
+			r.m.pruned.Add(1)
+			continue
+		}
+		needed = append(needed, i)
+	}
+	return needed
 }
 
 // Insert stores item on every replica of its owning cell. The call returns

@@ -12,6 +12,7 @@ import (
 	"pimkd/internal/core"
 	"pimkd/internal/geom"
 	"pimkd/internal/hist"
+	"pimkd/internal/kd"
 )
 
 // Join reports every stored item within radius of the probe point, sorted
@@ -22,43 +23,16 @@ import (
 // ErrDegraded. Cross-replica duplicates are removed exactly — the
 // replicated state is a set keyed (ID, P).
 func (r *Router) Join(ctx context.Context, p geom.Point, radius float64) ([]core.Item, Fanout, error) {
-	fan := Fanout{Shards: len(r.shards)}
-	lay := r.acquireLayout()
-	defer releaseLayout(lay)
-	if len(p) != lay.part.Dim() {
-		return nil, fan, fmt.Errorf("shard: probe dimension %d, cluster dimension %d", len(p), lay.part.Dim())
+	if len(p) != r.dim() {
+		return nil, Fanout{Shards: len(r.shards)}, fmt.Errorf("shard: probe dimension %d, cluster dimension %d", len(p), r.dim())
 	}
 	if math.IsNaN(radius) || math.IsInf(radius, 0) || radius < 0 {
-		return nil, fan, fmt.Errorf("shard: join radius %v out of range", radius)
+		return nil, Fanout{Shards: len(r.shards)}, fmt.Errorf("shard: join radius %v out of range", radius)
 	}
 	r.m.joinRequests.Add(1)
-	r2 := radius * radius
-
-	var needed []int
-	for i := 0; i < lay.part.Cells(); i++ {
-		// <= not <: a point exactly radius away still matches.
-		if lay.part.Cell(i).Dist2ToPoint(p) > r2 {
-			fan.Pruned++
-			r.m.pruned.Add(1)
-			continue
-		}
-		needed = append(needed, i)
-	}
-	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, true,
-		func(c context.Context, sh *shardHandle, _ []int) (any, error) {
-			return sh.client.Join(c, []geom.Point{p}, radius)
-		})
-	fan.Queried = len(resps)
-	if len(uncovered) > 0 {
-		r.m.degraded.Add(1)
-		return nil, fan, fmt.Errorf("%w: cell %d within join radius has no in-sync replica", ErrDegraded, uncovered[0])
-	}
-	var all []core.Item
-	for _, rp := range resps {
-		all = append(all, filterItems(lay.hostedBoxes(rp.sh.id), rp.v.([][]core.Item)[0])...)
-	}
-	core.SortItems(all)
-	return dedupItems(all), fan, nil
+	return r.inRegion(ctx, kd.Ball(p, radius), "join ball", func(c context.Context, sh *shardHandle, _ []int) (any, error) {
+		return sh.client.Join(c, []geom.Point{p}, radius)
+	})
 }
 
 // Aggregate answers a windowed aggregation (count + exact coordinate sums)
@@ -78,16 +52,8 @@ func (r *Router) Aggregate(ctx context.Context, box geom.Box) (core.BoxAggregate
 	}
 	r.m.aggRequests.Add(1)
 
-	var needed []int
-	for i := 0; i < lay.part.Cells(); i++ {
-		if !lay.part.Cell(i).Intersects(box) {
-			fan.Pruned++
-			r.m.pruned.Add(1)
-			continue
-		}
-		needed = append(needed, i)
-	}
-	resps, uncovered := r.coverCells(ctx, lay, needed, map[int]bool{}, map[int]bool{}, false,
+	g := kd.InBox(box)
+	resps, uncovered := r.coverCells(ctx, lay, r.meeting(lay, &g, &fan), map[int]bool{}, map[int]bool{}, false,
 		func(c context.Context, sh *shardHandle, cells []int) (any, error) {
 			// Cell-assigned exact counting: the shard aggregates only items
 			// the assigned cell boxes own, so migration strays outside every
